@@ -14,7 +14,6 @@ from .cohort import (
     PredictionRecord,
     PredictionSet,
     align,
-    eligible_groups,
     emit,
     ingest,
 )

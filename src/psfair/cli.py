@@ -25,43 +25,52 @@ from .metrics import BootstrapConfig, FairnessSummary
 from .positive_sum import GatePolicy
 
 _ENV_PREFIX = "PSFAIR_"
+REPORT_FORMATS = ("json", "csv")
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "": False, "0": False, "false": False, "no": False, "off": False}
 
 
-def _env_str(name: str, default: str | None) -> str | None:
-    return os.environ.get(_ENV_PREFIX + name, default)
+def _flag(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value not in _FLAG_WORDS:
+        raise ValueError(f"not a flag value, expected one of {sorted(_FLAG_WORDS)}")
+    return _FLAG_WORDS[value]
 
 
-def _env_int(name: str, default: int) -> int:
+def _report_format(raw: str) -> str:
+    if raw not in REPORT_FORMATS:
+        raise ValueError(f"not a report format, expected one of {list(REPORT_FORMATS)}")
+    return raw
+
+
+def _env(name: str, convert=str, default=None):
+    """A flag's default from PSFAIR_<name>; a malformed value is an input error."""
     raw = os.environ.get(_ENV_PREFIX + name)
-    return int(raw) if raw is not None else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return float(raw) if raw is not None else default
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(_ENV_PREFIX + name, "")
-    return raw.strip().lower() in {"1", "true", "yes", "on"}
+    if raw is None:
+        return default
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ValueError(f"{_ENV_PREFIX}{name}={raw!r}: {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-pos", type=int, default=_env_int("MIN_POS", 5),
+    parser.add_argument("--min-pos", type=int, default=_env("MIN_POS", int, 5),
                         help="minimum positive cases for a subgroup to be included (default 5)")
-    parser.add_argument("--min-neg", type=int, default=_env_int("MIN_NEG", 5),
+    parser.add_argument("--min-neg", type=int, default=_env("MIN_NEG", int, 5),
                         help="minimum negative cases for a subgroup to be included (default 5)")
-    parser.add_argument("--bootstrap-n", type=int, default=_env_int("BOOTSTRAP_N", 300),
+    parser.add_argument("--bootstrap-n", type=int, default=_env("BOOTSTRAP_N", int, 300),
                         help="bootstrap resample count (default 300)")
-    parser.add_argument("--confidence", type=float, default=_env_float("CONFIDENCE", 0.95),
+    parser.add_argument("--confidence", type=float, default=_env("CONFIDENCE", float, 0.95),
                         help="bootstrap confidence level (default 0.95)")
-    parser.add_argument("--seed", type=int, default=_env_int("SEED", 0),
+    parser.add_argument("--seed", type=int, default=_env("SEED", int, 0),
                         help="master seed for all randomized steps (default 0)")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        default=_env_str("FORMAT", "json"), help="report format (default json)")
-    parser.add_argument("--out", default=_env_str("OUT", None),
+    parser.add_argument("--format", choices=REPORT_FORMATS,
+                        default=_env("FORMAT", _report_format, "json"),
+                        help="report format (default json)")
+    parser.add_argument("--out", default=_env("OUT"),
                         help="write the report here instead of stdout")
-    parser.add_argument("--tab", action="store_true", default=_env_flag("TAB"),
+    parser.add_argument("--tab", action="store_true", default=_env("TAB", _flag, False),
                         help="read input files as tab-separated instead of comma-separated")
 
 
@@ -79,27 +88,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_audit)
 
     p_cmp = sub.add_parser("compare", help="positive-sum comparison of candidates vs a baseline")
-    p_cmp.add_argument("--baseline", required=_env_str("BASELINE", None) is None,
-                       default=_env_str("BASELINE", None), help="baseline prediction file")
+    baseline = _env("BASELINE")
+    p_cmp.add_argument("--baseline", required=baseline is None, default=baseline,
+                       help="baseline prediction file")
     p_cmp.add_argument("--candidate", action="append", default=None,
                        help="candidate prediction file (repeatable)")
-    p_cmp.add_argument("--epsilon", type=float, default=_env_float("EPSILON", 0.0),
+    p_cmp.add_argument("--epsilon", type=float, default=_env("EPSILON", float, 0.0),
                        help="tolerance band for harm classification and gating (default 0)")
     p_cmp.add_argument("--conservative-ci", action="store_true",
-                       default=_env_flag("CONSERVATIVE_CI"),
+                       default=_env("CONSERVATIVE_CI", _flag, False),
                        help="gate on bootstrap delta CIs instead of point estimates")
     _add_common(p_cmp)
 
     p_gen = sub.add_parser("gen", help="write a synthetic baseline/candidate study to disk")
     p_gen.add_argument("scenario",
                        help=f"scenario JSON file or preset name {sorted(synth.PRESET_NAMES)}")
-    p_gen.add_argument("--out-dir", default=_env_str("OUT_DIR", "."),
+    p_gen.add_argument("--out-dir", default=_env("OUT_DIR", default="."),
                        help="directory for the generated prediction files (default .)")
     p_gen.add_argument("--seed", type=int, default=None,
                        help="override the scenario's seed")
-    p_gen.add_argument("--tab", action="store_true", default=_env_flag("TAB"),
+    p_gen.add_argument("--tab", action="store_true", default=_env("TAB", _flag, False),
                        help="write tab-separated files")
     return parser
+
+
+AUDIT_CSV_COLUMNS = (
+    "finding", "group", "n_pos", "n_neg", "included", "auroc", "ci_low", "ci_high",
+    "low_confidence", "overall_auroc", "fairness_score", "worst_group",
+)
+COMPARE_CSV_COLUMNS = (
+    "candidate", "finding", "group", "jointly_included", "baseline_auroc", "candidate_auroc",
+    "delta", "overall_delta", "min_group_delta", "min_group", "classification", "narrative",
+    "disparity_change", "promote", "reasons",
+)
 
 
 def _config_block(policy: InclusionPolicy, boot: BootstrapConfig,
@@ -157,9 +178,10 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_csv(rows: list[dict]) -> str:
+def _render_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    # Rows may carry keys beyond the columns; None is written as an empty field.
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -182,41 +204,27 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for w in warnings:
         print(f"psfair: warning: {w}", file=sys.stderr)
 
+    findings = [_summary_dict(s) for s in summaries]
     if args.format == "json":
         doc = {
             "report_type": "audit",
             "model_id": model_id,
             "config": _config_block(policy, boot),
-            "findings": [_summary_dict(s) for s in summaries],
+            "findings": findings,
             "macro_average_auroc": metrics.macro_average(summaries),
             "warnings": warnings,
         }
         _write_output(_render_json(doc), args.out)
     else:
-        rows = []
-        for s in summaries:
-            for g in s.per_group:
-                rows.append({
-                    "finding": s.finding_id,
-                    "group": g.group_id,
-                    "n_pos": g.n_pos,
-                    "n_neg": g.n_neg,
-                    "included": g.included,
-                    "auroc": "" if g.auroc is None else repr(g.auroc),
-                    "ci_low": "" if g.ci_low is None else repr(g.ci_low),
-                    "ci_high": "" if g.ci_high is None else repr(g.ci_high),
-                    "low_confidence": g.low_confidence,
-                    "overall_auroc": repr(s.overall_auroc),
-                    "fairness_score": "" if s.fairness_score is None else repr(s.fairness_score),
-                    "worst_group": s.worst_group or "",
-                })
-        _write_output(_render_csv(rows), args.out)
+        rows = [{**f, **g, "finding": f["finding_id"], "group": g["group_id"]}
+                for f in findings for g in f["groups"]]
+        _write_output(_render_csv(AUDIT_CSV_COLUMNS, rows), args.out)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if not args.candidate:
-        env_cand = _env_str("CANDIDATE", None)
+        env_cand = _env("CANDIDATE")
         if env_cand:
             args.candidate = [env_cand]
         else:
@@ -230,8 +238,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     candidates = [ingest(p, Path(p).stem, delimiter=delimiter) for p in args.candidate]
     study = align(baseline, candidates)
 
+    # The models block carries point estimates only, so no bootstrap runs for it.
     model_summaries = {
-        m.model_id: [metrics.summarize(m, f, policy, boot) for f in study.findings]
+        m.model_id: [metrics.summarize(m, f, policy, None) for f in study.findings]
         for m in (baseline, *study.candidates)
     }
 
@@ -271,7 +280,43 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "mean_min_group_delta": sum(c.min_group_delta for c in own) / len(own),
             })
 
-    all_promoted = all(verdict.promote for _, _, verdict in comparisons)
+    # A skipped (candidate, finding) was never evaluated, so it cannot promote.
+    all_promoted = not warnings and all(verdict.promote for _, _, verdict in comparisons)
+
+    reports = [
+        {
+            "candidate_id": cmp.candidate_id,
+            "finding_id": cmp.finding_id,
+            "overall_delta": cmp.overall_delta,
+            "min_group_delta": cmp.min_group_delta,
+            "min_group": cmp.min_group,
+            "classification": cmp.classification.value,
+            "disparity_change": cmp.disparity_change,
+            "epsilon": cmp.epsilon,
+            "group_deltas": [
+                {
+                    "group_id": d.group_id,
+                    "baseline_auroc": d.baseline_auroc,
+                    "candidate_auroc": d.candidate_auroc,
+                    "delta": d.delta,
+                    "jointly_included": d.jointly_included,
+                }
+                for d in cmp.group_deltas
+            ],
+            "narrative": None if narrative is None else {
+                "kind": narrative.kind.value,
+                "signs": dict(sorted(narrative.signs.items())),
+            },
+            "gate": {"promote": verdict.promote, "reasons": list(verdict.reasons)},
+            "overall_delta_ci": (
+                None if cmp.overall_delta_ci is None else list(cmp.overall_delta_ci)
+            ),
+            "min_group_delta_ci": (
+                None if cmp.min_group_delta_ci is None else list(cmp.min_group_delta_ci)
+            ),
+        }
+        for cmp, narrative, verdict in comparisons
+    ]
 
     if args.format == "json":
         doc = {
@@ -285,40 +330,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 }
                 for mid, summ in model_summaries.items()
             ],
-            "comparisons": [
-                {
-                    "candidate_id": cmp.candidate_id,
-                    "finding_id": cmp.finding_id,
-                    "overall_delta": cmp.overall_delta,
-                    "min_group_delta": cmp.min_group_delta,
-                    "min_group": cmp.min_group,
-                    "classification": cmp.classification.value,
-                    "disparity_change": cmp.disparity_change,
-                    "epsilon": cmp.epsilon,
-                    "group_deltas": [
-                        {
-                            "group_id": d.group_id,
-                            "baseline_auroc": d.baseline_auroc,
-                            "candidate_auroc": d.candidate_auroc,
-                            "delta": d.delta,
-                            "jointly_included": d.jointly_included,
-                        }
-                        for d in cmp.group_deltas
-                    ],
-                    "narrative": None if narrative is None else {
-                        "kind": narrative.kind.value,
-                        "signs": dict(sorted(narrative.signs.items())),
-                    },
-                    "gate": {"promote": verdict.promote, "reasons": list(verdict.reasons)},
-                    "overall_delta_ci": (
-                        None if cmp.overall_delta_ci is None else list(cmp.overall_delta_ci)
-                    ),
-                    "min_group_delta_ci": (
-                        None if cmp.min_group_delta_ci is None else list(cmp.min_group_delta_ci)
-                    ),
-                }
-                for cmp, narrative, verdict in comparisons
-            ],
+            "comparisons": reports,
             "coordinates": [
                 {"candidate_id": cid, "finding_id": fid, "x": x, "y": y}
                 for cid, fid, x, y in positive_sum.plot_coordinates(
@@ -332,29 +344,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         }
         _write_output(_render_json(doc), args.out)
     else:
-        rows = []
-        for cmp, narrative, verdict in comparisons:
-            for d in cmp.group_deltas:
-                rows.append({
-                    "candidate": cmp.candidate_id,
-                    "finding": cmp.finding_id,
-                    "group": d.group_id,
-                    "jointly_included": d.jointly_included,
-                    "baseline_auroc": "" if d.baseline_auroc is None else repr(d.baseline_auroc),
-                    "candidate_auroc": "" if d.candidate_auroc is None else repr(d.candidate_auroc),
-                    "delta": "" if d.delta is None else repr(d.delta),
-                    "overall_delta": repr(cmp.overall_delta),
-                    "min_group_delta": repr(cmp.min_group_delta),
-                    "min_group": cmp.min_group,
-                    "classification": cmp.classification.value,
-                    "narrative": "" if narrative is None else narrative.kind.value,
-                    "disparity_change": (
-                        "" if cmp.disparity_change is None else repr(cmp.disparity_change)
-                    ),
-                    "promote": verdict.promote,
-                    "reasons": "; ".join(verdict.reasons),
-                })
-        _write_output(_render_csv(rows), args.out)
+        rows = [
+            {**c, **d, **c["gate"], "candidate": c["candidate_id"], "finding": c["finding_id"],
+             "group": d["group_id"], "narrative": c["narrative"] and c["narrative"]["kind"],
+             "reasons": "; ".join(c["gate"]["reasons"])}
+            for c in reports for d in c["group_deltas"]
+        ]
+        _write_output(_render_csv(COMPARE_CSV_COLUMNS, rows), args.out)
 
     return 0 if all_promoted else 1
 
@@ -390,10 +386,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"audit": cmd_audit, "compare": cmd_compare, "gen": cmd_gen}
     try:
+        args = build_parser().parse_args(argv)  # reads PSFAIR_* defaults
         return handlers[args.command](args)
     except (CohortError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"psfair: error: {exc}", file=sys.stderr)

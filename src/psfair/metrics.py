@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .cohort import InclusionPolicy, PredictionSet, group_counts
+from .cohort import InclusionPolicy, PredictionSet
 from .seeding import substream
 
 
@@ -111,61 +111,55 @@ def group_performance(
     pset: PredictionSet,
     finding: str,
     policy: InclusionPolicy = InclusionPolicy(),
-    boot: BootstrapConfig = BootstrapConfig(),
+    boot: BootstrapConfig | None = BootstrapConfig(),
 ) -> list[SubgroupPerformance]:
     """Per-subgroup AUROC with bootstrap CIs, flagged by the inclusion policy.
 
-    CIs are only computed for included groups. If the point estimate falls
-    outside the percentile interval (possible at tiny n), the interval is
-    widened to cover it and the group flagged low_confidence.
+    CIs are only computed for included groups, and for none when boot is
+    None. If the point estimate falls outside the percentile interval
+    (possible at tiny n), the interval is widened to cover it and the group
+    flagged low_confidence.
     """
-    scores: dict[str, tuple[list[float], list[float]]] = {}
-    for r in pset.records_for(finding):
-        p, n = scores.setdefault(r.group_id, ([], []))
-        (p if r.label == 1 else n).append(r.score)
-
     out: list[SubgroupPerformance] = []
-    for group in sorted(scores):
-        pos, neg = scores[group]
+    for cell in pset.cells(finding):
+        pos, neg = pset.score[cell.pos], pset.score[cell.neg]
         n_pos, n_neg = len(pos), len(neg)
-        included = n_pos >= policy.min_positives and n_neg >= policy.min_negatives
+        included = policy.admits(n_pos, n_neg)
         point = auroc(pos, neg) if n_pos and n_neg else None
-        if not included or point is None:
-            # A zero-count side can only be "included" under a zero threshold;
-            # its AUROC is undefined either way.
-            out.append(
-                SubgroupPerformance(group, n_pos, n_neg, included and point is not None, point)
-            )
+        if not included or boot is None:
+            out.append(SubgroupPerformance(cell.group_id, n_pos, n_neg, included, point))
             continue
-        rng = substream(boot.seed, "bootstrap", pset.model_id, finding, group)
-        low, high = bootstrap_auroc_ci(np.asarray(pos), np.asarray(neg), boot, rng)
+        rng = substream(boot.seed, "bootstrap", pset.model_id, finding, cell.group_id)
+        low, high = bootstrap_auroc_ci(pos, neg, boot, rng)
         low_confidence = False
         if point < low:
             low, low_confidence = point, True
         if point > high:
             high, low_confidence = point, True
         out.append(
-            SubgroupPerformance(group, n_pos, n_neg, True, point, low, high, low_confidence)
+            SubgroupPerformance(cell.group_id, n_pos, n_neg, True, point, low, high, low_confidence)
         )
     return out
 
 
 def overall_auroc(pset: PredictionSet, finding: str) -> float:
     """Pooled AUROC over all records of a finding, regardless of inclusion."""
-    pos = [r.score for r in pset.records_for(finding) if r.label == 1]
-    neg = [r.score for r in pset.records_for(finding) if r.label == 0]
-    return auroc(pos, neg)
+    cell = pset.pooled(finding)
+    return auroc(pset.score[cell.pos], pset.score[cell.neg])
 
 
 def summarize(
     pset: PredictionSet,
     finding: str,
     policy: InclusionPolicy = InclusionPolicy(),
-    boot: BootstrapConfig = BootstrapConfig(),
+    boot: BootstrapConfig | None = BootstrapConfig(),
 ) -> FairnessSummary:
-    """Overall AUROC plus fairness over included subgroups for one finding."""
+    """Overall AUROC plus fairness over included subgroups for one finding.
+
+    With boot=None no subgroup gets a CI; every other field is unchanged.
+    """
     per_group = tuple(group_performance(pset, finding, policy, boot))
-    evaluable = [g for g in per_group if g.included and g.auroc is not None]
+    evaluable = [g for g in per_group if g.included]
     fairness_score: float | None = None
     worst_group: str | None = None
     if len(evaluable) >= 2:
@@ -198,5 +192,4 @@ __all__ = [
     "overall_auroc",
     "summarize",
     "macro_average",
-    "group_counts",
 ]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import AlignedStudy, InclusionPolicy, PredictionSet
+from .cohort import AlignedStudy, Cell, InclusionPolicy, PredictionSet
 from .metrics import BootstrapConfig, auroc, overall_auroc
 from .seeding import substream
 
@@ -102,14 +102,6 @@ def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0)
     return Classification.HARMFUL_BOTH
 
 
-def _group_scores(pset: PredictionSet, finding: str) -> dict[str, tuple[list[float], list[float]]]:
-    out: dict[str, tuple[list[float], list[float]]] = {}
-    for r in pset.records_for(finding):
-        p, n = out.setdefault(r.group_id, ([], []))
-        (p if r.label == 1 else n).append(r.score)
-    return out
-
-
 def compare(
     study: AlignedStudy,
     finding: str,
@@ -129,21 +121,18 @@ def compare(
     baseline = study.baseline
     candidate = study.candidate(candidate_id)
 
-    base_scores = _group_scores(baseline, finding)
-    cand_scores = _group_scores(candidate, finding)
+    # Aligned sets share their row layout, so a baseline cell indexes the
+    # same examples in the candidate's score column.
+    b, c = baseline.score, candidate.score
+    cells = baseline.cells(finding)
     deltas: list[GroupDelta] = []
-    for group in sorted(base_scores):
-        b_pos, b_neg = base_scores[group]
-        c_pos, c_neg = cand_scores[group]
-        n_pos, n_neg = len(b_pos), len(b_neg)
+    for cell in cells:
+        n_pos, n_neg = len(cell.pos), len(cell.neg)
         defined = n_pos >= 1 and n_neg >= 1
-        included = (
-            n_pos >= policy.min_positives and n_neg >= policy.min_negatives and defined
-        )
-        b_auc = auroc(b_pos, b_neg) if defined else None
-        c_auc = auroc(c_pos, c_neg) if defined else None
+        b_auc = auroc(b[cell.pos], b[cell.neg]) if defined else None
+        c_auc = auroc(c[cell.pos], c[cell.neg]) if defined else None
         delta = c_auc - b_auc if defined else None
-        deltas.append(GroupDelta(group, b_auc, c_auc, delta, included))
+        deltas.append(GroupDelta(cell.group_id, b_auc, c_auc, delta, policy.admits(n_pos, n_neg)))
 
     included_deltas = [d for d in deltas if d.jointly_included]
     if not included_deltas:
@@ -163,7 +152,8 @@ def compare(
     overall_ci = min_ci = None
     if conservative:
         overall_ci, min_ci = _delta_bootstrap_cis(
-            baseline, candidate, finding, [d.group_id for d in included_deltas], boot
+            baseline, candidate, finding,
+            [cell for cell, d in zip(cells, deltas) if d.jointly_included], boot,
         )
 
     return PositiveSumComparison(
@@ -185,48 +175,32 @@ def _delta_bootstrap_cis(
     baseline: PredictionSet,
     candidate: PredictionSet,
     finding: str,
-    included_groups: list[str],
+    included: list[Cell],
     boot: BootstrapConfig,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Paired percentile CIs for (overall delta, min group delta).
 
     Resampling is paired: the same resampled examples are scored by both
-    models, so only score differences drive the interval width.
+    models, so only score differences drive the interval width. Each
+    resample draws the pooled cell first, then the included groups' cells.
     """
-    base_recs = sorted(baseline.records_for(finding), key=lambda r: r.example_id)
-    pairs = [(r, candidate.record(r.example_id, finding)) for r in base_recs]
-
-    pool_pos = np.array([(b.score, c.score) for b, c in pairs if b.label == 1])
-    pool_neg = np.array([(b.score, c.score) for b, c in pairs if b.label == 0])
-    by_group: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for g in included_groups:
-        gp = np.array([(b.score, c.score) for b, c in pairs if b.label == 1 and b.group_id == g])
-        gn = np.array([(b.score, c.score) for b, c in pairs if b.label == 0 and b.group_id == g])
-        by_group[g] = (gp, gn)
-
+    b, c = baseline.score, candidate.score
+    sides = [
+        (b[cell.pos], c[cell.pos], b[cell.neg], c[cell.neg])
+        for cell in (baseline.pooled(finding), *included)
+    ]
     rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding)
-    overall_stats = np.empty(boot.n_resamples)
-    min_stats = np.empty(boot.n_resamples)
+    stats = np.empty((len(sides), boot.n_resamples))
     for i in range(boot.n_resamples):
-        pi = rng.integers(0, len(pool_pos), len(pool_pos))
-        ni = rng.integers(0, len(pool_neg), len(pool_neg))
-        overall_stats[i] = auroc(pool_pos[pi, 1], pool_neg[ni, 1]) - auroc(
-            pool_pos[pi, 0], pool_neg[ni, 0]
-        )
-        group_deltas = []
-        for g in included_groups:
-            gp, gn = by_group[g]
-            gpi = rng.integers(0, len(gp), len(gp))
-            gni = rng.integers(0, len(gn), len(gn))
-            group_deltas.append(
-                auroc(gp[gpi, 1], gn[gni, 1]) - auroc(gp[gpi, 0], gn[gni, 0])
-            )
-        min_stats[i] = min(group_deltas)
+        for k, (b_pos, c_pos, b_neg, c_neg) in enumerate(sides):
+            pi = rng.integers(0, len(b_pos), len(b_pos))
+            ni = rng.integers(0, len(b_neg), len(b_neg))
+            stats[k, i] = auroc(c_pos[pi], c_neg[ni]) - auroc(b_pos[pi], b_neg[ni])
 
     alpha = 1.0 - boot.confidence_level
     qs = [alpha / 2.0, 1.0 - alpha / 2.0]
-    o_lo, o_hi = np.quantile(overall_stats, qs)
-    m_lo, m_hi = np.quantile(min_stats, qs)
+    o_lo, o_hi = np.quantile(stats[0], qs)
+    m_lo, m_hi = np.quantile(stats[1:].min(axis=0), qs)
     return (float(o_lo), float(o_hi)), (float(m_lo), float(m_hi))
 
 

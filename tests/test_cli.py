@@ -5,9 +5,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from psfair.cli import main
+from psfair.cli import COMPARE_CSV_COLUMNS, main
 from psfair.cohort import emit, ingest
 from psfair.synth import build_study, preset
+from conftest import group_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO_ROOT / "schemas"
@@ -185,6 +186,65 @@ class TestCompare:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("candidate,finding,group")
         assert len(out.splitlines()) == 4  # header + 3 groups
+
+
+    def test_duplicate_candidate_stem_exits_2(self, tmp_path, capsys):
+        # An m4-like (harmful) file saved under the stem of a promotable one.
+        x, y = tmp_path / "x", tmp_path / "y"
+        assert main(["gen", "m2_like", "--out-dir", str(x)]) == 0
+        assert main(["gen", "m4_like", "--out-dir", str(y)]) == 0
+        (y / "m4.csv").rename(y / "m2.csv")
+        capsys.readouterr()
+        rc = main(["compare", "--baseline", str(x / "baseline.csv"),
+                   "--candidate", str(x / "m2.csv"), "--candidate", str(y / "m2.csv"),
+                   "--bootstrap-n", "20"])
+        assert rc == 2
+        assert "model ids must be unique" in capsys.readouterr().err
+
+    def test_candidate_with_baseline_id_exits_2(self, study_files, tmp_path, capsys):
+        copy = tmp_path / "other" / "baseline.csv"
+        copy.parent.mkdir()
+        copy.write_text(study_files["m2"].read_text())
+        rc = main(["compare", "--baseline", str(study_files["baseline"]),
+                   "--candidate", str(copy), "--bootstrap-n", "20"])
+        assert rc == 2
+        assert "['baseline']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unevaluated_candidate_rejects(self, tmp_path, capsys, fmt):
+        # 4 positives and 4 negatives: no group passes the 5/5 rule, so the
+        # comparison is skipped; the candidate's scores are inverted.
+        rows = group_rows("f", "g", [0.9, 0.8, 0.7, 0.6], [0.1, 0.2, 0.3, 0.4])
+        header = "example_id,finding,label,score,group\n"
+        base, cand = tmp_path / "base.csv", tmp_path / "cand.csv"
+        base.write_text(header + "".join(f"{e},{f},{y},{s},{g}\n" for e, f, y, s, g in rows))
+        cand.write_text(header + "".join(f"{e},{f},{y},{-s},{g}\n" for e, f, y, s, g in rows))
+        rc = main(["compare", "--baseline", str(base), "--candidate", str(cand),
+                   "--format", fmt, "--bootstrap-n", "20"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "skipped" in captured.err
+        if fmt == "csv":
+            assert captured.out == ",".join(COMPARE_CSV_COLUMNS) + "\n"
+        else:
+            doc = json.loads(captured.out)
+            assert doc["all_promoted"] is False and doc["comparisons"] == []
+            validate(doc, "compare_report.schema.json")
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("name,value", [
+        ("PSFAIR_BOOTSTRAP_N", "abc"),
+        ("PSFAIR_CONFIDENCE", "high"),
+        ("PSFAIR_FORMAT", "xml"),
+        ("PSFAIR_TAB", "maybe"),
+    ])
+    def test_malformed_variable_exits_2(self, tmp_path, capsys, monkeypatch, name, value):
+        path = tmp_path / "m.csv"
+        path.write_text("example_id,finding,label,score,group\ne1,f,1,0.5,g\ne2,f,0,0.1,g\n")
+        monkeypatch.setenv(name, value)
+        assert main(["audit", str(path)]) == 2
+        assert f"psfair: error: {name}={value!r}" in capsys.readouterr().err
 
 
 class TestGen:

@@ -11,8 +11,7 @@ from psfair.cohort import (
     PredictionRecord,
     PredictionSet,
     align,
-    eligible_groups,
-    emits,
+    emit,
     ingest,
 )
 from conftest import group_rows, make_set
@@ -26,18 +25,33 @@ ex2,effusion,1,0.7,asian
 """
 
 
+def emits(pset):
+    buf = io.StringIO()
+    emit(pset, buf)
+    return buf.getvalue()
+
+
+def by_key(pset):
+    return {(r.example_id, r.finding_id): r for r in pset.records}
+
+
+def included_groups(pset, finding, policy=InclusionPolicy()):
+    """Groups the one inclusion rule admits, over the set's own bucketing."""
+    return {c.group_id for c in pset.cells(finding) if policy.admits(len(c.pos), len(c.neg))}
+
+
 def test_ingest_well_formed():
     pset = ingest(io.StringIO(WELL_FORMED), "m1")
     assert len(pset) == 4
     assert pset.findings == ("effusion", "pneumonia")
     assert pset.groups == ("asian", "white")
-    assert pset.record("ex1", "pneumonia").score == 0.9
+    assert by_key(pset)[("ex1", "pneumonia")].score == 0.9
 
 
 def test_ingest_column_order_irrelevant():
     text = "score,group,label,finding,example_id\n0.5,g,1,f,e1\n0.2,g,0,f,e2\n"
     pset = ingest(io.StringIO(text), "m")
-    assert pset.record("e1", "f").label == 1
+    assert by_key(pset)[("e1", "f")].label == 1
 
 
 def test_ingest_nonbinary_label():
@@ -104,8 +118,9 @@ def test_align_identity():
     base = ingest(io.StringIO(WELL_FORMED), "m1")
     cand = ingest(io.StringIO(WELL_FORMED), "m2")
     study = align(base, [cand])
-    assert study.candidate_ids == ("m2",)
-    assert len(study.key_set) == 4
+    assert [c.model_id for c in study.candidates] == ["m2"]
+    assert len(study.baseline) == 4
+    assert study.candidates[0].records == study.baseline.records
 
 
 def test_align_order_insensitive():
@@ -114,7 +129,17 @@ def test_align_order_insensitive():
     random.Random(7).shuffle(rows)
     shuffled = make_set("m2", rows)
     study = align(base, [shuffled])
-    assert study.key_set == align(base, [make_set("m2", sorted(rows))]).key_set
+    in_order = align(base, [make_set("m2", sorted(rows))])
+    assert study.candidates[0].records == in_order.candidates[0].records
+
+
+def test_align_rejects_repeated_model_ids():
+    base = make_set("m1", group_rows("f", "g", [0.9], [0.1]))
+    with pytest.raises(AlignmentError, match=r"unique, repeated: \['m2'\]"):
+        align(base, [make_set("m2", group_rows("f", "g", [0.9], [0.1])),
+                     make_set("m2", group_rows("f", "g", [0.1], [0.9]))])
+    with pytest.raises(AlignmentError, match=r"repeated: \['m1'\]"):
+        align(base, [make_set("m1", group_rows("f", "g", [0.5], [0.1]))])
 
 
 def test_align_missing_key():
@@ -144,25 +169,28 @@ def test_eligible_4_positives_excluded():
     rows = group_rows("f", "small", [0.9] * 4, [0.1] * 100)
     rows += group_rows("f", "big", [0.9] * 10, [0.1] * 10)
     pset = make_set("m", rows)
-    assert eligible_groups(pset, "f") == {"big"}
+    assert included_groups(pset, "f") == {"big"}
 
 
 def test_eligible_5_5_boundary_included():
     pset = make_set("m", group_rows("f", "g", [0.9] * 5, [0.1] * 5))
-    assert eligible_groups(pset, "f") == {"g"}
+    assert included_groups(pset, "f") == {"g"}
 
 
 def test_eligible_zero_policy_includes_all():
     rows = group_rows("f", "a", [0.9], [0.1])
     rows += [("b-p0", "f", 1, 0.5, "b")]  # group with positives only
     pset = make_set("m", rows + group_rows("f", "c", [0.8], [0.2]))
-    assert eligible_groups(pset, "f", InclusionPolicy(0, 0)) == {"a", "b", "c"}
+    # A zero threshold admits every group whose AUROC is defined; "b" has no
+    # negatives, so it stays out.
+    assert included_groups(pset, "f", InclusionPolicy(0, 0)) == {"a", "c"}
+    assert InclusionPolicy(0, 0).admits(1, 1) and not InclusionPolicy(0, 0).admits(1, 0)
 
 
 def test_eligible_unknown_finding():
     pset = make_set("m", group_rows("f", "g", [0.9], [0.1]))
     with pytest.raises(CohortError, match="unknown finding"):
-        eligible_groups(pset, "nope")
+        included_groups(pset, "nope")
 
 
 def test_eligible_monotone_in_policy(rng):
@@ -174,8 +202,8 @@ def test_eligible_monotone_in_policy(rng):
             rows += group_rows("f", g, [0.9] * n_pos, [0.1] * n_neg)
         pset = make_set("m", rows)
         mp, mn = int(rng.integers(0, 10)), int(rng.integers(0, 10))
-        strict = eligible_groups(pset, "f", InclusionPolicy(mp, mn))
-        relaxed = eligible_groups(
+        strict = included_groups(pset, "f", InclusionPolicy(mp, mn))
+        relaxed = included_groups(
             pset, "f", InclusionPolicy(max(0, mp - 1), max(0, mn - 1))
         )
         assert strict <= relaxed
