@@ -239,7 +239,9 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
     header: list[str] | None = None
     col: list[int] = []
     example_ids, findings, labels, scores, groups, lines = [], [], [], [], [], []
-    for lineno, row in enumerate(csv.reader(source, delimiter=delimiter), start=1):
+    reader = csv.reader(source, delimiter=delimiter)
+    for row in reader:
+        lineno = reader.line_num  # physical line: a quoted field may span several
         if not row or all(not cell.strip() for cell in row):
             continue
         if header is None:

@@ -1,8 +1,11 @@
 """AUROC, bootstrap confidence intervals, and the traditional fairness score.
 
 AUROC is the Mann-Whitney pair statistic: the fraction of (positive, negative)
-score pairs ranked correctly, ties counted half. The fast path uses a rank-sum
-in O(n log n); it agrees exactly with exhaustive pair counting.
+score pairs ranked correctly, ties counted half. It is counted, not ranked:
+a cell's negatives are sorted once and every positive is bracketed among them,
+so the point estimate and each bootstrap resample reduce to integer counts.
+``2U`` (twice the number of correct pairs, ties once) is exact, so every AUROC
+agrees bit for bit with exhaustive pair counting.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .cohort import InclusionPolicy, PredictionSet
 from .seeding import substream
@@ -65,11 +67,83 @@ class FairnessSummary:
     worst_group: str | None
 
 
+# Most draw indices one block of resamples holds; it bounds every temporary
+# of the counting kernel. A resample larger than this gets a block of its own.
+_BLOCK_ELEMS = 1 << 16
+
+
+class _Brackets:
+    """One cell's scores under one model, prepared for exact pair counting.
+
+    The negatives are sorted once into distinct levels. Each positive is
+    bracketed by ``searchsorted``: ``lo`` levels lie strictly below it and
+    ``hi`` levels at or below it, so ``hi - lo`` is 1 on a tie and 0 otherwise.
+    """
+
+    def __init__(self, pos: np.ndarray, neg: np.ndarray):
+        levels, self.neg_level = np.unique(neg, return_inverse=True)
+        self.n_levels = len(levels)
+        self.lo = np.searchsorted(levels, pos, "left")
+        self.hi = np.searchsorted(levels, pos, "right")
+        self.n_pairs = len(pos) * len(neg)
+
+    def aurocs(self, pos_draws: np.ndarray, neg_draws: np.ndarray) -> np.ndarray:
+        """AUROC of each resample, given as rows of positive and negative indices.
+
+        With ``w_pos`` counting how often a resample drew each positive,
+        ``2U = sum(w_pos * (cum[lo] + cum[hi]))``, where ``cum[j]`` is the
+        number of drawn negatives on levels below ``j``. ``2U`` is an exact
+        integer, so ``2U / 2 / n_pairs`` is the correctly rounded AUROC.
+        """
+        neg_w = _row_counts(self.neg_level[neg_draws], self.n_levels)
+        cum = np.zeros((len(neg_w), self.n_levels + 1), dtype=np.int64)
+        np.cumsum(neg_w, axis=1, out=cum[:, 1:])
+        pos_w = _row_counts(pos_draws, len(self.lo))
+        two_u = (pos_w * (cum[:, self.lo] + cum[:, self.hi])).sum(axis=1)
+        return two_u.astype(np.float64) / 2.0 / self.n_pairs
+
+
+def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
+    """``counts[r, j]``: how often row r of ``codes`` holds j, for j < width."""
+    rows = len(codes)
+    flat = (codes + (np.arange(rows) * width)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
+
+
+def _resample_blocks(rng: np.random.Generator, sizes: Sequence[tuple[int, int]],
+                     n_resamples: int):
+    """Yield ``(rows, draws)``: label-stratified resamples of cells, a block at a time.
+
+    ``sizes`` holds each cell's ``(n_pos, n_neg)``; ``draws`` holds one
+    ``(pos, neg)`` pair of index arrays per cell, one row per resample of the
+    ``rows`` slice. Each resample draws every cell in turn, positives then
+    negatives, one ``rng.integers`` call per side, exactly as one resample at
+    a time would. A block holds at most ``_BLOCK_ELEMS`` indices, or one
+    resample if that alone is more.
+    """
+    step = max(1, _BLOCK_ELEMS // sum(p + n for p, n in sizes))
+    for start in range(0, n_resamples, step):
+        count = min(step, n_resamples - start)
+        draws = [(np.empty((count, p), np.int64), np.empty((count, n), np.int64))
+                 for p, n in sizes]
+        for r in range(count):
+            for (n_pos, n_neg), (pos, neg) in zip(sizes, draws):
+                pos[r] = rng.integers(0, n_pos, n_pos)
+                neg[r] = rng.integers(0, n_neg, n_neg)
+        yield slice(start, start + count), draws
+
+
+def _percentile_interval(stats: np.ndarray, boot: BootstrapConfig) -> tuple[float, float]:
+    alpha = 1.0 - boot.confidence_level
+    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return float(low), float(high)
+
+
 def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     """Probability a random positive outscores a random negative, ties half.
 
-    Exactly equals exhaustive pair counting: the rank-sum numerator is an
-    exact half-integer for any input, so no tolerance is needed.
+    Counts pairs from the negatives sorted once, so it exactly equals
+    exhaustive pair counting; no tolerance is needed.
     """
     pos = np.asarray(scores_pos, dtype=np.float64)
     neg = np.asarray(scores_neg, dtype=np.float64)
@@ -79,10 +153,8 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
         raise ValueError("undefined AUROC: no negative scores")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise ValueError("undefined AUROC: non-finite score")
-    ranks = rankdata(np.concatenate([pos, neg]))
-    n_pos, n_neg = pos.size, neg.size
-    u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    everyone = (np.arange(pos.size)[None], np.arange(neg.size)[None])
+    return float(_Brackets(pos, neg).aurocs(*everyone)[0])
 
 
 def bootstrap_auroc_ci(
@@ -96,15 +168,13 @@ def bootstrap_auroc_ci(
     Positives and negatives are resampled separately with replacement,
     preserving their counts, so no resample is degenerate.
     """
-    n_pos, n_neg = len(scores_pos), len(scores_neg)
+    brackets = _Brackets(np.asarray(scores_pos, np.float64), np.asarray(scores_neg, np.float64))
     stats = np.empty(boot.n_resamples)
-    for i in range(boot.n_resamples):
-        p = scores_pos[rng.integers(0, n_pos, n_pos)]
-        n = scores_neg[rng.integers(0, n_neg, n_neg)]
-        stats[i] = auroc(p, n)
-    alpha = 1.0 - boot.confidence_level
-    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return max(0.0, float(low)), min(1.0, float(high))
+    sizes = [(len(scores_pos), len(scores_neg))]
+    for rows, [(pos, neg)] in _resample_blocks(rng, sizes, boot.n_resamples):
+        stats[rows] = brackets.aurocs(pos, neg)
+    low, high = _percentile_interval(stats, boot)
+    return max(0.0, low), min(1.0, high)
 
 
 def group_performance(

@@ -15,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import AlignedStudy, Cell, InclusionPolicy, PredictionSet
-from .metrics import BootstrapConfig, auroc, overall_auroc
+from .metrics import (
+    BootstrapConfig,
+    _Brackets,
+    _percentile_interval,
+    _resample_blocks,
+    auroc,
+    overall_auroc,
+)
 from .seeding import substream
 
 
@@ -185,23 +192,17 @@ def _delta_bootstrap_cis(
     resample draws the pooled cell first, then the included groups' cells.
     """
     b, c = baseline.score, candidate.score
-    sides = [
-        (b[cell.pos], c[cell.pos], b[cell.neg], c[cell.neg])
-        for cell in (baseline.pooled(finding), *included)
-    ]
+    cells = (baseline.pooled(finding), *included)
+    brackets = [(_Brackets(b[cell.pos], b[cell.neg]), _Brackets(c[cell.pos], c[cell.neg]))
+                for cell in cells]
+    sizes = [(len(cell.pos), len(cell.neg)) for cell in cells]
     rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding)
-    stats = np.empty((len(sides), boot.n_resamples))
-    for i in range(boot.n_resamples):
-        for k, (b_pos, c_pos, b_neg, c_neg) in enumerate(sides):
-            pi = rng.integers(0, len(b_pos), len(b_pos))
-            ni = rng.integers(0, len(b_neg), len(b_neg))
-            stats[k, i] = auroc(c_pos[pi], c_neg[ni]) - auroc(b_pos[pi], b_neg[ni])
-
-    alpha = 1.0 - boot.confidence_level
-    qs = [alpha / 2.0, 1.0 - alpha / 2.0]
-    o_lo, o_hi = np.quantile(stats[0], qs)
-    m_lo, m_hi = np.quantile(stats[1:].min(axis=0), qs)
-    return (float(o_lo), float(o_hi)), (float(m_lo), float(m_hi))
+    stats = np.empty((len(cells), boot.n_resamples))
+    for rows, draws in _resample_blocks(rng, sizes, boot.n_resamples):
+        for k, ((b_cell, c_cell), (pos, neg)) in enumerate(zip(brackets, draws)):
+            stats[k, rows] = c_cell.aurocs(pos, neg) - b_cell.aurocs(pos, neg)
+    return (_percentile_interval(stats[0], boot),
+            _percentile_interval(stats[1:].min(axis=0), boot))
 
 
 def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateVerdict:

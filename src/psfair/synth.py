@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cohort import AlignedStudy, PredictionRecord, PredictionSet, align
 from .seeding import substream
@@ -70,6 +69,8 @@ class ScenarioSpec:
 
 def mu_for_auc(target_auc: float) -> float:
     """Positive-class mean shift achieving the target AUC under the binormal model."""
+    from scipy.special import ndtri  # imported here so that audit and compare never load scipy
+
     if not 0.0 < target_auc < 1.0:
         raise ValueError(f"target_auc must be in (0, 1), got {target_auc}")
     return math.sqrt(2.0) * float(ndtri(target_auc))

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import psfair
 from psfair.cli import COMPARE_CSV_COLUMNS, main
 from psfair.cohort import emit, ingest
 from psfair.synth import build_study, preset
@@ -68,6 +72,14 @@ class TestAudit:
         rc = main(["audit", str(path)])
         assert rc == 2
         assert "label not binary" in capsys.readouterr().err
+
+    def test_error_line_counts_quoted_newlines(self, tmp_path, capsys):
+        # The quoted id spans lines 2-3, so the bad label sits on physical line 5.
+        path = tmp_path / "bad.csv"
+        path.write_text('example_id,finding,label,score,group\n"e\n1",f,1,0.5,g\n'
+                        "e2,f,0,0.4,g\ne3,f,7,0.3,g\n")
+        assert main(["audit", str(path)]) == 2
+        assert "line 5: label not binary" in capsys.readouterr().err
 
     def test_csv_format(self, tmp_path, capsys):
         text = "example_id,finding,label,score,group\n" + "".join(
@@ -309,3 +321,15 @@ class TestEndToEnd:
         (comparison,) = doc["comparisons"]
         assert comparison["overall_delta"] == lib.overall_delta
         assert comparison["min_group_delta"] == lib.min_group_delta
+
+
+def test_cli_import_loads_no_scipy():
+    # Only gen needs scipy; audit and compare start without paying its import.
+    code = ("import sys, psfair.cli; psfair.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(psfair.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

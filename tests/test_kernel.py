@@ -1,0 +1,136 @@
+"""The counting AUROC kernel equals the rank-based reference bit for bit.
+
+Point AUROCs, audit CIs and paired delta CIs are compared with ``==``
+against ``reference.py`` under heavy ties, sides of one score, a single
+resample, ragged last blocks and blocks of one resample each. Examples are
+derandomized, so every run checks the same cases.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from psfair import metrics
+from psfair.cohort import InclusionPolicy, PredictionRecord, PredictionSet, align
+from psfair.metrics import BootstrapConfig, auroc, bootstrap_auroc_ci, group_performance
+from psfair.positive_sum import _delta_bootstrap_cis, compare
+from psfair.seeding import substream
+from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# 1 puts every resample in a block of its own; 7 and 50 leave ragged last blocks.
+block_caps = st.sampled_from([1, 7, 50, metrics._BLOCK_ELEMS])
+resample_counts = st.one_of(st.just(1), st.integers(1, 25))
+seeds = st.integers(0, 2**32)
+
+
+def side_size(max_size: int):
+    return st.one_of(st.just(1), st.integers(1, max_size))
+
+
+@st.composite
+def tied_score(draw):
+    """A score strategy rounded to 0-3 decimals: few levels, many ties."""
+    decimals = draw(st.integers(0, 3))
+    return st.floats(-2, 2, allow_nan=False).map(lambda x: round(x, decimals))
+
+
+@st.composite
+def sides(draw, max_size=30):
+    score = draw(tied_score())
+    return tuple(np.array(draw(st.lists(score, min_size=n, max_size=n)))
+                 for n in (draw(side_size(max_size)), draw(side_size(max_size))))
+
+
+@PROPERTY
+@given(sides(max_size=200))
+def test_point_auroc_matches_rank_sum(scores):
+    assert auroc(*scores) == rank_auroc(*scores)
+
+
+@PROPERTY
+@given(sides(), resample_counts, block_caps, seeds)
+def test_bootstrap_ci_matches_reference(scores, n, cap, seed):
+    boot = BootstrapConfig(n_resamples=n)
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+        got = bootstrap_auroc_ci(*scores, boot, substream(seed, "ci"))
+    assert got == rank_bootstrap_auroc_ci(*scores, boot, substream(seed, "ci"))
+
+
+@st.composite
+def paired_study(draw):
+    """An aligned baseline and candidate over 1-3 groups of one finding."""
+    score = draw(tied_score())
+    records = ([], [])
+    for g in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+        n_pos, n_neg = draw(side_size(8)), draw(side_size(8))
+        for i in range(n_pos + n_neg):
+            for model in records:
+                model.append(PredictionRecord(f"{g}{i}", "f", int(i < n_pos), draw(score), g))
+    return align(PredictionSet("base", records[0]), [PredictionSet("cand", records[1])])
+
+
+@PROPERTY
+@given(paired_study(), resample_counts, block_caps, seeds)
+def test_audit_cis_match_reference(study, n, cap, seed):
+    pset = study.baseline
+    boot = BootstrapConfig(n_resamples=n, seed=seed)
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+        perf = group_performance(pset, "f", InclusionPolicy(1, 1), boot)
+    for cell, g in zip(pset.cells("f"), perf):
+        pos, neg = pset.score[cell.pos], pset.score[cell.neg]
+        assert g.auroc == rank_auroc(pos, neg)
+        low, high = rank_bootstrap_auroc_ci(
+            pos, neg, boot, substream(seed, "bootstrap", "base", "f", cell.group_id))
+        assert (g.ci_low, g.ci_high) == (min(low, g.auroc), max(high, g.auroc))
+
+
+@PROPERTY
+@given(paired_study(), resample_counts, block_caps, seeds)
+def test_delta_cis_match_reference(study, n, cap, seed):
+    boot = BootstrapConfig(n_resamples=n, seed=seed)
+    baseline, candidate = study.baseline, study.candidates[0]
+    cells = list(baseline.cells("f"))
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+        got = _delta_bootstrap_cis(baseline, candidate, "f", cells, boot)
+        cmp = compare(study, "f", "cand", InclusionPolicy(1, 1), boot, conservative=True)
+    expected = rank_delta_bootstrap_cis(baseline, candidate, "f", cells, boot)
+    assert got == expected
+    assert (cmp.overall_delta_ci, cmp.min_group_delta_ci) == expected
+    for cell, d in zip(cells, cmp.group_deltas):
+        b, c = baseline.score, candidate.score
+        assert d.baseline_auroc == rank_auroc(b[cell.pos], b[cell.neg])
+        assert d.candidate_auroc == rank_auroc(c[cell.pos], c[cell.neg])
+
+
+def test_cell_larger_than_block_cap():
+    # With the real cap: one resample per block, then a ragged last block.
+    rng = np.random.default_rng(5)
+    boot = BootstrapConfig(n_resamples=3)
+    big = (np.round(rng.normal(0.5, 1, 40_000), 2), np.round(rng.normal(0, 1, 30_000), 2))
+    assert sum(map(len, big)) > metrics._BLOCK_ELEMS
+    assert (bootstrap_auroc_ci(*big, boot, substream(1, "big"))
+            == rank_bootstrap_auroc_ci(*big, boot, substream(1, "big")))
+    mid = (big[0][:3000], big[1][:2000])
+    boot = BootstrapConfig(n_resamples=30)
+    assert boot.n_resamples % (metrics._BLOCK_ELEMS // 5000) != 0  # ragged last block
+    assert (bootstrap_auroc_ci(*mid, boot, substream(2, "mid"))
+            == rank_bootstrap_auroc_ci(*mid, boot, substream(2, "mid")))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=4),
+       resample_counts, block_caps)
+def test_blocks_respect_the_cap(sizes, n, cap):
+    per_resample = sum(p + q for p, q in sizes)
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+        blocks = list(metrics._resample_blocks(substream(0, "blocks"), sizes, n))
+    covered = [i for rows, _ in blocks for i in range(n)[rows]]
+    assert covered == list(range(n))
+    for rows, draws in blocks:
+        count = rows.stop - rows.start
+        assert count == 1 or count * per_resample <= cap
+        assert [(p.shape, q.shape) for p, q in draws] == [((count, a), (count, b))
+                                                          for a, b in sizes]

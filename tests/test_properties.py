@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy, PredictionRecord, PredictionSet, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
-from psfair.positive_sum import GatePolicy, compare, gate
+from psfair.positive_sum import Classification, GatePolicy, compare, gate
 from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study, scenario_to_dict
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -116,6 +116,37 @@ def test_score_identical_candidate_has_zero_deltas(rows, rnd):
         assert cmp.disparity_change in (0.0, None)
         assert cmp.overall_delta_ci == (0.0, 0.0) and cmp.min_group_delta_ci == (0.0, 0.0)
         assert gate(cmp, GatePolicy(conservative_ci=True)).promote
+
+
+def study_of(rows):
+    """The baseline (column 3) and candidate "cand" (column 4) of paired rows."""
+    base = [PredictionRecord(e, f, y, b, g) for e, f, y, b, _, g in rows]
+    cand = [PredictionRecord(e, f, y, c, g) for e, f, y, _, c, g in rows]
+    return align(PredictionSet("base", base), [PredictionSet("cand", cand)])
+
+
+@PROPERTY
+@given(paired_rows(), st.floats(0, 0.5), st.floats(0, 0.5))
+def test_gate_promotion_monotone_in_epsilon(rows, e1, e2):
+    low, high = sorted((e1, e2))
+    study = study_of(rows)
+    boot = BootstrapConfig(n_resamples=10)
+    for finding in study.findings:
+        cmp = compare(study, finding, "cand", InclusionPolicy(1, 1), boot, conservative=True)
+        for conservative_ci in (False, True):
+            if gate(cmp, GatePolicy(epsilon=low, conservative_ci=conservative_ci)).promote:
+                assert gate(cmp, GatePolicy(epsilon=high, conservative_ci=conservative_ci)).promote
+
+
+@PROPERTY
+@given(paired_rows(), st.sampled_from([0.0, 0.01, 0.1]))
+def test_point_gate_agrees_with_classification(rows, epsilon):
+    # epsilon 0.0 is the default of both compare and GatePolicy.
+    study = study_of(rows)
+    for finding in study.findings:
+        cmp = compare(study, finding, "cand", InclusionPolicy(1, 1), epsilon=epsilon)
+        assert (gate(cmp, GatePolicy(epsilon=epsilon)).promote
+                == (cmp.classification is Classification.NON_HARMFUL))
 
 
 @st.composite
