@@ -47,7 +47,6 @@ from .synth import (
     GroupRecipe,
     ScenarioSpec,
     build_study,
-    gen_binormal,
     load_scenario,
     oracle_auroc,
     preset,

@@ -4,14 +4,20 @@ Exit codes: 0 success (and, for compare, every candidate promoted), 1 at least
 one candidate rejected by the gate, 2 input or validation error. This makes
 `psfair compare` usable directly as a CI promotion gate.
 
-Every flag can also be set through an environment variable with the PSFAIR_
-prefix (e.g. PSFAIR_BOOTSTRAP_N=500); explicit flags win.
+These flags take their default from a PSFAIR_<NAME> variable (e.g.
+PSFAIR_BOOTSTRAP_N=500); explicit flags win and a malformed value exits 2:
+--min-pos, --min-neg, --bootstrap-n, --confidence, --seed, --format, --out
+and --tab of audit and compare; --baseline, --candidate (one file),
+--epsilon and --conservative-ci of compare; --out-dir and --tab of gen.
+audit --model-id and gen --seed read none. --epsilon must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import enum
 import io
 import json
 import os
@@ -123,48 +129,32 @@ COMPARE_CSV_COLUMNS = (
 )
 
 
-def _config_block(policy: InclusionPolicy, boot: BootstrapConfig,
-                  gate_policy: GatePolicy | None = None) -> dict:
-    block = {
-        "min_positives": policy.min_positives,
-        "min_negatives": policy.min_negatives,
-        "n_resamples": boot.n_resamples,
-        "confidence_level": boot.confidence_level,
-        "seed": boot.seed,
-        "method": boot.method,
-    }
-    if gate_policy is not None:
-        block.update(
-            epsilon=gate_policy.epsilon,
-            require_overall_gain=gate_policy.require_overall_gain,
-            require_no_group_loss=gate_policy.require_no_group_loss,
-            conservative_ci=gate_policy.conservative_ci,
-        )
-    return block
+def _plain(obj):
+    """A result object as JSON values: dataclasses become dicts in field order,
+    enums their value, tuples and lists lists; dict values are converted too."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj
 
 
 def _summary_dict(summary: FairnessSummary, with_groups: bool = True) -> dict:
-    doc = {
-        "finding_id": summary.finding_id,
-        "overall_auroc": summary.overall_auroc,
-        "fairness_score": summary.fairness_score,
-        "worst_group": summary.worst_group,
-    }
-    if with_groups:
-        doc["groups"] = [
-            {
-                "group_id": g.group_id,
-                "n_pos": g.n_pos,
-                "n_neg": g.n_neg,
-                "included": g.included,
-                "auroc": g.auroc,
-                "ci_low": g.ci_low,
-                "ci_high": g.ci_high,
-                "low_confidence": g.low_confidence,
-            }
-            for g in summary.per_group
-        ]
-    return doc
+    doc = _plain(summary)
+    groups = doc.pop("per_group")
+    return {**doc, "groups": groups} if with_groups else doc
+
+
+# Key order of a comparison in the report (compare_report.schema.json).
+_COMPARISON_KEYS = (
+    "candidate_id", "finding_id", "overall_delta", "min_group_delta", "min_group",
+    "classification", "disparity_change", "epsilon", "group_deltas", "narrative", "gate",
+    "overall_delta_ci", "min_group_delta_ci",
+)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -175,7 +165,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _render_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
@@ -209,7 +199,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         doc = {
             "report_type": "audit",
             "model_id": model_id,
-            "config": _config_block(policy, boot),
+            "config": {**_plain(policy), **_plain(boot)},
             "findings": findings,
             "macro_average_auroc": metrics.macro_average(summaries),
             "warnings": warnings,
@@ -239,10 +229,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     study = align(baseline, candidates)
 
     # The models block carries point estimates only, so no bootstrap runs for it.
-    model_summaries = {
-        m.model_id: [metrics.summarize(m, f, policy, None) for f in study.findings]
+    models = [
+        {"model_id": m.model_id,
+         "findings": [_summary_dict(metrics.summarize(m, f, policy, None), with_groups=False)
+                      for f in study.findings]}
         for m in (baseline, *study.candidates)
-    }
+    ]
 
     comparisons = []
     warnings: list[str] = []
@@ -283,53 +275,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # A skipped (candidate, finding) was never evaluated, so it cannot promote.
     all_promoted = not warnings and all(verdict.promote for _, _, verdict in comparisons)
 
-    reports = [
-        {
-            "candidate_id": cmp.candidate_id,
-            "finding_id": cmp.finding_id,
-            "overall_delta": cmp.overall_delta,
-            "min_group_delta": cmp.min_group_delta,
-            "min_group": cmp.min_group,
-            "classification": cmp.classification.value,
-            "disparity_change": cmp.disparity_change,
-            "epsilon": cmp.epsilon,
-            "group_deltas": [
-                {
-                    "group_id": d.group_id,
-                    "baseline_auroc": d.baseline_auroc,
-                    "candidate_auroc": d.candidate_auroc,
-                    "delta": d.delta,
-                    "jointly_included": d.jointly_included,
-                }
-                for d in cmp.group_deltas
-            ],
-            "narrative": None if narrative is None else {
-                "kind": narrative.kind.value,
-                "signs": dict(sorted(narrative.signs.items())),
-            },
-            "gate": {"promote": verdict.promote, "reasons": list(verdict.reasons)},
-            "overall_delta_ci": (
-                None if cmp.overall_delta_ci is None else list(cmp.overall_delta_ci)
-            ),
-            "min_group_delta_ci": (
-                None if cmp.min_group_delta_ci is None else list(cmp.min_group_delta_ci)
-            ),
-        }
-        for cmp, narrative, verdict in comparisons
-    ]
+    reports = []
+    for cmp, narrative, verdict in comparisons:
+        doc = {**_plain(cmp), "narrative": _plain(narrative), "gate": _plain(verdict)}
+        reports.append({k: doc[k] for k in _COMPARISON_KEYS})
 
     if args.format == "json":
         doc = {
             "report_type": "compare",
             "baseline_id": baseline.model_id,
-            "config": _config_block(policy, boot, gate_policy),
-            "models": [
-                {
-                    "model_id": mid,
-                    "findings": [_summary_dict(s, with_groups=False) for s in summ],
-                }
-                for mid, summ in model_summaries.items()
-            ],
+            "config": {**_plain(policy), **_plain(boot), **_plain(gate_policy)},
+            "models": models,
             "comparisons": reports,
             "coordinates": [
                 {"candidate_id": cid, "finding_id": fid, "x": x, "y": y}

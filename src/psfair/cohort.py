@@ -1,8 +1,9 @@
 """Prediction-set ingestion, validation, alignment, and subgroup bucketing.
 
 Input files are UTF-8 delimited text with a header row naming the columns
-``example_id, finding, label, score, group`` in any order. One file holds one
-model's scored test set, long format: one row per (example, finding).
+``example_id, finding, label, score, group`` in any order; a leading
+byte-order mark is ignored. One file holds one model's scored test set, long
+format: one row per (example, finding).
 
 In memory a set is one column table: ``score`` (float64), ``label`` (int8)
 and integer codes into sorted vocabularies of example, finding and group ids.
@@ -97,6 +98,14 @@ class PredictionSet:
         recs = tuple(records)
         self._load(model_id, [r.example_id for r in recs], [r.finding_id for r in recs],
                    [r.label for r in recs], [r.score for r in recs], [r.group_id for r in recs])
+
+    @classmethod
+    def _from_columns(cls, model_id, example_id, finding_id, label, score, group_id,
+                      lines=None) -> PredictionSet:
+        """A set from parallel per-row columns, validated as records are."""
+        pset = cls.__new__(cls)
+        pset._load(model_id, example_id, finding_id, label, score, group_id, lines)
+        return pset
 
     def _load(self, model_id, example_id, finding_id, label, score, group_id, lines=None) -> None:
         """Validate parallel per-row columns once, then encode, sort and bucket them.
@@ -233,7 +242,8 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
     duplicates, and outright for empty input.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return ingest(fh, model_id, delimiter=delimiter)
 
     header: list[str] | None = None
@@ -265,9 +275,8 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
         labels.append(_LABELS.get(label, label))
         groups.append(group)
         lines.append(lineno)
-    pset = PredictionSet.__new__(PredictionSet)
-    pset._load(model_id, example_ids, findings, labels, scores, groups, lines)
-    return pset
+    return PredictionSet._from_columns(model_id, example_ids, findings, labels, scores, groups,
+                                       lines)
 
 
 def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str = ",") -> None:

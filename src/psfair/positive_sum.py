@@ -9,6 +9,7 @@ performance falls or any subgroup pays for the improvement.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,7 +21,7 @@ from .metrics import (
     _Brackets,
     _percentile_interval,
     _resample_blocks,
-    auroc,
+    group_performance,
     overall_auroc,
 )
 from .seeding import substream
@@ -51,6 +52,12 @@ class GroupDelta:
     jointly_included: bool
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # NaN fails every comparison, so a NaN band would pass every delta.
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class GatePolicy:
     """Hard promotion constraints; defaults require no loss on either axis.
@@ -65,8 +72,7 @@ class GatePolicy:
     conservative_ci: bool = False
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,8 @@ class PositiveSumComparison:
 
 
 def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0) -> Classification:
-    """Four-way harm classification; total over the delta plane for any eps >= 0."""
+    """Four-way harm classification; total over the delta plane for any finite eps >= 0."""
+    _check_epsilon(epsilon)
     overall_ok = overall_delta >= -epsilon
     groups_ok = min_group_delta >= -epsilon
     if overall_ok and groups_ok:
@@ -128,18 +135,13 @@ def compare(
     baseline = study.baseline
     candidate = study.candidate(candidate_id)
 
-    # Aligned sets share their row layout, so a baseline cell indexes the
-    # same examples in the candidate's score column.
-    b, c = baseline.score, candidate.score
-    cells = baseline.cells(finding)
-    deltas: list[GroupDelta] = []
-    for cell in cells:
-        n_pos, n_neg = len(cell.pos), len(cell.neg)
-        defined = n_pos >= 1 and n_neg >= 1
-        b_auc = auroc(b[cell.pos], b[cell.neg]) if defined else None
-        c_auc = auroc(c[cell.pos], c[cell.neg]) if defined else None
-        delta = c_auc - b_auc if defined else None
-        deltas.append(GroupDelta(cell.group_id, b_auc, c_auc, delta, policy.admits(n_pos, n_neg)))
+    # Aligned sets share their cells, so both lists pair up group by group.
+    deltas = [
+        GroupDelta(b.group_id, b.auroc, c.auroc, None if b.auroc is None else c.auroc - b.auroc,
+                   b.included)
+        for b, c in zip(group_performance(baseline, finding, policy, None),
+                        group_performance(candidate, finding, policy, None))
+    ]
 
     included_deltas = [d for d in deltas if d.jointly_included]
     if not included_deltas:
@@ -160,7 +162,8 @@ def compare(
     if conservative:
         overall_ci, min_ci = _delta_bootstrap_cis(
             baseline, candidate, finding,
-            [cell for cell, d in zip(cells, deltas) if d.jointly_included], boot,
+            [cell for cell, d in zip(baseline.cells(finding), deltas) if d.jointly_included],
+            boot,
         )
 
     return PositiveSumComparison(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import AlignedStudy, PredictionRecord, PredictionSet, align
+from .cohort import AlignedStudy, PredictionSet, align
 from .seeding import substream
 
 ORACLE_SIZE_LIMIT = 10_000
@@ -76,47 +76,32 @@ def mu_for_auc(target_auc: float) -> float:
     return math.sqrt(2.0) * float(ndtri(target_auc))
 
 
-def _group_deviates(seed: int, finding: str, group: str, n_pos: int, n_neg: int):
-    rng = substream(seed, "binormal", finding, group)
-    return rng.standard_normal(n_pos), rng.standard_normal(n_neg)
-
-
-def _group_records(
-    recipe: GroupRecipe, seed: int, finding: str, target_auc: float
-) -> list[PredictionRecord]:
-    z_pos, z_neg = _group_deviates(seed, finding, recipe.group_id, recipe.n_pos, recipe.n_neg)
-    mu = mu_for_auc(target_auc)
-    records = [
-        PredictionRecord(f"{recipe.group_id}-p{i}", finding, 1, float(z + mu), recipe.group_id)
-        for i, z in enumerate(z_pos)
-    ]
-    records += [
-        PredictionRecord(f"{recipe.group_id}-n{i}", finding, 0, float(z), recipe.group_id)
-        for i, z in enumerate(z_neg)
-    ]
-    return records
-
-
-def gen_binormal(recipe: GroupRecipe, seed: int, finding: str = "finding") -> list[PredictionRecord]:
-    """Deterministic binormal scores for one group; expected AUC is the target."""
-    return _group_records(recipe, seed, finding, recipe.target_auc)
-
-
 def build_study(spec: ScenarioSpec) -> AlignedStudy:
-    """Materialize the baseline and all candidate variants as an aligned study."""
-    baseline_records: list[PredictionRecord] = []
-    for recipe in spec.baseline_recipes:
-        baseline_records += gen_binormal(recipe, spec.seed, spec.finding)
-    baseline = PredictionSet("baseline", baseline_records)
+    """Materialize the baseline and all candidate variants as an aligned study.
 
-    candidates = []
-    for cand in spec.candidates:
-        records: list[PredictionRecord] = []
-        for recipe in spec.baseline_recipes:
-            target = cand.overrides.get(recipe.group_id, recipe.target_auc)
-            records += _group_records(recipe, spec.seed, spec.finding, target)
-        candidates.append(PredictionSet(cand.model_id, records))
-    return align(baseline, candidates)
+    Every model shares one set of example, label and group columns and one
+    draw of normal deviates per group; only the positives' shift differs.
+    """
+    recipes = spec.baseline_recipes
+    example_id, label, group_id, deviates = [], [], [], []
+    for r in recipes:
+        example_id += [f"{r.group_id}-p{i}" for i in range(r.n_pos)]
+        example_id += [f"{r.group_id}-n{i}" for i in range(r.n_neg)]
+        label += [1] * r.n_pos + [0] * r.n_neg
+        group_id += [r.group_id] * (r.n_pos + r.n_neg)
+        rng = substream(spec.seed, "binormal", spec.finding, r.group_id)
+        deviates.append((rng.standard_normal(r.n_pos), rng.standard_normal(r.n_neg)))
+    finding_id = [spec.finding] * len(label)
+
+    def model(model_id: str, overrides: dict[str, float]) -> PredictionSet:
+        score = np.concatenate([
+            np.concatenate([z_pos + mu_for_auc(overrides.get(r.group_id, r.target_auc)), z_neg])
+            for r, (z_pos, z_neg) in zip(recipes, deviates)
+        ])
+        return PredictionSet._from_columns(model_id, example_id, finding_id, label, score,
+                                           group_id)
+
+    return align(model("baseline", {}), [model(c.model_id, c.overrides) for c in spec.candidates])
 
 
 def oracle_auroc(pos, neg) -> float:

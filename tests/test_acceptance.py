@@ -65,14 +65,14 @@ def test_rank_invariance_and_complement_symmetry():
 
 
 def test_binormal_calibration():
-    from psfair.synth import GroupRecipe, gen_binormal
+    from psfair.synth import GroupRecipe, ScenarioSpec
 
     start = time.monotonic()
     ok = True
     for i, target in enumerate((0.55, 0.65, 0.75, 0.85, 0.95)):
-        records = gen_binormal(GroupRecipe("g", 100_000, 100_000, target), seed=100 + i)
-        pos = np.array([r.score for r in records if r.label == 1])
-        neg = np.array([r.score for r in records if r.label == 0])
+        spec = ScenarioSpec("g", (GroupRecipe("g", 100_000, 100_000, target),), (), 100 + i)
+        pset = build_study(spec).baseline
+        pos, neg = pset.score[pset.label == 1], pset.score[pset.label == 0]
         ok = ok and abs(auroc(pos, neg) - target) < 0.01
     elapsed = time.monotonic() - start
     _report("binormal-calibration (targets 0.55..0.95, +/-0.01)", ok and elapsed < 30.0)

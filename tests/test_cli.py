@@ -33,6 +33,24 @@ def study_files(tmp_path, capsys):
     return {"baseline": out / "baseline.csv", "m2": out / "m2.csv"}
 
 
+def assert_schema_key_order(doc, node, root) -> int:
+    """Assert every object of doc lists its keys in its schema's properties order.
+
+    Follows $ref, oneOf, items and properties; returns how many objects it checked.
+    """
+    if "$ref" in node:
+        return assert_schema_key_order(doc, root["$defs"][node["$ref"].split("/")[-1]], root)
+    checked = sum(assert_schema_key_order(doc, option, root) for option in node.get("oneOf", ()))
+    if isinstance(doc, dict) and "properties" in node:
+        props = node["properties"]
+        assert [k for k in doc if k in props] == [k for k in props if k in doc], list(doc)
+        checked += 1 + sum(assert_schema_key_order(v, props[k], root)
+                           for k, v in doc.items() if k in props)
+    elif isinstance(doc, list) and "items" in node:
+        checked += sum(assert_schema_key_order(item, node["items"], root) for item in doc)
+    return checked
+
+
 def run_json(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -242,6 +260,44 @@ class TestCompare:
             doc = json.loads(captured.out)
             assert doc["all_promoted"] is False and doc["comparisons"] == []
             validate(doc, "compare_report.schema.json")
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_nonfinite_epsilon_exits_2(self, tmp_path, capsys, monkeypatch, via, value):
+        # m3 is harmful on both axes; a NaN band used to promote it with exit 0.
+        assert main(["gen", "m3_like", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["compare", "--baseline", str(tmp_path / "baseline.csv"),
+                "--candidate", str(tmp_path / "m3.csv"), "--bootstrap-n", "20"]
+        if via == "flag":
+            argv += ["--epsilon", value]
+        else:
+            monkeypatch.setenv("PSFAIR_EPSILON", value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "epsilon must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
+
+class TestReportKeyOrder:
+    @pytest.mark.parametrize("command,flags", [
+        ("audit", []),
+        ("audit", ["--min-pos", "1001"]),
+        ("compare", []),
+        ("compare", ["--conservative-ci"]),
+        ("compare", ["--min-pos", "1001"]),  # skips the only comparison
+    ])
+    def test_keys_follow_schema(self, study_files, capsys, command, flags):
+        if command == "audit":
+            argv = ["audit", str(study_files["m2"])]
+        else:
+            argv = ["compare", "--baseline", str(study_files["baseline"]),
+                    "--candidate", str(study_files["m2"])]
+        _, doc, _ = run_json(capsys, [*argv, "--bootstrap-n", "20", *flags])
+        schema = json.loads((SCHEMAS / f"{command}_report.schema.json").read_text())
+        assert assert_schema_key_order(doc, schema, schema) >= 3
 
 
 class TestEnvironment:

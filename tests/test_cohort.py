@@ -92,6 +92,15 @@ def test_ingest_blank_lines_ignored():
     assert len(ingest(io.StringIO(text), "m")) == 2
 
 
+def test_ingest_path_ignores_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM.
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(WELL_FORMED, encoding="utf-8")
+    bom.write_text(WELL_FORMED, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ingest(bom, "m") == ingest(plain, "m")
+
+
 def test_ingest_tab_delimiter():
     text = "example_id\tfinding\tlabel\tscore\tgroup\ne1\tf\t1\t0.5\tg\ne2\tf\t0\t0.1\tg\n"
     assert len(ingest(io.StringIO(text), "m", delimiter="\t")) == 2

@@ -64,6 +64,14 @@ class TestClassify:
         assert classify(-0.01, -0.01, epsilon=0.02) is Classification.NON_HARMFUL
         assert classify(-0.03, 0.0, epsilon=0.02) is Classification.HARMFUL_TO_OVERALL
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.01])
+    def test_rejects_nonfinite_or_negative_epsilon(self, epsilon):
+        # A NaN band fails every comparison, so the gate would pass every delta.
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            classify(-0.02, -0.01, epsilon)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            GatePolicy(epsilon=epsilon)
+
 
 class TestCompare:
     def test_advantaged_group_improved(self):

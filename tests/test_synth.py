@@ -11,7 +11,6 @@ from psfair.synth import (
     GroupRecipe,
     ScenarioSpec,
     build_study,
-    gen_binormal,
     load_scenario,
     mu_for_auc,
     oracle_auroc,
@@ -39,6 +38,11 @@ class TestOracle:
             oracle_auroc([], [1.0])
 
 
+def one_group(recipe, seed):
+    """The baseline of a study holding only ``recipe``'s group."""
+    return build_study(ScenarioSpec("one", (recipe,), (), seed)).baseline
+
+
 class TestBinormal:
     def test_mu_at_half_is_zero(self):
         assert mu_for_auc(0.5) == 0.0
@@ -50,14 +54,13 @@ class TestBinormal:
 
     def test_determinism(self):
         recipe = GroupRecipe("g", 50, 50, 0.8)
-        assert gen_binormal(recipe, 7) == gen_binormal(recipe, 7)
-        assert gen_binormal(recipe, 7) != gen_binormal(recipe, 8)
+        assert one_group(recipe, 7) == one_group(recipe, 7)
+        assert one_group(recipe, 7) != one_group(recipe, 8)
 
     def test_large_sample_hits_target(self):
         recipe = GroupRecipe("g", 100_000, 100_000, 0.8)
-        records = gen_binormal(recipe, 1)
-        pos = [r.score for r in records if r.label == 1]
-        neg = [r.score for r in records if r.label == 0]
+        pset = one_group(recipe, 1)
+        pos, neg = pset.score[pset.label == 1], pset.score[pset.label == 0]
         assert abs(auroc(pos, neg) - 0.8) < 0.01
 
     def test_analytic_auc_formula(self):
