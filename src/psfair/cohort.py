@@ -186,15 +186,21 @@ class PredictionSet:
         """One cell per group present in the finding, in group_id order."""
         return self._finding(finding)[1]
 
+    def _ids(self) -> tuple[list[str], list[str], list[str]]:
+        """Every row's example, finding and group id, in row order."""
+        return tuple(
+            [vocab[c] for c in codes.tolist()]
+            for vocab, codes in ((self.examples, self.example_code),
+                                 (self.findings, self.finding_code),
+                                 (self.groups, self.group_code))
+        )
+
     @property
     def records(self) -> tuple[PredictionRecord, ...]:
         """The rows as records, in (finding, example_id) order."""
-        return tuple(
-            PredictionRecord(self.examples[e], self.findings[f], y, s, self.groups[g])
-            for e, f, y, s, g in zip(self.example_code.tolist(), self.finding_code.tolist(),
-                                     self.label.tolist(), self.score.tolist(),
-                                     self.group_code.tolist())
-        )
+        example_id, finding_id, group_id = self._ids()
+        return tuple(map(PredictionRecord, example_id, finding_id, self.label.tolist(),
+                         self.score.tolist(), group_id))
 
     def __len__(self) -> int:
         return len(self.score)
@@ -203,7 +209,12 @@ class PredictionSet:
         # Rows are canonically ordered, so input order never affects identity.
         if not isinstance(other, PredictionSet):
             return NotImplemented
-        return self.model_id == other.model_id and self.records == other.records
+        return (self.model_id == other.model_id
+                and (self.examples, self.findings, self.groups)
+                == (other.examples, other.findings, other.groups)
+                and all(np.array_equal(getattr(self, col), getattr(other, col))
+                        for col in ("example_code", "finding_code", "group_code", "label",
+                                    "score")))
 
     def __repr__(self) -> str:
         return (
@@ -259,6 +270,9 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
                 raise IngestError(f"line {lineno}: header missing columns {missing}")
+            repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+            if repeated:
+                raise IngestError(f"line {lineno}: header repeats columns {repeated}")
             col = [header.index(name) for name in REQUIRED_COLUMNS]
             continue
         if len(row) != len(header):
@@ -291,9 +305,9 @@ def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str
         return
     writer = csv.writer(target, delimiter=delimiter, lineterminator="\n")
     writer.writerow(REQUIRED_COLUMNS)
-    writer.writerows(
-        (r.example_id, r.finding_id, r.label, repr(r.score), r.group_id) for r in pset.records
-    )
+    example_id, finding_id, group_id = pset._ids()
+    writer.writerows(zip(example_id, finding_id, pset.label.tolist(),
+                         map(repr, pset.score.tolist()), group_id))
 
 
 def align(baseline: PredictionSet, candidates: list[PredictionSet] | tuple[PredictionSet, ...]) -> AlignedStudy:
@@ -309,8 +323,8 @@ def align(baseline: PredictionSet, candidates: list[PredictionSet] | tuple[Predi
         if not (cand.examples == baseline.examples and cand.findings == baseline.findings
                 and np.array_equal(cand.example_code, baseline.example_code)
                 and np.array_equal(cand.finding_code, baseline.finding_code)):
-            base_keys = {(r.example_id, r.finding_id) for r in baseline.records}
-            cand_keys = {(r.example_id, r.finding_id) for r in cand.records}
+            base_keys = set(zip(*baseline._ids()[:2]))
+            cand_keys = set(zip(*cand._ids()[:2]))
             missing = sorted(base_keys - cand_keys)
             extra = sorted(cand_keys - base_keys)
             parts = []
@@ -322,11 +336,11 @@ def align(baseline: PredictionSet, candidates: list[PredictionSet] | tuple[Predi
         if not (cand.groups == baseline.groups
                 and np.array_equal(cand.label, baseline.label)
                 and np.array_equal(cand.group_code, baseline.group_code)):
-            mismatched = [
-                (b.example_id, b.finding_id)
-                for b, c in zip(baseline.records, cand.records)
-                if (b.label, b.group_id) != (c.label, c.group_id)
-            ]
+            example_id, finding_id, base_groups = baseline._ids()
+            cand_groups = cand._ids()[2]
+            labels_differ = (baseline.label != cand.label).tolist()
+            mismatched = [(example_id[i], finding_id[i]) for i in range(len(baseline))
+                          if labels_differ[i] or base_groups[i] != cand_groups[i]]
             raise AlignmentError(
                 f"candidate {cand.model_id!r} disagrees on label/group for keys "
                 f"{mismatched[:10]}"

@@ -101,6 +101,9 @@ class PositiveSumComparison:
     overall_delta_ci: tuple[float, float] | None = None
     min_group_delta_ci: tuple[float, float] | None = None
 
+    def __post_init__(self) -> None:
+        _check_epsilon(self.epsilon)
+
 
 def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0) -> Classification:
     """Four-way harm classification; total over the delta plane for any finite eps >= 0."""
@@ -234,15 +237,13 @@ def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateV
     return GateVerdict(promote=not reasons, reasons=tuple(reasons))
 
 
-def decompose_disparity_change(
-    cmp: PositiveSumComparison, epsilon: float | None = None
-) -> ChangeNarrative:
+def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:
     """Name the sign pattern behind a disparity change.
 
-    epsilon (default: the comparison's own) is the zero band: deltas within
-    +/-epsilon count as "stayed the same".
+    The comparison's epsilon is the zero band: deltas within +/-epsilon count
+    as "stayed the same".
     """
-    eps = cmp.epsilon if epsilon is None else epsilon
+    eps = cmp.epsilon
     included = [d for d in cmp.group_deltas if d.jointly_included]
     if len(included) < 2:
         raise ValueError("disparity-change decomposition needs >= 2 jointly included groups")

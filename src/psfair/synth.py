@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,11 @@ class ScenarioSpec:
     finding: str = "finding"
 
     def __post_init__(self) -> None:
-        groups = {r.group_id for r in self.baseline_recipes}
+        ids = [r.group_id for r in self.baseline_recipes]
+        repeated = sorted({g for g in ids if ids.count(g) > 1})
+        if repeated:
+            raise ValueError(f"scenario {self.name!r} repeats group ids {repeated}")
+        groups = set(ids)
         for cand in self.candidates:
             for g, auc in cand.overrides.items():
                 if g not in groups:
@@ -69,11 +74,9 @@ class ScenarioSpec:
 
 def mu_for_auc(target_auc: float) -> float:
     """Positive-class mean shift achieving the target AUC under the binormal model."""
-    from scipy.special import ndtri  # imported here so that audit and compare never load scipy
-
     if not 0.0 < target_auc < 1.0:
         raise ValueError(f"target_auc must be in (0, 1), got {target_auc}")
-    return math.sqrt(2.0) * float(ndtri(target_auc))
+    return math.sqrt(2.0) * statistics.NormalDist().inv_cdf(target_auc)
 
 
 def build_study(spec: ScenarioSpec) -> AlignedStudy:
@@ -163,13 +166,24 @@ def preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioSpec:
     )
 
 
+def _count(group: dict, name: str) -> int:
+    """A group's case count; a boolean or a non-integral number is an error."""
+    value = group[name]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"group {group['group_id']!r}: {name} must be an integer, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     """Load a scenario from its JSON file format (see docs/scenario format in README)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
         recipes = tuple(
-            GroupRecipe(g["group_id"], int(g["n_pos"]), int(g["n_neg"]), float(g["target_auc"]))
+            GroupRecipe(g["group_id"], _count(g, "n_pos"), _count(g, "n_neg"),
+                        float(g["target_auc"]))
             for g in raw["groups"]
         )
         candidates = tuple(

@@ -11,7 +11,7 @@ jsonschema = pytest.importorskip("jsonschema")
 import psfair
 from psfair.cli import COMPARE_CSV_COLUMNS, main
 from psfair.cohort import emit, ingest
-from psfair.synth import build_study, preset
+from psfair.synth import build_study, preset, scenario_to_dict
 from conftest import group_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -342,8 +342,6 @@ class TestGen:
         assert base == cand
 
     def test_scenario_file(self, tmp_path, capsys):
-        from psfair.synth import scenario_to_dict
-
         spec_path = tmp_path / "s.json"
         spec_path.write_text(json.dumps(scenario_to_dict(preset("m3_like", seed=5))))
         rc = main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")])
@@ -357,6 +355,20 @@ class TestGen:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"name\": \"x\"}")
         assert main(["gen", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_pos", 10.9, "group 'group_a': n_pos must be an integer, got 10.9"),
+        ("n_neg", True, "group 'group_a': n_neg must be an integer, got True"),
+        ("group_id", "group_b", "repeats group ids ['group_b']"),
+    ])
+    def test_invalid_scenario_group_exits_2(self, tmp_path, capsys, field, value, message):
+        raw = scenario_to_dict(preset("m2_like"))
+        raw["groups"][0][field] = value
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEndToEnd:
@@ -379,13 +391,22 @@ class TestEndToEnd:
         assert comparison["min_group_delta"] == lib.min_group_delta
 
 
-def test_cli_import_loads_no_scipy():
-    # Only gen needs scipy; audit and compare start without paying its import.
-    code = ("import sys, psfair.cli; psfair.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_cli_import_loads_no_scipy(tmp_path):
+    # psfair runs on numpy alone: no command loads scipy, gen included.
+    code = (
+        "import contextlib, io, sys\n"
+        "from psfair.cli import main\n"
+        "d = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['gen', 'm2_like', '--out-dir', d]) == 0\n"
+        "    assert main(['audit', d + '/baseline.csv', '--bootstrap-n', '5']) == 0\n"
+        "    assert main(['compare', '--baseline', d + '/baseline.csv', '--candidate',\n"
+        "                 d + '/m2.csv', '--conservative-ci', '--bootstrap-n', '5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     src = str(Path(psfair.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -82,6 +82,19 @@ def test_ingest_wrong_arity():
         ingest(io.StringIO(text), "m")
 
 
+def test_ingest_header_repeating_required_column():
+    # The first score column ranks perfectly and the second inverts it; neither may win silently.
+    text = ("example_id,finding,label,score,group,score\n"
+            "e1,f,1,0.9,g,0.1\ne2,f,0,0.1,g,0.9\n")
+    with pytest.raises(IngestError, match=r"line 1: header repeats columns \['score'\]"):
+        ingest(io.StringIO(text), "m")
+
+
+def test_ingest_header_may_repeat_extra_columns():
+    text = "example_id,finding,label,score,group,note,note\ne1,f,1,0.9,g,a,b\ne2,f,0,0.1,g,c,d\n"
+    assert len(ingest(io.StringIO(text), "m")) == 2
+
+
 def test_ingest_empty():
     with pytest.raises(IngestError, match="empty input"):
         ingest(io.StringIO("example_id,finding,label,score,group\n"), "m")

@@ -71,6 +71,10 @@ class TestClassify:
             classify(-0.02, -0.01, epsilon)
         with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
             GatePolicy(epsilon=epsilon)
+        # A comparison's epsilon is also its narrative's zero band.
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            PositiveSumComparison("f", "c", 0.0, (), 0.0, "g", Classification.NON_HARMFUL,
+                                  None, epsilon=epsilon)
 
 
 class TestCompare:

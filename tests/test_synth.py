@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from psfair.metrics import auroc
 from psfair.positive_sum import Classification, compare, decompose_disparity_change
 from psfair.synth import (
+    PRESET_NAMES,
     CandidateSpec,
     GroupRecipe,
     ScenarioSpec,
@@ -62,6 +64,18 @@ class TestBinormal:
         pset = one_group(recipe, 1)
         pos, neg = pset.score[pset.label == 1], pset.score[pset.label == 0]
         assert abs(auroc(pos, neg) - 0.8) < 0.01
+
+    def test_mu_matches_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        targets = {k / 1000 for k in range(1, 1000)}
+        for name in PRESET_NAMES:
+            spec = preset(name)
+            targets |= {r.target_auc for r in spec.baseline_recipes}
+            targets |= {auc for c in spec.candidates for auc in c.overrides.values()}
+        for target in sorted(targets):
+            expected = math.sqrt(2.0) * float(ndtri(target))
+            assert math.isclose(mu_for_auc(target), expected, rel_tol=2e-15), target
 
     def test_analytic_auc_formula(self):
         # AUC of the binormal model is Phi(mu / sqrt(2)); invert and check
@@ -152,6 +166,29 @@ class TestScenarioFile:
         path.write_text(json.dumps(scenario_to_dict(spec)))
         loaded = load_scenario(path)
         assert loaded == spec
+
+    @pytest.mark.parametrize("field, value", [("n_pos", 10.9), ("n_neg", True), ("n_pos", "10")])
+    def test_rejects_non_integer_count(self, tmp_path, field, value):
+        raw = scenario_to_dict(preset("m2_like"))
+        raw["groups"][1][field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        message = f"group 'group_b': {field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(path)
+
+    def test_integral_float_count_is_a_count(self, tmp_path):
+        spec = preset("m2_like", seed=11)
+        raw = scenario_to_dict(spec)
+        raw["groups"][0]["n_pos"] = 1000.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert load_scenario(path) == spec
+
+    def test_repeated_group_id(self):
+        with pytest.raises(ValueError, match=r"scenario 's' repeats group ids \['a'\]"):
+            ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7), GroupRecipe("b", 5, 5, 0.7),
+                               GroupRecipe("a", 5, 5, 0.8)), (), 0)
 
     def test_invalid_file(self, tmp_path):
         path = tmp_path / "bad.json"
