@@ -48,7 +48,6 @@ from .synth import (
     ScenarioSpec,
     build_study,
     load_scenario,
-    oracle_auroc,
     preset,
 )
 

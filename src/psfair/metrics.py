@@ -39,6 +39,12 @@ class BootstrapConfig:
         if self.method != "percentile":
             raise ValueError(f"unsupported bootstrap method {self.method!r}")
 
+    def interval(self, stats: np.ndarray) -> tuple[float, float]:
+        """Percentile interval of resampled statistics at this confidence level."""
+        alpha = 1.0 - self.confidence_level
+        low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
+        return float(low), float(high)
+
 
 @dataclass(frozen=True)
 class SubgroupPerformance:
@@ -67,9 +73,10 @@ class FairnessSummary:
     worst_group: str | None
 
 
-# Most draw indices one block of resamples holds; it bounds every temporary
-# of the counting kernel. A resample larger than this gets a block of its own.
-_BLOCK_ELEMS = 1 << 16
+# Most draw indices one block of a cell's resamples holds; every temporary of
+# the counting kernel is a small multiple of it. A resample larger than this
+# gets a block of its own.
+_BLOCK_ELEMS = 1 << 15
 
 
 class _Brackets:
@@ -110,35 +117,6 @@ def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
     return np.bincount(flat, minlength=rows * width).reshape(rows, width)
 
 
-def _resample_blocks(rng: np.random.Generator, sizes: Sequence[tuple[int, int]],
-                     n_resamples: int):
-    """Yield ``(rows, draws)``: label-stratified resamples of cells, a block at a time.
-
-    ``sizes`` holds each cell's ``(n_pos, n_neg)``; ``draws`` holds one
-    ``(pos, neg)`` pair of index arrays per cell, one row per resample of the
-    ``rows`` slice. Each resample draws every cell in turn, positives then
-    negatives, one ``rng.integers`` call per side, exactly as one resample at
-    a time would. A block holds at most ``_BLOCK_ELEMS`` indices, or one
-    resample if that alone is more.
-    """
-    step = max(1, _BLOCK_ELEMS // sum(p + n for p, n in sizes))
-    for start in range(0, n_resamples, step):
-        count = min(step, n_resamples - start)
-        draws = [(np.empty((count, p), np.int64), np.empty((count, n), np.int64))
-                 for p, n in sizes]
-        for r in range(count):
-            for (n_pos, n_neg), (pos, neg) in zip(sizes, draws):
-                pos[r] = rng.integers(0, n_pos, n_pos)
-                neg[r] = rng.integers(0, n_neg, n_neg)
-        yield slice(start, start + count), draws
-
-
-def _percentile_interval(stats: np.ndarray, boot: BootstrapConfig) -> tuple[float, float]:
-    alpha = 1.0 - boot.confidence_level
-    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(low), float(high)
-
-
 def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     """Probability a random positive outscores a random negative, ties half.
 
@@ -157,6 +135,33 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     return float(_Brackets(pos, neg).aurocs(*everyone)[0])
 
 
+def resample_aurocs(pos: np.ndarray, neg: np.ndarray, n_resamples: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """AUROC of every model on each label-stratified resample of one cell.
+
+    ``pos`` and ``neg`` hold one row of scores per model, over the same
+    examples; the result holds one row of ``n_resamples`` AUROCs per model.
+    ``rng`` is split into a positive and a negative stream, and each side of a
+    block of resamples is one ``integers`` call on its own stream. Philox
+    yields the same indices for one large draw as for consecutive smaller
+    ones, so the result depends on neither ``_BLOCK_ELEMS`` nor on other
+    cells. Every model is scored on the same draws, so model differences are
+    paired.
+    """
+    (_, n_pos), (_, n_neg) = pos.shape, neg.shape
+    pos_rng, neg_rng = rng.spawn(2)
+    brackets = [_Brackets(p, n) for p, n in zip(pos, neg)]
+    stats = np.empty((len(brackets), n_resamples))
+    step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
+    for start in range(0, n_resamples, step):
+        count = min(step, n_resamples - start)
+        pos_draws = pos_rng.integers(0, n_pos, (count, n_pos))
+        neg_draws = neg_rng.integers(0, n_neg, (count, n_neg))
+        for row, b in zip(stats, brackets):
+            row[start:start + count] = b.aurocs(pos_draws, neg_draws)
+    return stats
+
+
 def bootstrap_auroc_ci(
     scores_pos: np.ndarray,
     scores_neg: np.ndarray,
@@ -168,12 +173,9 @@ def bootstrap_auroc_ci(
     Positives and negatives are resampled separately with replacement,
     preserving their counts, so no resample is degenerate.
     """
-    brackets = _Brackets(np.asarray(scores_pos, np.float64), np.asarray(scores_neg, np.float64))
-    stats = np.empty(boot.n_resamples)
-    sizes = [(len(scores_pos), len(scores_neg))]
-    for rows, [(pos, neg)] in _resample_blocks(rng, sizes, boot.n_resamples):
-        stats[rows] = brackets.aurocs(pos, neg)
-    low, high = _percentile_interval(stats, boot)
+    pos = np.asarray(scores_pos, np.float64)[None]
+    neg = np.asarray(scores_neg, np.float64)[None]
+    low, high = boot.interval(resample_aurocs(pos, neg, boot.n_resamples, rng)[0])
     return max(0.0, low), min(1.0, high)
 
 
@@ -258,6 +260,7 @@ __all__ = [
     "FairnessSummary",
     "auroc",
     "bootstrap_auroc_ci",
+    "resample_aurocs",
     "group_performance",
     "overall_auroc",
     "summarize",

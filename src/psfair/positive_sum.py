@@ -16,14 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import AlignedStudy, Cell, InclusionPolicy, PredictionSet
-from .metrics import (
-    BootstrapConfig,
-    _Brackets,
-    _percentile_interval,
-    _resample_blocks,
-    group_performance,
-    overall_auroc,
-)
+from .metrics import BootstrapConfig, group_performance, overall_auroc, resample_aurocs
 from .seeding import substream
 
 
@@ -194,21 +187,22 @@ def _delta_bootstrap_cis(
     """Paired percentile CIs for (overall delta, min group delta).
 
     Resampling is paired: the same resampled examples are scored by both
-    models, so only score differences drive the interval width. Each
-    resample draws the pooled cell first, then the included groups' cells.
+    models, so only score differences drive the interval width. Each cell
+    draws from its own substream, keyed by its group id or, for the pooled
+    cell, by ``""`` (no group has an empty id), so no cell's deltas depend
+    on which other groups are included or on their order.
     """
     b, c = baseline.score, candidate.score
-    cells = (baseline.pooled(finding), *included)
-    brackets = [(_Brackets(b[cell.pos], b[cell.neg]), _Brackets(c[cell.pos], c[cell.neg]))
-                for cell in cells]
-    sizes = [(len(cell.pos), len(cell.neg)) for cell in cells]
-    rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding)
-    stats = np.empty((len(cells), boot.n_resamples))
-    for rows, draws in _resample_blocks(rng, sizes, boot.n_resamples):
-        for k, ((b_cell, c_cell), (pos, neg)) in enumerate(zip(brackets, draws)):
-            stats[k, rows] = c_cell.aurocs(pos, neg) - b_cell.aurocs(pos, neg)
-    return (_percentile_interval(stats[0], boot),
-            _percentile_interval(stats[1:].min(axis=0), boot))
+
+    def deltas(token: str, cell: Cell) -> np.ndarray:
+        rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding, token)
+        stats = resample_aurocs(np.stack([b[cell.pos], c[cell.pos]]),
+                                np.stack([b[cell.neg], c[cell.neg]]), boot.n_resamples, rng)
+        return stats[1] - stats[0]
+
+    overall = deltas("", baseline.pooled(finding))
+    worst = np.min([deltas(cell.group_id, cell) for cell in included], axis=0)
+    return boot.interval(overall), boot.interval(worst)
 
 
 def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateVerdict:

@@ -1,4 +1,4 @@
-"""Synthetic cohorts with analytically controlled per-group AUC, plus oracles.
+"""Synthetic cohorts with analytically controlled per-group AUC.
 
 Scores follow the unit-variance binormal model: negatives ~ Normal(0, 1),
 positives ~ Normal(mu, 1) with mu = sqrt(2) * probit(target_auc), which gives
@@ -21,8 +21,6 @@ import numpy as np
 
 from .cohort import AlignedStudy, PredictionSet, align
 from .seeding import substream
-
-ORACLE_SIZE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,6 @@ def build_study(spec: ScenarioSpec) -> AlignedStudy:
     return align(model("baseline", {}), [model(c.model_id, c.overrides) for c in spec.candidates])
 
 
-def oracle_auroc(pos, neg) -> float:
-    """Exhaustive pair-count AUROC, ties half; the independent test oracle."""
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("undefined AUROC: empty side")
-    if pos.size + neg.size > ORACLE_SIZE_LIMIT:
-        raise ValueError(
-            f"oracle limited to {ORACLE_SIZE_LIMIT} records, got {pos.size + neg.size}"
-        )
-    diff = pos[:, None] - neg[None, :]
-    wins = int((diff > 0).sum())
-    ties = int((diff == 0).sum())
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
-
-
 # Preset scenarios at desk scale. Baseline subgroup targets are deliberately
 # unequal (0.70 / 0.74 / 0.78); magnitudes of change are fixture choices.
 _BASE_RECIPES = (
@@ -166,57 +148,56 @@ def preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioSpec:
     )
 
 
+_KINDS = {int: "an integer", str: "a string", (int, float): "a number", dict: "an object"}
+
+
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` and not a bool, else a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _count(group: dict, name: str) -> int:
     """A group's case count; a boolean or a non-integral number is an error."""
     value = group[name]
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"group {group['group_id']!r}: {name} must be an integer, "
-                         f"got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _typed(value, int, f"group {group['group_id']!r}: {name}")
+
+
+def _auc(value, where: str) -> float:
+    return float(_typed(value, (int, float), f"{where}: target_auc"))
+
+
+def _candidate(raw: dict) -> CandidateSpec:
+    model_id = _typed(raw["model_id"], str, "model_id")
+    where = f"candidate {model_id!r}"
+    overrides = _typed(raw.get("overrides", {}), dict, f"{where}: overrides")
+    return CandidateSpec(model_id, {g: _auc(auc, f"{where}, group {g!r}")
+                                    for g, auc in overrides.items()})
 
 
 def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
-    """Load a scenario from its JSON file format (see docs/scenario format in README)."""
+    """Load a scenario from its JSON file format (see docs/scenario format in README).
+
+    Every field must have its JSON type: a bool or a string is never read as
+    a number, nor a number as a string.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
         recipes = tuple(
-            GroupRecipe(g["group_id"], _count(g, "n_pos"), _count(g, "n_neg"),
-                        float(g["target_auc"]))
+            GroupRecipe(_typed(g["group_id"], str, "group_id"), _count(g, "n_pos"),
+                        _count(g, "n_neg"), _auc(g["target_auc"], f"group {g['group_id']!r}"))
             for g in raw["groups"]
         )
-        candidates = tuple(
-            CandidateSpec(c["model_id"], {k: float(v) for k, v in c.get("overrides", {}).items()})
-            for c in raw["candidates"]
-        )
         return ScenarioSpec(
-            name=str(raw["name"]),
+            name=_typed(raw["name"], str, "name"),
             baseline_recipes=recipes,
-            candidates=candidates,
-            seed=int(raw["seed"]),
-            finding=str(raw.get("finding", "finding")),
+            candidates=tuple(_candidate(c) for c in raw["candidates"]),
+            seed=_typed(raw["seed"], int, "seed"),
+            finding=_typed(raw.get("finding", "finding"), str, "finding"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid scenario file {os.fspath(path)!r}: {exc}") from exc
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "seed": spec.seed,
-        "finding": spec.finding,
-        "groups": [
-            {
-                "group_id": r.group_id,
-                "n_pos": r.n_pos,
-                "n_neg": r.n_neg,
-                "target_auc": r.target_auc,
-            }
-            for r in spec.baseline_recipes
-        ],
-        "candidates": [
-            {"model_id": c.model_id, "overrides": dict(sorted(c.overrides.items()))}
-            for c in spec.candidates
-        ],
-    }

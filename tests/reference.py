@@ -1,15 +1,38 @@
-"""Rank-based AUROC and one-resample-at-a-time bootstrap loops, kept as a reference.
+"""Straightforward forms of psfair's kernels, and test-only helpers.
 
-These are the straightforward forms of ``psfair.metrics.auroc``,
-``bootstrap_auroc_ci`` and ``positive_sum._delta_bootstrap_cis``: every
-resample is drawn on its own and re-ranked with ``scipy.stats.rankdata``.
-The counting kernel must agree with them bit for bit.
+``rank_auroc``, ``rank_bootstrap_auroc_ci`` and ``rank_delta_bootstrap_cis``
+are the plain forms of ``psfair.metrics.auroc``, ``bootstrap_auroc_ci`` and
+``positive_sum._delta_bootstrap_cis``. Each cell's stream is split into a
+positive and a negative stream; every resample draws one index array from
+each, on its own, and is re-ranked with ``scipy.stats.rankdata``. The
+counting kernel must agree with them bit for bit.
+
+``oracle_auroc`` is the exhaustive pair count that every AUROC is checked
+against, and ``scenario_to_dict`` writes a scenario in its JSON file format.
 """
 
 import numpy as np
 from scipy.stats import rankdata
 
 from psfair.seeding import substream
+
+ORACLE_SIZE_LIMIT = 10_000
+
+
+def oracle_auroc(pos, neg) -> float:
+    """Exhaustive pair-count AUROC, ties half; the independent test oracle."""
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    if pos.size == 0 or neg.size == 0:
+        raise ValueError("undefined AUROC: empty side")
+    if pos.size + neg.size > ORACLE_SIZE_LIMIT:
+        raise ValueError(
+            f"oracle limited to {ORACLE_SIZE_LIMIT} records, got {pos.size + neg.size}"
+        )
+    diff = pos[:, None] - neg[None, :]
+    wins = int((diff > 0).sum())
+    ties = int((diff == 0).sum())
+    return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
 def rank_auroc(scores_pos, scores_neg) -> float:
@@ -28,29 +51,51 @@ def _interval(stats, boot) -> tuple[float, float]:
     return float(low), float(high)
 
 
+def _resamples(n_pos, n_neg, n_resamples, rng):
+    """Yield one resample's (positive, negative) indices at a time."""
+    pos_rng, neg_rng = rng.spawn(2)
+    for _ in range(n_resamples):
+        yield pos_rng.integers(0, n_pos, n_pos), neg_rng.integers(0, n_neg, n_neg)
+
+
 def rank_bootstrap_auroc_ci(scores_pos, scores_neg, boot, rng) -> tuple[float, float]:
-    n_pos, n_neg = len(scores_pos), len(scores_neg)
-    stats = np.empty(boot.n_resamples)
-    for i in range(boot.n_resamples):
-        p = scores_pos[rng.integers(0, n_pos, n_pos)]
-        n = scores_neg[rng.integers(0, n_neg, n_neg)]
-        stats[i] = rank_auroc(p, n)
+    draws = _resamples(len(scores_pos), len(scores_neg), boot.n_resamples, rng)
+    stats = [rank_auroc(scores_pos[pi], scores_neg[ni]) for pi, ni in draws]
     low, high = _interval(stats, boot)
     return max(0.0, low), min(1.0, high)
 
 
 def rank_delta_bootstrap_cis(baseline, candidate, finding, included, boot):
-    """Paired CIs for (overall delta, min group delta); pooled cell drawn first."""
+    """Paired CIs for (overall delta, min group delta); one stream per cell."""
     b, c = baseline.score, candidate.score
-    sides = [
-        (b[cell.pos], c[cell.pos], b[cell.neg], c[cell.neg])
-        for cell in (baseline.pooled(finding), *included)
-    ]
-    rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding)
-    stats = np.empty((len(sides), boot.n_resamples))
-    for i in range(boot.n_resamples):
-        for k, (b_pos, c_pos, b_neg, c_neg) in enumerate(sides):
-            pi = rng.integers(0, len(b_pos), len(b_pos))
-            ni = rng.integers(0, len(b_neg), len(b_neg))
-            stats[k, i] = rank_auroc(c_pos[pi], c_neg[ni]) - rank_auroc(b_pos[pi], b_neg[ni])
+    stats = []
+    for token, cell in [("", baseline.pooled(finding)),
+                        *[(cell.group_id, cell) for cell in included]]:
+        rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding, token)
+        draws = _resamples(len(cell.pos), len(cell.neg), boot.n_resamples, rng)
+        stats.append([rank_auroc(c[cell.pos[pi]], c[cell.neg[ni]])
+                      - rank_auroc(b[cell.pos[pi]], b[cell.neg[ni]]) for pi, ni in draws])
+    stats = np.array(stats)
     return _interval(stats[0], boot), _interval(stats[1:].min(axis=0), boot)
+
+
+def scenario_to_dict(spec) -> dict:
+    """A ``ScenarioSpec`` in the JSON form that ``load_scenario`` reads."""
+    return {
+        "name": spec.name,
+        "seed": spec.seed,
+        "finding": spec.finding,
+        "groups": [
+            {
+                "group_id": r.group_id,
+                "n_pos": r.n_pos,
+                "n_neg": r.n_neg,
+                "target_auc": r.target_auc,
+            }
+            for r in spec.baseline_recipes
+        ],
+        "candidates": [
+            {"model_id": c.model_id, "overrides": dict(sorted(c.overrides.items()))}
+            for c in spec.candidates
+        ],
+    }

@@ -24,8 +24,9 @@ from psfair.positive_sum import (
     gate,
     pareto_select,
 )
-from psfair.synth import build_study, oracle_auroc, preset
+from psfair.synth import build_study, preset
 from conftest import group_rows, make_set, random_instance
+from reference import oracle_auroc
 from test_positive_sum import make_cmp
 
 

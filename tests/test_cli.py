@@ -11,8 +11,10 @@ jsonschema = pytest.importorskip("jsonschema")
 import psfair
 from psfair.cli import COMPARE_CSV_COLUMNS, main
 from psfair.cohort import emit, ingest
-from psfair.synth import build_study, preset, scenario_to_dict
+from psfair.synth import build_study, preset
 from conftest import group_rows
+from reference import scenario_to_dict
+from test_synth import WRONG_TYPES, set_field
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO_ROOT / "schemas"
@@ -364,6 +366,17 @@ class TestGen:
     def test_invalid_scenario_group_exits_2(self, tmp_path, capsys, field, value, message):
         raw = scenario_to_dict(preset("m2_like"))
         raw["groups"][0][field] = value
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where, value, message", WRONG_TYPES)
+    def test_wrongly_typed_scenario_field_exits_2(self, tmp_path, capsys, where, value,
+                                                  message):
+        raw = scenario_to_dict(preset("m2_like"))
+        set_field(raw, where, value)
         spec_path = tmp_path / "s.json"
         spec_path.write_text(json.dumps(raw))
         assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2

@@ -1,9 +1,11 @@
 """The counting AUROC kernel equals the rank-based reference bit for bit.
 
 Point AUROCs, audit CIs and paired delta CIs are compared with ``==``
-against ``reference.py`` under heavy ties, sides of one score, a single
-resample, ragged last blocks and blocks of one resample each. Examples are
-derandomized, so every run checks the same cases.
+against ``reference.py``, which draws one resample at a time from each cell
+side's stream, under heavy ties, sides of one score, a single resample,
+ragged last blocks and blocks of one resample each. CIs must not depend on
+the block cap or on the order of cells, and no block may exceed the cap.
+Examples are derandomized, so every run checks the same cases.
 """
 
 from unittest import mock
@@ -114,23 +116,49 @@ def test_cell_larger_than_block_cap():
     assert (bootstrap_auroc_ci(*big, boot, substream(1, "big"))
             == rank_bootstrap_auroc_ci(*big, boot, substream(1, "big")))
     mid = (big[0][:3000], big[1][:2000])
-    boot = BootstrapConfig(n_resamples=30)
-    assert boot.n_resamples % (metrics._BLOCK_ELEMS // 5000) != 0  # ragged last block
+    # Two full blocks and a ragged last one.
+    boot = BootstrapConfig(n_resamples=2 * (metrics._BLOCK_ELEMS // 5000) + 1)
     assert (bootstrap_auroc_ci(*mid, boot, substream(2, "mid"))
             == rank_bootstrap_auroc_ci(*mid, boot, substream(2, "mid")))
 
 
 @PROPERTY
-@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=4),
-       resample_counts, block_caps)
-def test_blocks_respect_the_cap(sizes, n, cap):
-    per_resample = sum(p + q for p, q in sizes)
-    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
-        blocks = list(metrics._resample_blocks(substream(0, "blocks"), sizes, n))
-    covered = [i for rows, _ in blocks for i in range(n)[rows]]
-    assert covered == list(range(n))
-    for rows, draws in blocks:
-        count = rows.stop - rows.start
-        assert count == 1 or count * per_resample <= cap
-        assert [(p.shape, q.shape) for p, q in draws] == [((count, a), (count, b))
-                                                          for a, b in sizes]
+@given(paired_study(), resample_counts, seeds, st.randoms(use_true_random=False))
+def test_cis_ignore_block_cap_and_cell_order(study, n, seed, rnd):
+    boot = BootstrapConfig(n_resamples=n, seed=seed)
+    baseline, candidate = study.baseline, study.candidates[0]
+    cells = list(baseline.cells("f"))
+    expected = (group_performance(baseline, "f", InclusionPolicy(1, 1), boot),
+                _delta_bootstrap_cis(baseline, candidate, "f", cells, boot))
+    for cap in (1, 7, 50):
+        rnd.shuffle(cells)
+        with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+            assert (group_performance(baseline, "f", InclusionPolicy(1, 1), boot),
+                    _delta_bootstrap_cis(baseline, candidate, "f", cells, boot)) == expected
+
+
+@PROPERTY
+@given(side_size(40), side_size(40), st.integers(1, 3), resample_counts, block_caps)
+def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
+    blocks = []
+    aurocs = metrics._Brackets.aurocs
+
+    def record(self, pos, neg):
+        blocks.append((pos, neg))
+        return aurocs(self, pos, neg)
+
+    with (mock.patch.object(metrics, "_BLOCK_ELEMS", cap),
+          mock.patch.object(metrics._Brackets, "aurocs", record)):
+        stats = metrics.resample_aurocs(np.zeros((n_models, n_pos)), np.zeros((n_models, n_neg)),
+                                        n, substream(0, "blocks"))
+    assert stats.shape == (n_models, n)
+    draws = blocks[::n_models]  # every model scores the same index arrays
+    assert len(blocks) == len(draws) * n_models
+    assert all(got[0] is want[0] and got[1] is want[1]
+               for got, want in zip(blocks, [d for d in draws for _ in range(n_models)]))
+    assert sum(len(pos) for pos, _ in draws) == n
+    for pos, neg in draws:
+        count = len(pos)
+        assert count == 1 or count * (n_pos + n_neg) <= cap
+        assert pos.shape == (count, n_pos) and neg.shape == (count, n_neg)
+        assert 0 <= pos.min() and pos.max() < n_pos and 0 <= neg.min() and neg.max() < n_neg

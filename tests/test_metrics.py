@@ -10,8 +10,8 @@ from psfair.metrics import (
     overall_auroc,
     summarize,
 )
-from psfair.synth import oracle_auroc
 from conftest import group_rows, make_set, random_instance
+from reference import oracle_auroc
 
 
 class TestAuroc:

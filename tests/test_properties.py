@@ -14,7 +14,8 @@ from psfair.cli import main
 from psfair.cohort import InclusionPolicy, PredictionRecord, PredictionSet, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import Classification, GatePolicy, compare, gate
-from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study, scenario_to_dict
+from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study
+from reference import scenario_to_dict
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 HEADER = "example_id,finding,label,score,group\n"
@@ -177,3 +178,26 @@ def test_in_memory_study_matches_gen_then_ingest(spec, seed):
         assert summarize(memory, "f", boot=boot) == summarize(disk, "f", boot=boot)
     assert (compare(study, "f", "cand", boot=boot, conservative=True)
             == compare(on_disk, "f", "cand", boot=boot, conservative=True))
+
+
+def test_overall_delta_ci_ignores_which_groups_are_included(tmp_path):
+    # Raising --min-pos drops group "c"; the pooled cell's CI must not move.
+    spec = ScenarioSpec("drop", (GroupRecipe("a", 30, 30, 0.7), GroupRecipe("b", 30, 30, 0.75),
+                                 GroupRecipe("c", 8, 30, 0.8)),
+                        (CandidateSpec("cand", {"a": 0.78, "c": 0.7}),), 5, "f")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(spec)))
+    assert main(["gen", str(scenario), "--out-dir", str(tmp_path)]) == 0
+    comparisons = []
+    for min_pos in ("5", "10"):
+        out = tmp_path / f"compare-{min_pos}.json"
+        main(["compare", "--baseline", str(tmp_path / "baseline.csv"), "--candidate",
+              str(tmp_path / "cand.csv"), "--conservative-ci", "--bootstrap-n", "50",
+              "--min-pos", min_pos, "--out", str(out)])
+        (cmp,) = json.loads(out.read_text())["comparisons"]
+        comparisons.append(cmp)
+    kept, dropped = comparisons
+    included = [[d["jointly_included"] for d in c["group_deltas"]] for c in comparisons]
+    assert included == [[True, True, True], [True, True, False]]
+    assert kept["overall_delta"] == dropped["overall_delta"]
+    assert kept["overall_delta_ci"] == dropped["overall_delta_ci"]

@@ -15,10 +15,9 @@ from psfair.synth import (
     build_study,
     load_scenario,
     mu_for_auc,
-    oracle_auroc,
     preset,
-    scenario_to_dict,
 )
+from reference import oracle_auroc, scenario_to_dict
 
 
 class TestOracle:
@@ -159,6 +158,32 @@ class TestPresets:
             preset("m9_like")
 
 
+# One wrongly typed value per scenario field: (path in the file, value, error).
+WRONG_TYPES = [
+    (("seed",), 1.5, "seed must be an integer, got 1.5"),
+    (("seed",), True, "seed must be an integer, got True"),
+    (("name",), 5, "name must be a string, got 5"),
+    (("finding",), 5, "finding must be a string, got 5"),
+    (("groups", 0, "group_id"), 5, "group_id must be a string, got 5"),
+    (("groups", 1, "target_auc"), "0.7", "group 'group_b': target_auc must be a number, "
+                                         "got '0.7'"),
+    (("groups", 1, "target_auc"), True, "group 'group_b': target_auc must be a number, "
+                                        "got True"),
+    (("candidates", 0, "model_id"), 5, "model_id must be a string, got 5"),
+    (("candidates", 0, "overrides"), [0.7], "candidate 'm2': overrides must be an object, "
+                                            "got [0.7]"),
+    (("candidates", 0, "overrides", "group_a"), "0.7",
+     "candidate 'm2', group 'group_a': target_auc must be a number, got '0.7'"),
+]
+
+
+def set_field(raw, where, value):
+    *parents, last = where
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
 class TestScenarioFile:
     def test_roundtrip(self, tmp_path):
         spec = preset("m2_like", seed=11)
@@ -174,6 +199,15 @@ class TestScenarioFile:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw))
         message = f"group 'group_b': {field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("where, value, message", WRONG_TYPES)
+    def test_rejects_wrong_field_type(self, tmp_path, where, value, message):
+        raw = scenario_to_dict(preset("m2_like"))
+        set_field(raw, where, value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_scenario(path)
 
