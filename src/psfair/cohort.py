@@ -23,6 +23,9 @@ import numpy as np
 
 REQUIRED_COLUMNS = ("example_id", "finding", "label", "score", "group")
 _LABELS = {"0": 0, "1": 1}
+# Data rows turned into columns at a time. Each chunk's row lists die young,
+# so the cyclic garbage collector does not rescan a whole file's rows.
+_CHUNK_ROWS = 1024
 
 
 class CohortError(ValueError):
@@ -83,7 +86,7 @@ class Cell:
 def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     vocab = sorted(set(values))
     index = {v: i for i, v in enumerate(vocab)}
-    return tuple(vocab), np.array([index[v] for v in values], dtype=np.intp)
+    return tuple(vocab), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 class PredictionSet:
@@ -120,9 +123,9 @@ class PredictionSet:
             raise CohortError("model_id must be non-empty")
         if len(score) == 0:
             raise IngestError(f"empty input: no data rows for {model_id!r}")
-        for i, y in enumerate(label):
-            if y not in (0, 1):
-                raise IngestError(f"{where(i)}: label not binary: {y!r}")
+        if not all(map((0, 1).__contains__, label)):
+            i = next(i for i, y in enumerate(label) if y not in (0, 1))
+            raise IngestError(f"{where(i)}: label not binary: {label[i]!r}")
         scores = np.array(score, dtype=np.float64)
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
@@ -249,48 +252,78 @@ class AlignedStudy:
 def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = ",") -> PredictionSet:
     """Parse a delimited prediction file into a validated PredictionSet.
 
-    Raises IngestError with a line number for malformed rows, a named key for
-    duplicates, and outright for empty input.
+    Raises IngestError with a line number for malformed rows and malformed
+    CSV, a named key for duplicates, and outright for empty input.
     """
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return ingest(fh, model_id, delimiter=delimiter)
 
-    header: list[str] | None = None
-    col: list[int] = []
-    example_ids, findings, labels, scores, groups, lines = [], [], [], [], [], []
+    columns: list[list] = [[], [], [], [], [], []]  # REQUIRED_COLUMNS, then line numbers
+    rows, lines = [], []  # the chunk being read, and each row's line number
     reader = csv.reader(source, delimiter=delimiter)
-    for row in reader:
-        lineno = reader.line_num  # physical line: a quoted field may span several
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if header is None:
-            header = [cell.strip() for cell in row]
+    try:
+        header = next((row for row in reader if any(map(str.strip, row))), None)
+        if header is not None:
+            header = [cell.strip() for cell in header]
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
-                raise IngestError(f"line {lineno}: header missing columns {missing}")
+                raise IngestError(f"line {reader.line_num}: header missing columns {missing}")
             repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
             if repeated:
-                raise IngestError(f"line {lineno}: header repeats columns {repeated}")
+                raise IngestError(f"line {reader.line_num}: header repeats columns {repeated}")
             col = [header.index(name) for name in REQUIRED_COLUMNS]
-            continue
-        if len(row) != len(header):
-            raise IngestError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        example_id, finding, label, score, group = (row[i].strip() for i in col)
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)  # physical line: a quoted field may span several
+                    if len(rows) == _CHUNK_ROWS:
+                        _extend(columns, rows, lines, len(header), col)
+                        rows, lines = [], []
+    except (csv.Error, OSError, UnicodeError) as exc:
+        if rows:  # a bad row read before the failure is the error to report
+            _extend(columns, rows, lines, len(header), col)
+        if isinstance(exc, csv.Error):
+            raise IngestError(f"line {reader.line_num}: {exc}") from None
+        raise
+    if rows:
+        _extend(columns, rows, lines, len(header), col)
+    return PredictionSet._from_columns(model_id, *columns)
+
+
+def _extend(columns: list[list], rows: list[list[str]], lines: list[int], width: int,
+            col: list[int]) -> None:
+    """Append one chunk of non-empty data rows to ``columns``, skipping blank rows.
+
+    Fields are stripped, scores parsed and labels "0"/"1" made ints. A row is
+    looked at on its own only when the chunk fails its field-count or score
+    check: a blank row always fails one of them, so it is found that way too.
+    The first bad row in file order raises, as a row-by-row scan would.
+    """
+    if set(map(len, rows)) == {width}:
+        fields = list(zip(*rows))
+        example_id, finding, label, score, group = ([*map(str.strip, fields[i])] for i in col)
         try:
-            scores.append(float(score))
+            score = [*map(float, score)]
         except ValueError:
-            raise IngestError(f"line {lineno}: score not a number: {score!r}") from None
-        example_ids.append(example_id)
-        findings.append(finding)
-        labels.append(_LABELS.get(label, label))
-        groups.append(group)
-        lines.append(lineno)
-    return PredictionSet._from_columns(model_id, example_ids, findings, labels, scores, groups,
-                                       lines)
+            pass
+        else:
+            for column, values in zip(columns, (example_id, finding, map(_LABELS.get, label, label),
+                                                score, group, lines)):
+                column.extend(values)
+            return
+    kept = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
+    for i in kept:
+        if len(rows[i]) != width:
+            raise IngestError(f"line {lines[i]}: expected {width} fields, got {len(rows[i])}")
+        score = rows[i][col[3]].strip()
+        try:
+            float(score)
+        except ValueError:
+            raise IngestError(f"line {lines[i]}: score not a number: {score!r}") from None
+    if kept:  # only blank rows failed the checks, so the rest pass them now
+        _extend(columns, [rows[i] for i in kept], [lines[i] for i in kept], width, col)
 
 
 def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str = ",") -> None:

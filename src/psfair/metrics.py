@@ -146,10 +146,15 @@ def resample_aurocs(pos: np.ndarray, neg: np.ndarray, n_resamples: int,
     yields the same indices for one large draw as for consecutive smaller
     ones, so the result depends on neither ``_BLOCK_ELEMS`` nor on other
     cells. Every model is scored on the same draws, so model differences are
-    paired.
+    paired. ``rng`` must be spawnable, as one from ``np.random.default_rng(seed)``
+    or ``seeding.substream`` is; any other raises ValueError.
     """
     (_, n_pos), (_, n_neg) = pos.shape, neg.shape
-    pos_rng, neg_rng = rng.spawn(2)
+    try:
+        pos_rng, neg_rng = rng.spawn(2)
+    except TypeError:  # its bit generator carries no SeedSequence to spawn from
+        raise ValueError("rng must be spawnable, e.g. np.random.default_rng(seed) "
+                         "or seeding.substream") from None
     brackets = [_Brackets(p, n) for p, n in zip(pos, neg)]
     stats = np.empty((len(brackets), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
@@ -171,7 +176,9 @@ def bootstrap_auroc_ci(
     """Percentile CI from label-stratified resamples.
 
     Positives and negatives are resampled separately with replacement,
-    preserving their counts, so no resample is degenerate.
+    preserving their counts, so no resample is degenerate. ``rng`` must be
+    spawnable, as one from ``np.random.default_rng(seed)`` or
+    ``seeding.substream`` is; any other raises ValueError.
     """
     pos = np.asarray(scores_pos, np.float64)[None]
     neg = np.asarray(scores_neg, np.float64)[None]

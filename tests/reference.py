@@ -7,13 +7,20 @@ positive and a negative stream; every resample draws one index array from
 each, on its own, and is re-ranked with ``scipy.stats.rankdata``. The
 counting kernel must agree with them bit for bit.
 
+``rowwise_ingest`` is the plain form of ``psfair.cohort.ingest``: it checks
+and converts one row at a time, where ``ingest`` works a chunk of columns at
+a time. Both must return equal sets and raise the same messages.
+
 ``oracle_auroc`` is the exhaustive pair count that every AUROC is checked
 against, and ``scenario_to_dict`` writes a scenario in its JSON file format.
 """
 
+import csv
+
 import numpy as np
 from scipy.stats import rankdata
 
+from psfair.cohort import _LABELS, REQUIRED_COLUMNS, IngestError, PredictionSet
 from psfair.seeding import substream
 
 ORACLE_SIZE_LIMIT = 10_000
@@ -77,6 +84,45 @@ def rank_delta_bootstrap_cis(baseline, candidate, finding, included, boot):
                       - rank_auroc(b[cell.pos[pi]], b[cell.neg[ni]]) for pi, ni in draws])
     stats = np.array(stats)
     return _interval(stats[0], boot), _interval(stats[1:].min(axis=0), boot)
+
+
+def rowwise_ingest(source, model_id, delimiter=","):
+    """``ingest`` of an open text source, checking each row as it is read."""
+    header = None
+    col = []
+    example_ids, findings, labels, scores, groups, lines = [], [], [], [], [], []
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        for row in reader:
+            lineno = reader.line_num  # physical line: a quoted field may span several
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if header is None:
+                header = [cell.strip() for cell in row]
+                missing = [c for c in REQUIRED_COLUMNS if c not in header]
+                if missing:
+                    raise IngestError(f"line {lineno}: header missing columns {missing}")
+                repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+                if repeated:
+                    raise IngestError(f"line {lineno}: header repeats columns {repeated}")
+                col = [header.index(name) for name in REQUIRED_COLUMNS]
+                continue
+            if len(row) != len(header):
+                raise IngestError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            example_id, finding, label, score, group = (row[i].strip() for i in col)
+            try:
+                scores.append(float(score))
+            except ValueError:
+                raise IngestError(f"line {lineno}: score not a number: {score!r}") from None
+            example_ids.append(example_id)
+            findings.append(finding)
+            labels.append(_LABELS.get(label, label))
+            groups.append(group)
+            lines.append(lineno)
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
+    return PredictionSet._from_columns(model_id, example_ids, findings, labels, scores, groups,
+                                       lines)
 
 
 def scenario_to_dict(spec) -> dict:

@@ -93,6 +93,20 @@ class TestAudit:
         assert rc == 2
         assert "label not binary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audit", "compare"])
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, command):
+        # Line 6 opens a quote that never closes, so the field runs past csv's size limit.
+        rows = [f"e{i},f,{i % 2},0.{i % 9 + 1},g" for i in range(20_000)]
+        rows[4] = 'e4,f,0,"0.4,g'
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text("example_id,finding,label,score,group\n" + "\n".join(rows) + "\n")
+        good.write_text("example_id,finding,label,score,group\ne1,f,1,0.5,g\ne2,f,0,0.4,g\n")
+        argv = (["audit", str(bad)] if command == "audit"
+                else ["compare", "--baseline", str(bad), "--candidate", str(good)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("psfair: error: line ") and "field larger than field limit" in err
+
     def test_error_line_counts_quoted_newlines(self, tmp_path, capsys):
         # The quoted id spans lines 2-3, so the bad label sits on physical line 5.
         path = tmp_path / "bad.csv"

@@ -1,8 +1,12 @@
+import csv
 import io
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from psfair import cohort
 from psfair.cohort import (
     AlignmentError,
     CohortError,
@@ -15,6 +19,7 @@ from psfair.cohort import (
     ingest,
 )
 from conftest import group_rows, make_set
+from reference import rowwise_ingest
 
 WELL_FORMED = """\
 example_id,finding,label,score,group
@@ -55,8 +60,8 @@ def test_ingest_column_order_irrelevant():
 
 
 def test_ingest_nonbinary_label():
-    text = "example_id,finding,label,score,group\nex1,pneumonia,2,0.5,g\n"
-    with pytest.raises(IngestError, match=r"line 2: label not binary"):
+    text = "example_id,finding,label,score,group\nex1,pneumonia,2,0.5,g\nex2,pneumonia,x,0.5,g\n"
+    with pytest.raises(IngestError, match=r"^line 2: label not binary: '2'$"):
         ingest(io.StringIO(text), "m")
 
 
@@ -117,6 +122,110 @@ def test_ingest_path_ignores_byte_order_mark(tmp_path):
 def test_ingest_tab_delimiter():
     text = "example_id\tfinding\tlabel\tscore\tgroup\ne1\tf\t1\t0.5\tg\ne2\tf\t0\t0.1\tg\n"
     assert len(ingest(io.StringIO(text), "m", delimiter="\t")) == 2
+
+
+# 1 and 2 convert every row or pair on its own, 7 leaves ragged chunks.
+CHUNK_SIZES = [1, 2, 7, cohort._CHUNK_ROWS]
+DIFFERENTIAL = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+# Faults put into an otherwise valid row: a field and its new value, or a change of shape.
+FAULTS = [("label", "2"), ("label", "1.0"), ("label", ""), ("label", " 1 "),
+          ("score", ""), ("score", "abc"), ("score", "nan"), ("score", "-inf"),
+          ("score", "1e999"), ("score", " 0.25 "), ("example_id", ""), ("example_id", "  "),
+          ("example_id", "e0"), ("example_id", "e\nq"), ("finding", ""), ("group", ""),
+          ("group", "a\r\nb"), ("drop", None), ("extra", None), ("unclosed", None)]
+BLANK_ROWS = [[], [""], ["  "], ["", "", "", "", ""], [" ", "\t"], ["", ""] * 4]
+
+
+@st.composite
+def prediction_texts(draw):
+    """(text, delimiter) of a prediction file with blank rows and a few faults.
+
+    Quoted newlines, CRLF, an extra column and the tab delimiter are drawn
+    too, so line numbers and field counts vary.
+    """
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=delimiter,
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    header = list(draw(st.permutations(cohort.REQUIRED_COLUMNS)))
+    header.insert(draw(st.integers(0, 5)), "note")
+    header = header[:draw(st.sampled_from([6] * 10 + [5, 4]))]  # 4 drops a required one
+    fault_odds = draw(st.sampled_from([0, 1, 2, 4]))  # in 12, per row
+    rows = [*draw(st.lists(st.sampled_from(BLANK_ROWS), max_size=2)), header]
+    for i in range(draw(st.sampled_from(range(25)))):
+        # The first four rows give both findings a positive and a negative.
+        fields = {"example_id": f"e{i}",
+                  "finding": "fg"[i // 2] if i < 4 else draw(st.sampled_from("fg")),
+                  "label": "10"[i % 2] if i < 4 else draw(st.sampled_from("01")),
+                  "group": draw(st.sampled_from("ab")),
+                  "score": repr(draw(st.floats(-2, 2).map(lambda x: round(x, 2)))),
+                  "note": draw(st.sampled_from(["", "x", "two\nlines", "a,b"]))}
+        if draw(st.integers(1, 12)) <= fault_odds:
+            fault, value = draw(st.sampled_from(FAULTS))
+            fields[fault] = value
+        else:
+            fault = None
+        row = [fields[name] for name in header]
+        if fault == "drop":
+            row.pop()
+        elif fault == "extra":
+            row.append("x")
+        rows.append(None if fault == "unclosed" else row)
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(draw(st.sampled_from(BLANK_ROWS)))
+    for row in rows:
+        if row is None:  # a quote that never closes runs into the field size limit
+            buf.write(delimiter.join(["e99", "f", "0", '"0.4', "b"]) + "\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue(), delimiter
+
+
+def parsed(parse, text, delimiter):
+    try:
+        return parse(io.StringIO(text, newline=""), "m", delimiter=delimiter)
+    except IngestError as exc:
+        return f"IngestError: {exc}"
+
+
+@DIFFERENTIAL
+@given(prediction_texts())
+def test_ingest_matches_rowwise_reference(text_and_delimiter):
+    text, delimiter = text_and_delimiter
+    limit = csv.field_size_limit(60)
+    try:
+        expected = parsed(rowwise_ingest, text, delimiter)
+        for chunk in CHUNK_SIZES:
+            with mock.patch.object(cohort, "_CHUNK_ROWS", chunk):
+                assert parsed(ingest, text, delimiter) == expected, chunk
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_earlier_field_count_beats_later_bad_score(chunk):
+    # With chunks of 1 or 2 the bad field count (line 3) and the bad score (line 5) fall
+    # in different chunks; with 7 or more they share one, with a blank row between them.
+    text = ("example_id,finding,label,score,group\n"
+            "e1,f,1,0.5,g\ne2,f,0\n , , , , \ne3,f,1,oops,g\n")
+    with mock.patch.object(cohort, "_CHUNK_ROWS", chunk):
+        with pytest.raises(IngestError, match=r"^line 3: expected 5 fields, got 3$"):
+            ingest(io.StringIO(text), "m")
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("e2,f,0\n", "line 3: expected 5 fields, got 3"),
+    ("e2,f,0,0.1,g\n", "disk gone"),
+])
+def test_bad_row_read_before_a_read_failure_is_reported(bad_row, message):
+    def source():
+        yield from ("example_id,finding,label,score,group\n", "e1,f,1,0.5,g\n", bad_row)
+        raise OSError("disk gone")
+
+    with pytest.raises((IngestError, OSError), match=f"^{message}$"):
+        rowwise_ingest(source(), "m")
+    with pytest.raises((IngestError, OSError), match=f"^{message}$"):
+        ingest(source(), "m")
 
 
 def test_set_requires_pos_and_neg_per_finding():

@@ -5,6 +5,7 @@ from psfair.cohort import InclusionPolicy
 from psfair.metrics import (
     BootstrapConfig,
     auroc,
+    bootstrap_auroc_ci,
     group_performance,
     macro_average,
     overall_auroc,
@@ -95,6 +96,12 @@ class TestGroupPerformance:
         a = group_performance(pset, "f", boot=BootstrapConfig(seed=1))
         b = group_performance(pset, "f", boot=BootstrapConfig(seed=2))
         assert (a[0].ci_low, a[0].ci_high) != (b[0].ci_low, b[0].ci_high)
+
+    def test_unspawnable_generator_is_a_value_error(self):
+        # A Philox generator built from a bare key has no SeedSequence to spawn the side streams.
+        rng = np.random.Generator(np.random.Philox(key=1))
+        with pytest.raises(ValueError, match="rng must be spawnable"):
+            bootstrap_auroc_ci(np.array([0.9, 0.4]), np.array([0.8, 0.2]), BootstrapConfig(), rng)
 
     def test_ci_brackets_point_estimate(self, rng):
         for _ in range(20):
