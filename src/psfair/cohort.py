@@ -253,12 +253,19 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
     """Parse a delimited prediction file into a validated PredictionSet.
 
     Raises IngestError with a line number for malformed rows and malformed
-    CSV, a named key for duplicates, and outright for empty input.
+    CSV, a named key for duplicates, and outright for empty input. Read from a
+    path, each IngestError names the path, also the one for a file not in UTF-8.
     """
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return ingest(fh, model_id, delimiter=delimiter)
+            try:
+                return ingest(fh, model_id, delimiter=delimiter)
+            except IngestError as exc:
+                raise IngestError(f"{source}: {exc}") from None
+            except UnicodeDecodeError:
+                # The codec's byte position counts from its read buffer, not the file.
+                raise IngestError(f"{source}: not UTF-8 text") from None
 
     columns: list[list] = [[], [], [], [], [], []]  # REQUIRED_COLUMNS, then line numbers
     rows, lines = [], []  # the chunk being read, and each row's line number

@@ -29,15 +29,12 @@ class BootstrapConfig:
     n_resamples: int = 300
     confidence_level: float = 0.95
     seed: int = 0
-    method: str = "percentile"
 
     def __post_init__(self) -> None:
         if self.n_resamples < 1:
             raise ValueError("n_resamples must be >= 1")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError("confidence_level must be in (0, 1)")
-        if self.method != "percentile":
-            raise ValueError(f"unsupported bootstrap method {self.method!r}")
 
     def interval(self, stats: np.ndarray) -> tuple[float, float]:
         """Percentile interval of resampled statistics at this confidence level."""

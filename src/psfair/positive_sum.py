@@ -53,15 +53,13 @@ def _check_epsilon(epsilon: float) -> None:
 
 @dataclass(frozen=True)
 class GatePolicy:
-    """Hard promotion constraints; defaults require no loss on either axis.
+    """Promotion gate: promote what classify calls non-harmful at epsilon.
 
-    conservative_ci switches the gate to reject only when the bootstrap CI of
-    a delta lies entirely below -epsilon (needs compare(..., conservative=True)).
+    It classifies the point deltas or, with conservative_ci, the upper ends of
+    the overall and minimum-group delta CIs (needs compare(..., conservative=True)).
     """
 
     epsilon: float = 0.0
-    require_overall_gain: bool = True
-    require_no_group_loss: bool = True
     conservative_ci: bool = False
 
     def __post_init__(self) -> None:
@@ -206,29 +204,21 @@ def _delta_bootstrap_cis(
 
 
 def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateVerdict:
-    """Apply the hard promotion constraints; Reject lists every violation."""
-    eps = policy.epsilon
+    """Promote what classify calls non-harmful; Reject lists each harmed axis's point delta."""
+    overall, worst = cmp.overall_delta, cmp.min_group_delta
+    if policy.conservative_ci:
+        if cmp.overall_delta_ci is None or cmp.min_group_delta_ci is None:
+            raise ValueError("conservative_ci needs delta CIs from compare(..., conservative=True)")
+        overall, worst = cmp.overall_delta_ci[1], cmp.min_group_delta_ci[1]
+    verdict = classify(overall, worst, policy.epsilon)
+    bound = f"{-policy.epsilon:+.6g}"
     reasons: list[str] = []
-    if policy.require_overall_gain:
-        if policy.conservative_ci and cmp.overall_delta_ci is not None:
-            violated = cmp.overall_delta_ci[1] < -eps
-        else:
-            violated = cmp.overall_delta < -eps
-        if violated:
-            reasons.append(
-                f"overall-loss: overall_delta {cmp.overall_delta:+.6g} < {-eps:+.6g}"
-            )
-    if policy.require_no_group_loss:
-        if policy.conservative_ci and cmp.min_group_delta_ci is not None:
-            violated = cmp.min_group_delta_ci[1] < -eps
-        else:
-            violated = cmp.min_group_delta < -eps
-        if violated:
-            reasons.append(
-                f"group-loss: group {cmp.min_group!r} delta "
-                f"{cmp.min_group_delta:+.6g} < {-eps:+.6g}"
-            )
-    return GateVerdict(promote=not reasons, reasons=tuple(reasons))
+    if verdict in (Classification.HARMFUL_TO_OVERALL, Classification.HARMFUL_BOTH):
+        reasons.append(f"overall-loss: overall_delta {cmp.overall_delta:+.6g} < {bound}")
+    if verdict in (Classification.HARMFUL_TO_SUBGROUP, Classification.HARMFUL_BOTH):
+        reasons.append(f"group-loss: group {cmp.min_group!r} delta "
+                       f"{cmp.min_group_delta:+.6g} < {bound}")
+    return GateVerdict(promote=verdict is Classification.NON_HARMFUL, reasons=tuple(reasons))
 
 
 def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:

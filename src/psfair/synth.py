@@ -52,12 +52,17 @@ class ScenarioSpec:
     finding: str = "finding"
 
     def __post_init__(self) -> None:
+        if not self.baseline_recipes:
+            raise ValueError(f"scenario {self.name!r} has no groups")
         ids = [r.group_id for r in self.baseline_recipes]
         repeated = sorted({g for g in ids if ids.count(g) > 1})
         if repeated:
             raise ValueError(f"scenario {self.name!r} repeats group ids {repeated}")
         groups = set(ids)
         for cand in self.candidates:
+            # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
+            if cand.model_id in (".", "..") or set(cand.model_id) & {"/", "\\", "\0"}:
+                raise ValueError(f"candidate {cand.model_id!r}: model id must be a plain file name")
             for g, auc in cand.overrides.items():
                 if g not in groups:
                     raise ValueError(

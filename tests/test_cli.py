@@ -105,7 +105,22 @@ class TestAudit:
                 else ["compare", "--baseline", str(bad), "--candidate", str(good)])
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("psfair: error: line ") and "field larger than field limit" in err
+        assert err.startswith(f"psfair: error: {bad}: line ")
+        assert "field larger than field limit" in err
+
+    @pytest.mark.parametrize("bad_bytes, message", [
+        (b"e9,f,0\n", ": line 3: expected 5 fields, got 3"),
+        (b"e9,f,0,0.\xff,g\n", ": not UTF-8 text"),
+    ])
+    def test_ingest_error_names_the_file(self, study_files, tmp_path, capsys, bad_bytes,
+                                         message):
+        # The second of two candidates is bad; the error must say which file it is.
+        bad = tmp_path / "m2b.csv"
+        bad.write_bytes(b"example_id,finding,label,score,group\ne1,f,1,0.5,g\n" + bad_bytes)
+        rc = main(["compare", "--baseline", str(study_files["baseline"]),
+                   "--candidate", str(study_files["m2"]), "--candidate", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"psfair: error: {bad}{message}\n"
 
     def test_error_line_counts_quoted_newlines(self, tmp_path, capsys):
         # The quoted id spans lines 2-3, so the bad label sits on physical line 5.
@@ -385,6 +400,15 @@ class TestGen:
         assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_model_id_outside_out_dir_exits_2(self, tmp_path, capsys):
+        raw = scenario_to_dict(preset("m2_like"))
+        raw["candidates"][0]["model_id"] = "../evil"
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "o3")]) == 2
+        assert "model id must be a plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     @pytest.mark.parametrize("where, value, message", WRONG_TYPES)
     def test_wrongly_typed_scenario_field_exits_2(self, tmp_path, capsys, where, value,

@@ -193,5 +193,3 @@ def test_bootstrap_config_validation():
         BootstrapConfig(n_resamples=0)
     with pytest.raises(ValueError):
         BootstrapConfig(confidence_level=1.0)
-    with pytest.raises(ValueError):
-        BootstrapConfig(method="bca")

@@ -162,10 +162,6 @@ class TestGate:
         v = gate(make_cmp(-0.05, -0.05))
         assert len(v.reasons) == 2
 
-    def test_constraints_can_be_disabled(self):
-        policy = GatePolicy(require_overall_gain=False, require_no_group_loss=False)
-        assert gate(make_cmp(-1.0, -1.0), policy).promote
-
     def test_coherence_with_classification(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
@@ -182,6 +178,13 @@ class TestGate:
         # CI straddles zero: not a confident harm, so the conservative gate promotes
         assert gate(cmp, GatePolicy(conservative_ci=True)).promote
         assert not gate(cmp, GatePolicy()).promote
+
+    def test_conservative_gate_without_cis_raises(self):
+        # Gating on point deltas instead would report conservative_ci it never applied.
+        cmp = compare(study_from_group_aurocs({"A": 0.7, "B": 0.8}, {"A": 0.6, "B": 0.8}),
+                      "f", "cand")
+        with pytest.raises(ValueError, match=r"compare\(\.\.\., conservative=True\)"):
+            gate(cmp, GatePolicy(conservative_ci=True))
 
 
 class TestDecompose:

@@ -120,6 +120,12 @@ class TestBuildStudy:
         with pytest.raises(ValueError, match="unknown group"):
             self._spec({"zz": 0.8})
 
+    @pytest.mark.parametrize("model_id", ["../evil", "a/b", "a\\b", ".", "..", "a\0b"])
+    def test_model_id_must_be_a_plain_file_name(self, model_id):
+        with pytest.raises(ValueError, match=re.escape(
+                f"candidate {model_id!r}: model id must be a plain file name")):
+            ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7),), (CandidateSpec(model_id),), 0)
+
     def test_determinism(self):
         a = build_study(self._spec({"a": 0.8}))
         b = build_study(self._spec({"a": 0.8}))
@@ -158,7 +164,8 @@ class TestPresets:
             preset("m9_like")
 
 
-# One wrongly typed value per scenario field: (path in the file, value, error).
+# One wrongly typed value per scenario field, and an empty group list:
+# (path in the file, value, error).
 WRONG_TYPES = [
     (("seed",), 1.5, "seed must be an integer, got 1.5"),
     (("seed",), True, "seed must be an integer, got True"),
@@ -174,6 +181,7 @@ WRONG_TYPES = [
                                             "got [0.7]"),
     (("candidates", 0, "overrides", "group_a"), "0.7",
      "candidate 'm2', group 'group_a': target_auc must be a number, got '0.7'"),
+    (("groups",), [], "scenario 'm2_like' has no groups"),
 ]
 
 
