@@ -1,8 +1,8 @@
 """Command-line front end: audit, compare, and synthetic-study generation.
 
 Exit codes: 0 success (and, for compare, every candidate promoted), 1 at least
-one candidate rejected by the gate, 2 input or validation error. This makes
-`psfair compare` usable directly as a CI promotion gate.
+one candidate rejected by the gate, 2 input or validation error or out of
+memory. This makes `psfair compare` usable directly as a CI promotion gate.
 
 These flags take their default from a PSFAIR_<NAME> variable (e.g.
 PSFAIR_BOOTSTRAP_N=500); explicit flags win and a malformed value exits 2:
@@ -346,8 +346,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)  # reads PSFAIR_* defaults
         return handlers[args.command](args)
-    except (CohortError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CohortError, ValueError, OSError) as exc:
         print(f"psfair: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"psfair: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,9 +3,10 @@
 AUROC is the Mann-Whitney pair statistic: the fraction of (positive, negative)
 score pairs ranked correctly, ties counted half. It is counted, not ranked:
 a cell's negatives are sorted once and every positive is bracketed among them,
-so the point estimate and each bootstrap resample reduce to integer counts.
-``2U`` (twice the number of correct pairs, ties once) is exact, so every AUROC
-agrees bit for bit with exhaustive pair counting.
+so the point estimate and each bootstrap resample reduce to integer counts
+read off a prefix sum of negatives per level, one flattened prefix sum per
+block of resamples. ``2U`` (twice the number of correct pairs, ties once) is
+exact, so every AUROC agrees bit for bit with exhaustive pair counting.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -13,7 +14,8 @@ across included subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -31,16 +33,19 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, kind in (("n_resamples", int), ("seed", int), ("confidence_level", Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.n_resamples < 1:
             raise ValueError("n_resamples must be >= 1")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError("confidence_level must be in (0, 1)")
 
-    def interval(self, stats: np.ndarray) -> tuple[float, float]:
-        """Percentile interval of resampled statistics at this confidence level."""
+    def interval(self, stats: np.ndarray) -> tuple:
+        """Percentile interval at this confidence level: two floats, or two lists for 2-D stats."""
         alpha = 1.0 - self.confidence_level
-        low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-        return float(low), float(high)
+        return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1).tolist())
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,9 @@ class FairnessSummary:
     worst_group: str | None
 
 
-# Most draw indices one block of a cell's resamples holds; every temporary of
-# the counting kernel is a small multiple of it. A resample larger than this
-# gets a block of its own.
+# Most draw indices one block of a cell's resamples holds; the kernel's flat
+# prefix sum (``count * (n_levels + 1)`` slots) and every other temporary are
+# small multiples of it. A resample larger than this gets a block of its own.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -82,6 +87,8 @@ class _Brackets:
     The negatives are sorted once into distinct levels. Each positive is
     bracketed by ``searchsorted``: ``lo`` levels lie strictly below it and
     ``hi`` levels at or below it, so ``hi - lo`` is 1 on a tie and 0 otherwise.
+    With ``cum[j]`` the number of negatives on levels below ``j``, the exact
+    ``2U = cum[lo].sum() + cum[hi].sum()``, and AUROC is ``2U / 2 / n_pairs``.
     """
 
     def __init__(self, pos: np.ndarray, neg: np.ndarray):
@@ -91,27 +98,28 @@ class _Brackets:
         self.hi = np.searchsorted(levels, pos, "right")
         self.n_pairs = len(pos) * len(neg)
 
+    def point(self) -> float:
+        cum = np.zeros(self.n_levels + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.neg_level, minlength=self.n_levels), out=cum[1:])
+        return float((cum[self.lo].sum() + cum[self.hi].sum()) / 2.0 / self.n_pairs)
+
     def aurocs(self, pos_draws: np.ndarray, neg_draws: np.ndarray) -> np.ndarray:
         """AUROC of each resample, given as rows of positive and negative indices.
 
-        With ``w_pos`` counting how often a resample drew each positive,
-        ``2U = sum(w_pos * (cum[lo] + cum[hi]))``, where ``cum[j]`` is the
-        number of drawn negatives on levels below ``j``. ``2U`` is an exact
-        integer, so ``2U / 2 / n_pairs`` is the correctly rounded AUROC.
+        Row r's negative levels are shifted by ``r * width + 1`` (``width =
+        n_levels + 1``), and one ``bincount`` and 1-D ``cumsum`` of the flat
+        block give ``total``. Every earlier row drew ``n_neg`` negatives, so
+        row r's ``cum[j]`` is ``total[r * width + j] - r * n_neg``.
         """
-        neg_w = _row_counts(self.neg_level[neg_draws], self.n_levels)
-        cum = np.zeros((len(neg_w), self.n_levels + 1), dtype=np.int64)
-        np.cumsum(neg_w, axis=1, out=cum[:, 1:])
-        pos_w = _row_counts(pos_draws, len(self.lo))
-        two_u = (pos_w * (cum[:, self.lo] + cum[:, self.hi])).sum(axis=1)
+        (rows, n_pos), (_, n_neg) = pos_draws.shape, neg_draws.shape
+        width = self.n_levels + 1
+        shift = np.arange(rows) * width
+        flat = (self.neg_level[neg_draws] + (shift + 1)[:, None]).ravel()
+        total = np.bincount(flat, minlength=rows * width).cumsum()
+        two_u = (total[self.lo[pos_draws] + shift[:, None]].sum(axis=1)
+                 + total[self.hi[pos_draws] + shift[:, None]].sum(axis=1)
+                 - 2 * n_pos * n_neg * np.arange(rows))
         return two_u.astype(np.float64) / 2.0 / self.n_pairs
-
-
-def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
-    """``counts[r, j]``: how often row r of ``codes`` holds j, for j < width."""
-    rows = len(codes)
-    flat = (codes + (np.arange(rows) * width)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
 
 
 def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
@@ -128,8 +136,7 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
         raise ValueError("undefined AUROC: no negative scores")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise ValueError("undefined AUROC: non-finite score")
-    everyone = (np.arange(pos.size)[None], np.arange(neg.size)[None])
-    return float(_Brackets(pos, neg).aurocs(*everyone)[0])
+    return _Brackets(pos, neg).point()
 
 
 def resample_aurocs(pos: np.ndarray, neg: np.ndarray, n_resamples: int,
@@ -146,13 +153,17 @@ def resample_aurocs(pos: np.ndarray, neg: np.ndarray, n_resamples: int,
     paired. ``rng`` must be spawnable, as one from ``np.random.default_rng(seed)``
     or ``seeding.substream`` is; any other raises ValueError.
     """
-    (_, n_pos), (_, n_neg) = pos.shape, neg.shape
+    brackets = [_Brackets(p, n) for p, n in zip(pos, neg)]
+    return _resample(brackets, pos.shape[1], neg.shape[1], n_resamples, rng)
+
+
+def _resample(brackets, n_pos, n_neg, n_resamples, rng) -> np.ndarray:
+    """``resample_aurocs`` of the models whose brackets are given."""
     try:
         pos_rng, neg_rng = rng.spawn(2)
     except TypeError:  # its bit generator carries no SeedSequence to spawn from
         raise ValueError("rng must be spawnable, e.g. np.random.default_rng(seed) "
                          "or seeding.substream") from None
-    brackets = [_Brackets(p, n) for p, n in zip(pos, neg)]
     stats = np.empty((len(brackets), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
     for start in range(0, n_resamples, step):
@@ -194,27 +205,27 @@ def group_performance(
     CIs are only computed for included groups, and for none when boot is
     None. If the point estimate falls outside the percentile interval
     (possible at tiny n), the interval is widened to cover it and the group
-    flagged low_confidence.
+    flagged low_confidence. One quantile call gives every included cell's CI.
     """
     out: list[SubgroupPerformance] = []
+    stats = []  # one row of resampled AUROCs per included cell, in cell order
     for cell in pset.cells(finding):
-        pos, neg = pset.score[cell.pos], pset.score[cell.neg]
-        n_pos, n_neg = len(pos), len(neg)
-        included = policy.admits(n_pos, n_neg)
-        point = auroc(pos, neg) if n_pos and n_neg else None
-        if not included or boot is None:
-            out.append(SubgroupPerformance(cell.group_id, n_pos, n_neg, included, point))
-            continue
-        rng = substream(boot.seed, "bootstrap", pset.model_id, finding, cell.group_id)
-        low, high = bootstrap_auroc_ci(pos, neg, boot, rng)
-        low_confidence = False
-        if point < low:
-            low, low_confidence = point, True
-        if point > high:
-            high, low_confidence = point, True
-        out.append(
-            SubgroupPerformance(cell.group_id, n_pos, n_neg, True, point, low, high, low_confidence)
-        )
+        n_pos, n_neg = len(cell.pos), len(cell.neg)
+        b = _Brackets(pset.score[cell.pos], pset.score[cell.neg]) if n_pos and n_neg else None
+        out.append(SubgroupPerformance(cell.group_id, n_pos, n_neg, policy.admits(n_pos, n_neg),
+                                       None if b is None else b.point()))
+        if out[-1].included and boot is not None:
+            rng = substream(boot.seed, "bootstrap", pset.model_id, finding, cell.group_id)
+            stats.append(_resample([b], n_pos, n_neg, boot.n_resamples, rng)[0])
+    if not stats:
+        return out
+    bounds = zip(*boot.interval(np.array(stats)))
+    for i, g in enumerate(out):
+        if g.included:
+            low, high = next(bounds)
+            low, high = max(0.0, low), min(1.0, high)
+            out[i] = replace(g, ci_low=min(low, g.auroc), ci_high=max(high, g.auroc),
+                             low_confidence=not low <= g.auroc <= high)
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -442,6 +443,13 @@ class TestEndToEnd:
         assert comparison["min_group_delta"] == lib.min_group_delta
 
 
+def child_env():
+    """The environment with this checkout's psfair first on PYTHONPATH."""
+    src = str(Path(psfair.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # psfair runs on numpy alone: no command loads scipy, gen included.
     code = (
@@ -455,9 +463,25 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "                 d + '/m2.csv', '--conservative-ci', '--bootstrap-n', '5']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(psfair.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=child_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["audit", "{baseline}"],
+    ["compare", "--conservative-ci", "--baseline", "{baseline}", "--candidate", "{m2}"],
+])
+def test_out_of_memory_exits_2(study_files, command):
+    # 10**12 resamples cannot be allocated; exit 1 would read as "rejected".
+    # The address-space cap keeps the child small wherever memory is overcommitted.
+    argv = [arg.format(**study_files) for arg in command] + ["--bootstrap-n", str(10**12)]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    out = subprocess.run([sys.executable, "-m", "psfair.cli", *argv], env=child_env(),
+                         preexec_fn=cap_memory, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("psfair: error: out of memory: ")

@@ -107,6 +107,60 @@ def test_delta_cis_match_reference(study, n, cap, seed):
         assert d.candidate_auroc == rank_auroc(c[cell.pos], c[cell.neg])
 
 
+@st.composite
+def gated_set(draw):
+    """One model's cells over 2-8 groups of one finding; an excluded group has
+    a side below 3, possibly empty, so excluded cells fall between included ones."""
+    score = draw(tied_score())
+    groups = draw(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=8, unique=True))
+    admitted = draw(st.lists(st.booleans(), min_size=len(groups), max_size=len(groups))
+                    .filter(any))
+    records = []
+    for g, admit in zip(groups, admitted):
+        sizes = [draw(st.integers(3, 8)), draw(st.integers(3, 8))]
+        if not admit:
+            sizes[draw(st.integers(0, 1))] = draw(st.integers(0, 2))
+        n_pos, n_neg = sizes
+        for i in range(n_pos + n_neg):
+            records.append(PredictionRecord(f"{g}{i}", "f", int(i < n_pos), draw(score), g))
+    return PredictionSet("m", records)
+
+
+@PROPERTY
+@given(gated_set(), resample_counts, block_caps, seeds)
+def test_audit_rows_follow_their_cells(pset, n, cap, seed):
+    # One quantile call serves every included cell: each CI must still come
+    # from its own cell's stream, whichever cells around it are excluded.
+    policy = InclusionPolicy(3, 3)
+    boot = BootstrapConfig(n_resamples=n, seed=seed)
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+        perf = group_performance(pset, "f", policy, boot)
+    cells = list(pset.cells("f"))
+    assert len(perf) == len(cells)
+    for cell, g in zip(cells, perf):
+        pos, neg = pset.score[cell.pos], pset.score[cell.neg]
+        assert (g.group_id, g.n_pos, g.n_neg) == (cell.group_id, len(pos), len(neg))
+        assert g.included == policy.admits(len(pos), len(neg))
+        assert g.auroc == (rank_auroc(pos, neg) if len(pos) and len(neg) else None)
+        if not g.included:
+            assert (g.ci_low, g.ci_high, g.low_confidence) == (None, None, False)
+            continue
+        low, high = rank_bootstrap_auroc_ci(
+            pos, neg, boot, substream(seed, "bootstrap", "m", "f", cell.group_id))
+        assert (g.ci_low, g.ci_high) == (min(low, g.auroc), max(high, g.auroc))
+        assert g.low_confidence == (not low <= g.auroc <= high)
+
+
+@PROPERTY
+@given(st.integers(1, 8), resample_counts, st.floats(0.5, 0.99), seeds)
+def test_interval_of_rows_matches_each_row(rows, n, level, seed):
+    boot = BootstrapConfig(n_resamples=n, confidence_level=level)
+    stats = np.round(np.random.default_rng(seed).random((rows, n)), 1)  # with ties
+    low, high = boot.interval(stats)
+    assert list(zip(low, high)) == [boot.interval(row) for row in stats]
+    assert all(type(end) is float for end in boot.interval(stats[0]))
+
+
 def test_cell_larger_than_block_cap():
     # With the real cap: one resample per block, then a ragged last block.
     rng = np.random.default_rng(5)

@@ -193,3 +193,15 @@ def test_bootstrap_config_validation():
         BootstrapConfig(n_resamples=0)
     with pytest.raises(ValueError):
         BootstrapConfig(confidence_level=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("seed", True), ("seed", "1"),
+    ("n_resamples", 2.5), ("n_resamples", True), ("n_resamples", np.int64(5)),
+    ("confidence_level", "0.9"), ("confidence_level", None), ("confidence_level", True),
+])
+def test_bootstrap_config_field_types(field, value):
+    # A report's config block holds these values as given, so a float or bool
+    # seed must not resample as seed 1 and then be written as 1.5 or true.
+    with pytest.raises(ValueError, match=f"^{field} must be of type"):
+        BootstrapConfig(**{field: value})
