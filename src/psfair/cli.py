@@ -9,7 +9,8 @@ PSFAIR_BOOTSTRAP_N=500); explicit flags win and a malformed value exits 2:
 --min-pos, --min-neg, --bootstrap-n, --confidence, --seed, --format, --out
 and --tab of audit and compare; --baseline, --candidate (one file),
 --epsilon and --conservative-ci of compare; --out-dir and --tab of gen.
-audit --model-id and gen --seed read none. --epsilon must be finite and >= 0.
+audit --model-id and gen --seed read none. --epsilon must be finite and >= 0,
+and every --seed in [0, 2**64).
 """
 
 from __future__ import annotations

@@ -40,6 +40,16 @@ class AlignmentError(CohortError):
     """Candidate model does not share the baseline's test set."""
 
 
+def _check_types(obj, **kinds: type) -> None:
+    """ValueError unless each named field of obj is of its kind. A bool is
+    only ever a bool, never an int or a number, since a report's config block
+    records the value as given."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PredictionRecord:
     example_id: str
@@ -61,6 +71,7 @@ class InclusionPolicy:
     min_negatives: int = 5
 
     def __post_init__(self) -> None:
+        _check_types(self, min_positives=int, min_negatives=int)
         if self.min_positives < 0 or self.min_negatives < 0:
             raise ValueError("inclusion thresholds must be >= 0")
 

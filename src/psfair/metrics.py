@@ -7,6 +7,8 @@ so the point estimate and each bootstrap resample reduce to integer counts
 read off a prefix sum of negatives per level, one flattened prefix sum per
 block of resamples. ``2U`` (twice the number of correct pairs, ties once) is
 exact, so every AUROC agrees bit for bit with exhaustive pair counting.
+``_resample`` draws every resample, of audit and paired delta CIs alike, on
+brackets built once per cell and model.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -20,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import InclusionPolicy, PredictionSet
-from .seeding import substream
+from .cohort import InclusionPolicy, PredictionSet, _check_types
+from .seeding import check_seed, substream
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,8 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, kind in (("n_resamples", int), ("seed", int), ("confidence_level", Real)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        _check_types(self, n_resamples=int, seed=int, confidence_level=Real)
+        check_seed(self.seed)
         if self.n_resamples < 1:
             raise ValueError("n_resamples must be >= 1")
         if not 0.0 < self.confidence_level < 1.0:
@@ -139,31 +139,28 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     return _Brackets(pos, neg).point()
 
 
-def resample_aurocs(pos: np.ndarray, neg: np.ndarray, n_resamples: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _resample(brackets: Sequence[_Brackets], n_resamples: int,
+              rng: np.random.Generator) -> np.ndarray:
     """AUROC of every model on each label-stratified resample of one cell.
 
-    ``pos`` and ``neg`` hold one row of scores per model, over the same
+    ``brackets`` holds one model's brackets of the cell each, over the same
     examples; the result holds one row of ``n_resamples`` AUROCs per model.
-    ``rng`` is split into a positive and a negative stream, and each side of a
-    block of resamples is one ``integers`` call on its own stream. Philox
-    yields the same indices for one large draw as for consecutive smaller
-    ones, so the result depends on neither ``_BLOCK_ELEMS`` nor on other
-    cells. Every model is scored on the same draws, so model differences are
-    paired. ``rng`` must be spawnable, as one from ``np.random.default_rng(seed)``
-    or ``seeding.substream`` is; any other raises ValueError.
+    Positives and negatives are resampled separately with replacement,
+    keeping their counts, so no resample is degenerate. ``rng`` is split into
+    a positive and a negative stream, and each side of a block of resamples
+    is one ``integers`` call on its own stream. Philox yields the same indices
+    for one large draw as for consecutive smaller ones, so the result depends
+    on neither ``_BLOCK_ELEMS`` nor on other cells. Every model is scored on
+    the same draws, so model differences are paired. ``rng`` must be
+    spawnable, as one from ``np.random.default_rng(seed)`` or
+    ``seeding.substream`` is; any other raises ValueError.
     """
-    brackets = [_Brackets(p, n) for p, n in zip(pos, neg)]
-    return _resample(brackets, pos.shape[1], neg.shape[1], n_resamples, rng)
-
-
-def _resample(brackets, n_pos, n_neg, n_resamples, rng) -> np.ndarray:
-    """``resample_aurocs`` of the models whose brackets are given."""
     try:
         pos_rng, neg_rng = rng.spawn(2)
     except TypeError:  # its bit generator carries no SeedSequence to spawn from
         raise ValueError("rng must be spawnable, e.g. np.random.default_rng(seed) "
                          "or seeding.substream") from None
+    n_pos, n_neg = len(brackets[0].lo), len(brackets[0].neg_level)
     stats = np.empty((len(brackets), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
     for start in range(0, n_resamples, step):
@@ -173,25 +170,6 @@ def _resample(brackets, n_pos, n_neg, n_resamples, rng) -> np.ndarray:
         for row, b in zip(stats, brackets):
             row[start:start + count] = b.aurocs(pos_draws, neg_draws)
     return stats
-
-
-def bootstrap_auroc_ci(
-    scores_pos: np.ndarray,
-    scores_neg: np.ndarray,
-    boot: BootstrapConfig,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Percentile CI from label-stratified resamples.
-
-    Positives and negatives are resampled separately with replacement,
-    preserving their counts, so no resample is degenerate. ``rng`` must be
-    spawnable, as one from ``np.random.default_rng(seed)`` or
-    ``seeding.substream`` is; any other raises ValueError.
-    """
-    pos = np.asarray(scores_pos, np.float64)[None]
-    neg = np.asarray(scores_neg, np.float64)[None]
-    low, high = boot.interval(resample_aurocs(pos, neg, boot.n_resamples, rng)[0])
-    return max(0.0, low), min(1.0, high)
 
 
 def group_performance(
@@ -216,7 +194,7 @@ def group_performance(
                                        None if b is None else b.point()))
         if out[-1].included and boot is not None:
             rng = substream(boot.seed, "bootstrap", pset.model_id, finding, cell.group_id)
-            stats.append(_resample([b], n_pos, n_neg, boot.n_resamples, rng)[0])
+            stats.append(_resample([b], boot.n_resamples, rng)[0])
     if not stats:
         return out
     bounds = zip(*boot.interval(np.array(stats)))
@@ -274,8 +252,6 @@ __all__ = [
     "SubgroupPerformance",
     "FairnessSummary",
     "auroc",
-    "bootstrap_auroc_ci",
-    "resample_aurocs",
     "group_performance",
     "overall_auroc",
     "summarize",

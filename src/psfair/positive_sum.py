@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
-from .cohort import AlignedStudy, Cell, InclusionPolicy, PredictionSet
-from .metrics import BootstrapConfig, group_performance, overall_auroc, resample_aurocs
+from .cohort import AlignedStudy, InclusionPolicy, _check_types
+from .metrics import BootstrapConfig, _Brackets, _resample
 from .seeding import substream
 
 
@@ -63,6 +64,7 @@ class GatePolicy:
     conservative_ci: bool = False
 
     def __post_init__(self) -> None:
+        _check_types(self, epsilon=Real, conservative_ci=bool)
         _check_epsilon(self.epsilon)
 
 
@@ -123,18 +125,25 @@ def compare(
 
     A group enters min_group_delta only when it passes the inclusion policy
     (the shared key set makes inclusion identical for both models) and its
-    AUROC is defined on both sides. With conservative=True, paired stratified
-    bootstrap CIs for the overall and minimum-group deltas are attached.
+    AUROC is defined on both sides. Each cell with both sides, the pooled one
+    included, is bracketed once per model. With conservative=True, paired
+    stratified bootstrap CIs for the overall and minimum-group deltas are
+    attached: both models score the same resampled examples, and each cell
+    draws from its own substream, keyed by its group id or by ``""`` for the
+    pooled cell, so no cell's deltas depend on the other groups or their order.
     """
     baseline = study.baseline
     candidate = study.candidate(candidate_id)
 
-    # Aligned sets share their cells, so both lists pair up group by group.
+    # Aligned sets share their cells, so a baseline cell serves both models.
+    cells = [baseline.pooled(finding), *baseline.cells(finding)]
+    pairs = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in (baseline, candidate)]
+             if len(cell.pos) and len(cell.neg) else None for cell in cells]
+    points = [(None, None) if pair is None else [b.point() for b in pair] for pair in pairs]
     deltas = [
-        GroupDelta(b.group_id, b.auroc, c.auroc, None if b.auroc is None else c.auroc - b.auroc,
-                   b.included)
-        for b, c in zip(group_performance(baseline, finding, policy, None),
-                        group_performance(candidate, finding, policy, None))
+        GroupDelta(cell.group_id, b_auc, c_auc, None if b_auc is None else c_auc - b_auc,
+                   policy.admits(len(cell.pos), len(cell.neg)))
+        for cell, (b_auc, c_auc) in zip(cells[1:], points[1:])
     ]
 
     included_deltas = [d for d in deltas if d.jointly_included]
@@ -144,7 +153,7 @@ def compare(
         )
     worst = min(included_deltas, key=lambda d: (d.delta, d.group_id))
 
-    overall_delta = overall_auroc(candidate, finding) - overall_auroc(baseline, finding)
+    overall_delta = points[0][1] - points[0][0]
 
     disparity_change: float | None = None
     if len(included_deltas) >= 2:
@@ -154,11 +163,14 @@ def compare(
 
     overall_ci = min_ci = None
     if conservative:
-        overall_ci, min_ci = _delta_bootstrap_cis(
-            baseline, candidate, finding,
-            [cell for cell, d in zip(baseline.cells(finding), deltas) if d.jointly_included],
-            boot,
-        )
+        stats = []  # resampled deltas of the pooled cell, then of each included group
+        for cell, pair, keep in zip(cells, pairs, [True, *(d.jointly_included for d in deltas)]):
+            if keep:
+                rng = substream(boot.seed, "delta-bootstrap", candidate_id, finding,
+                                cell.group_id or "")
+                b_stats, c_stats = _resample(pair, boot.n_resamples, rng)
+                stats.append(c_stats - b_stats)
+        overall_ci, min_ci = boot.interval(stats[0]), boot.interval(np.min(stats[1:], axis=0))
 
     return PositiveSumComparison(
         finding_id=finding,
@@ -173,34 +185,6 @@ def compare(
         overall_delta_ci=overall_ci,
         min_group_delta_ci=min_ci,
     )
-
-
-def _delta_bootstrap_cis(
-    baseline: PredictionSet,
-    candidate: PredictionSet,
-    finding: str,
-    included: list[Cell],
-    boot: BootstrapConfig,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Paired percentile CIs for (overall delta, min group delta).
-
-    Resampling is paired: the same resampled examples are scored by both
-    models, so only score differences drive the interval width. Each cell
-    draws from its own substream, keyed by its group id or, for the pooled
-    cell, by ``""`` (no group has an empty id), so no cell's deltas depend
-    on which other groups are included or on their order.
-    """
-    b, c = baseline.score, candidate.score
-
-    def deltas(token: str, cell: Cell) -> np.ndarray:
-        rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding, token)
-        stats = resample_aurocs(np.stack([b[cell.pos], c[cell.pos]]),
-                                np.stack([b[cell.neg], c[cell.neg]]), boot.n_resamples, rng)
-        return stats[1] - stats[0]
-
-    overall = deltas("", baseline.pooled(finding))
-    worst = np.min([deltas(cell.group_id, cell) for cell in included], axis=0)
-    return boot.interval(overall), boot.interval(worst)
 
 
 def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateVerdict:

@@ -17,7 +17,14 @@ def _token_words(tokens: tuple[str, ...]) -> list[int]:
     return [zlib.crc32(t.encode("utf-8")) for t in tokens]
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; ValueError outside [0, 2**64), where seeds would alias."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def substream(seed: int, *tokens: str) -> np.random.Generator:
     """Return a generator for the substream identified by (seed, tokens)."""
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *_token_words(tokens)])
+    ss = np.random.SeedSequence([check_seed(seed), *_token_words(tokens)])
     return np.random.Generator(np.random.Philox(ss))

@@ -189,9 +189,9 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     Every field must have its JSON type: a bool or a string is never read as
     a number, nor a number as a string.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
         recipes = tuple(
             GroupRecipe(_typed(g["group_id"], str, "group_id"), _count(g, "n_pos"),
                         _count(g, "n_neg"), _auc(g["target_auc"], f"group {g['group_id']!r}"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psfair import metrics
 from psfair.cohort import PredictionRecord, PredictionSet
 
 
@@ -27,6 +28,15 @@ def random_instance(rng, max_records=200, tie_prone=True):
         pos = rng.normal(size=n_pos)
         neg = rng.normal(size=n_neg)
     return list(pos), list(neg)
+
+
+def bootstrap_ci(scores_pos, scores_neg, boot, rng):
+    """Percentile CI of one cell's resampled AUROCs, clamped to [0, 1], as the
+    kernel computes it: the counterpart of ``reference.rank_bootstrap_auroc_ci``."""
+    cell = metrics._Brackets(np.asarray(scores_pos, np.float64),
+                             np.asarray(scores_neg, np.float64))
+    low, high = boot.interval(metrics._resample([cell], boot.n_resamples, rng)[0])
+    return max(0.0, low), min(1.0, high)
 
 
 @pytest.fixture

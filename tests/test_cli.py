@@ -313,6 +313,21 @@ class TestEpsilon:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["audit", "compare", "gen"])
+def test_seed_outside_64_bits_exits_2(study_files, tmp_path, capsys, command, seed):
+    # 2**64 used to draw the streams of seed 0, and -1 those of 2**64 - 1.
+    argv = {"audit": ["audit", str(study_files["m2"])],
+            "compare": ["compare", "--baseline", str(study_files["baseline"]),
+                        "--candidate", str(study_files["m2"])],
+            "gen": ["gen", "m2_like", "--out-dir", str(tmp_path / "out")]}[command]
+    assert main([*argv, f"--seed={seed}"]) == 2
+    captured = capsys.readouterr()
+    assert f"psfair: error: seed must be in [0, 2**64), got {seed}\n" == captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 class TestReportKeyOrder:
     @pytest.mark.parametrize("command,flags", [
         ("audit", []),

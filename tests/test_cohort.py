@@ -318,6 +318,15 @@ def test_eligible_zero_policy_includes_all():
     assert InclusionPolicy(0, 0).admits(1, 1) and not InclusionPolicy(0, 0).admits(1, 0)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "5", None])
+@pytest.mark.parametrize("field", ["min_positives", "min_negatives"])
+def test_inclusion_policy_field_types(field, value):
+    # A threshold of 2.5 admitted a cell of 3 positives, as a threshold of 3
+    # would, while the report's config block recorded 2.5.
+    with pytest.raises(ValueError, match=f"^{field} must be of type int, got"):
+        InclusionPolicy(**{field: value})
+
+
 def test_eligible_unknown_finding():
     pset = make_set("m", group_rows("f", "g", [0.9], [0.1]))
     with pytest.raises(CohortError, match="unknown finding"):

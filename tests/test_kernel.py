@@ -4,20 +4,23 @@ Point AUROCs, audit CIs and paired delta CIs are compared with ``==``
 against ``reference.py``, which draws one resample at a time from each cell
 side's stream, under heavy ties, sides of one score, a single resample,
 ragged last blocks and blocks of one resample each. CIs must not depend on
-the block cap or on the order of cells, and no block may exceed the cap.
-Examples are derandomized, so every run checks the same cases.
+the block cap or on the cells around them, and no block may exceed the cap.
+``compare`` brackets each cell once per model and must agree with the
+one-model ``group_performance`` and ``overall_auroc``. Examples are
+derandomized, so every run checks the same cases.
 """
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from psfair import metrics
 from psfair.cohort import InclusionPolicy, PredictionRecord, PredictionSet, align
-from psfair.metrics import BootstrapConfig, auroc, bootstrap_auroc_ci, group_performance
-from psfair.positive_sum import _delta_bootstrap_cis, compare
+from psfair.metrics import BootstrapConfig, auroc, group_performance, overall_auroc
+from psfair.positive_sum import compare
 from psfair.seeding import substream
+from conftest import bootstrap_ci
 from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -28,8 +31,8 @@ resample_counts = st.one_of(st.just(1), st.integers(1, 25))
 seeds = st.integers(0, 2**32)
 
 
-def side_size(max_size: int):
-    return st.one_of(st.just(1), st.integers(1, max_size))
+def side_size(max_size: int, min_size: int = 1):
+    return st.one_of(st.just(min_size), st.integers(min_size, max_size))
 
 
 @st.composite
@@ -57,20 +60,23 @@ def test_point_auroc_matches_rank_sum(scores):
 def test_bootstrap_ci_matches_reference(scores, n, cap, seed):
     boot = BootstrapConfig(n_resamples=n)
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
-        got = bootstrap_auroc_ci(*scores, boot, substream(seed, "ci"))
+        got = bootstrap_ci(*scores, boot, substream(seed, "ci"))
     assert got == rank_bootstrap_auroc_ci(*scores, boot, substream(seed, "ci"))
 
 
 @st.composite
-def paired_study(draw):
-    """An aligned baseline and candidate over 1-3 groups of one finding."""
+def paired_study(draw, min_side=1):
+    """An aligned baseline and candidate over 1-3 groups of one finding; with
+    min_side=0 a group may lack one side, never both, but the finding has both."""
     score = draw(tied_score())
     records = ([], [])
     for g in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
-        n_pos, n_neg = draw(side_size(8)), draw(side_size(8))
+        n_pos = draw(side_size(8, min_side))
+        n_neg = draw(side_size(8, min_side if n_pos else 1))
         for i in range(n_pos + n_neg):
             for model in records:
                 model.append(PredictionRecord(f"{g}{i}", "f", int(i < n_pos), draw(score), g))
+    assume({r.label for r in records[0]} == {0, 1})
     return align(PredictionSet("base", records[0]), [PredictionSet("cand", records[1])])
 
 
@@ -96,15 +102,53 @@ def test_delta_cis_match_reference(study, n, cap, seed):
     baseline, candidate = study.baseline, study.candidates[0]
     cells = list(baseline.cells("f"))
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
-        got = _delta_bootstrap_cis(baseline, candidate, "f", cells, boot)
         cmp = compare(study, "f", "cand", InclusionPolicy(1, 1), boot, conservative=True)
     expected = rank_delta_bootstrap_cis(baseline, candidate, "f", cells, boot)
-    assert got == expected
     assert (cmp.overall_delta_ci, cmp.min_group_delta_ci) == expected
     for cell, d in zip(cells, cmp.group_deltas):
         b, c = baseline.score, candidate.score
         assert d.baseline_auroc == rank_auroc(b[cell.pos], b[cell.neg])
         assert d.candidate_auroc == rank_auroc(c[cell.pos], c[cell.neg])
+
+
+@PROPERTY
+@given(paired_study(min_side=0), st.integers(0, 4), st.integers(0, 4))
+def test_compare_matches_group_performance(study, min_pos, min_neg):
+    # compare brackets each cell once for both models; its AUROCs, inclusion
+    # and overall delta must still be those of the one-model functions.
+    policy = InclusionPolicy(min_pos, min_neg)
+    baseline, candidate = study.baseline, study.candidates[0]
+    perf = [group_performance(m, "f", policy, None) for m in (baseline, candidate)]
+    try:
+        cmp = compare(study, "f", "cand", policy)
+    except ValueError:
+        assert not any(g.included for g in perf[0])
+        return
+    assert len(cmp.group_deltas) == len(perf[0]) == len(perf[1])
+    for d, b, c in zip(cmp.group_deltas, *perf):
+        assert (d.group_id, d.baseline_auroc, d.candidate_auroc) == (b.group_id, b.auroc, c.auroc)
+        assert d.jointly_included == b.included == c.included
+    assert cmp.overall_delta == overall_auroc(candidate, "f") - overall_auroc(baseline, "f")
+
+
+@PROPERTY
+@given(paired_study(min_side=0), st.integers(0, 3), st.integers(0, 3), resample_counts, seeds)
+def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, seed):
+    # Excluded cells with both sides are bracketed too (their AUROCs are
+    # reported); the resamples reuse the brackets of the included ones.
+    policy = InclusionPolicy(min_pos, min_neg)
+    cells = [study.baseline.pooled("f"), *study.baseline.cells("f")]
+    assume(any(policy.admits(len(cell.pos), len(cell.neg)) for cell in cells[1:]))
+    built = []
+    init = metrics._Brackets.__init__
+
+    def counting_init(self, pos, neg):
+        built.append(self)
+        init(self, pos, neg)
+
+    with mock.patch.object(metrics._Brackets, "__init__", counting_init):
+        compare(study, "f", "cand", policy, BootstrapConfig(n, seed=seed), conservative=True)
+    assert len(built) == 2 * sum(1 for cell in cells if len(cell.pos) and len(cell.neg))
 
 
 @st.composite
@@ -167,28 +211,29 @@ def test_cell_larger_than_block_cap():
     boot = BootstrapConfig(n_resamples=3)
     big = (np.round(rng.normal(0.5, 1, 40_000), 2), np.round(rng.normal(0, 1, 30_000), 2))
     assert sum(map(len, big)) > metrics._BLOCK_ELEMS
-    assert (bootstrap_auroc_ci(*big, boot, substream(1, "big"))
+    assert (bootstrap_ci(*big, boot, substream(1, "big"))
             == rank_bootstrap_auroc_ci(*big, boot, substream(1, "big")))
     mid = (big[0][:3000], big[1][:2000])
     # Two full blocks and a ragged last one.
     boot = BootstrapConfig(n_resamples=2 * (metrics._BLOCK_ELEMS // 5000) + 1)
-    assert (bootstrap_auroc_ci(*mid, boot, substream(2, "mid"))
+    assert (bootstrap_ci(*mid, boot, substream(2, "mid"))
             == rank_bootstrap_auroc_ci(*mid, boot, substream(2, "mid")))
 
 
 @PROPERTY
-@given(paired_study(), resample_counts, seeds, st.randoms(use_true_random=False))
-def test_cis_ignore_block_cap_and_cell_order(study, n, seed, rnd):
+@given(paired_study(), resample_counts, seeds)
+def test_cis_ignore_block_cap_and_cell_order(study, n, seed):
     boot = BootstrapConfig(n_resamples=n, seed=seed)
-    baseline, candidate = study.baseline, study.candidates[0]
-    cells = list(baseline.cells("f"))
-    expected = (group_performance(baseline, "f", InclusionPolicy(1, 1), boot),
-                _delta_bootstrap_cis(baseline, candidate, "f", cells, boot))
+
+    def cis():
+        cmp = compare(study, "f", "cand", InclusionPolicy(1, 1), boot, conservative=True)
+        return (group_performance(study.baseline, "f", InclusionPolicy(1, 1), boot),
+                cmp.overall_delta_ci, cmp.min_group_delta_ci)
+
+    expected = cis()
     for cap in (1, 7, 50):
-        rnd.shuffle(cells)
         with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
-            assert (group_performance(baseline, "f", InclusionPolicy(1, 1), boot),
-                    _delta_bootstrap_cis(baseline, candidate, "f", cells, boot)) == expected
+            assert cis() == expected
 
 
 @PROPERTY
@@ -203,8 +248,8 @@ def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
 
     with (mock.patch.object(metrics, "_BLOCK_ELEMS", cap),
           mock.patch.object(metrics._Brackets, "aurocs", record)):
-        stats = metrics.resample_aurocs(np.zeros((n_models, n_pos)), np.zeros((n_models, n_neg)),
-                                        n, substream(0, "blocks"))
+        brackets = [metrics._Brackets(np.zeros(n_pos), np.zeros(n_neg)) for _ in range(n_models)]
+        stats = metrics._resample(brackets, n, substream(0, "blocks"))
     assert stats.shape == (n_models, n)
     draws = blocks[::n_models]  # every model scores the same index arrays
     assert len(blocks) == len(draws) * n_models

@@ -1,3 +1,6 @@
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,13 @@ from psfair.cohort import InclusionPolicy
 from psfair.metrics import (
     BootstrapConfig,
     auroc,
-    bootstrap_auroc_ci,
     group_performance,
     macro_average,
     overall_auroc,
     summarize,
 )
-from conftest import group_rows, make_set, random_instance
+from psfair.seeding import substream
+from conftest import bootstrap_ci, group_rows, make_set, random_instance
 from reference import oracle_auroc
 
 
@@ -101,7 +104,7 @@ class TestGroupPerformance:
         # A Philox generator built from a bare key has no SeedSequence to spawn the side streams.
         rng = np.random.Generator(np.random.Philox(key=1))
         with pytest.raises(ValueError, match="rng must be spawnable"):
-            bootstrap_auroc_ci(np.array([0.9, 0.4]), np.array([0.8, 0.2]), BootstrapConfig(), rng)
+            bootstrap_ci(np.array([0.9, 0.4]), np.array([0.8, 0.2]), BootstrapConfig(), rng)
 
     def test_ci_brackets_point_estimate(self, rng):
         for _ in range(20):
@@ -193,6 +196,25 @@ def test_bootstrap_config_validation():
         BootstrapConfig(n_resamples=0)
     with pytest.raises(ValueError):
         BootstrapConfig(confidence_level=1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # Masked to 64 bits, seed 2**64 drew the streams of seed 0 while the
+    # report's config block said 2**64.
+    with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**64), got {seed}")):
+        BootstrapConfig(seed=seed)
+    with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2**64)")):
+        substream(seed, "bootstrap")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63, 2**64 - 1])
+def test_in_range_seed_streams_are_unchanged(seed):
+    assert BootstrapConfig(seed=seed).seed == seed
+    words = [zlib.crc32(t.encode()) for t in ("bootstrap", "m", "f", "g")]
+    masked = np.random.SeedSequence([seed & (2**64 - 1), *words])
+    expected = np.random.Generator(np.random.Philox(masked)).integers(0, 2**62, 8)
+    assert (substream(seed, "bootstrap", "m", "f", "g").integers(0, 2**62, 8) == expected).all()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -77,6 +77,18 @@ class TestClassify:
                                   None, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", True), ("epsilon", "0.01"), ("epsilon", None),
+    ("conservative_ci", "no"), ("conservative_ci", 1), ("conservative_ci", None),
+])
+def test_gate_policy_field_types(field, value):
+    # conservative_ci="no" is truthy, so the gate used to classify the CIs.
+    with pytest.raises(ValueError, match=f"^{field} must be of type"):
+        GatePolicy(**{field: value})
+    assert GatePolicy(epsilon=0, conservative_ci=True).epsilon == 0
+    assert GatePolicy(epsilon=np.float64(0.01)).epsilon == 0.01
+
+
 class TestCompare:
     def test_advantaged_group_improved(self):
         study = study_from_group_aurocs({"A": 0.7, "B": 0.7}, {"A": 0.8, "B": 0.7})

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from psfair import metrics
-from psfair.metrics import BootstrapConfig, auroc, bootstrap_auroc_ci, resample_aurocs
+from psfair.metrics import BootstrapConfig, auroc
 from psfair.seeding import substream
 from psfair.synth import GroupRecipe, ScenarioSpec, build_study, mu_for_auc
+from conftest import bootstrap_ci
 
 
 def binormal_cells(n_cells, n_per_side, target_auc, seed):
@@ -55,7 +56,7 @@ def test_percentile_intervals_cover_the_true_auc(target):
     cells = binormal_cells(400, 100, target, seed=11)
     boot = BootstrapConfig(n_resamples=200)
     covered = [low <= truth <= high for low, high in (
-        bootstrap_auroc_ci(pos, neg, boot, substream(0, "coverage", str(k)))
+        bootstrap_ci(pos, neg, boot, substream(0, "coverage", str(k)))
         for k, (pos, neg) in enumerate(cells))]
     rate = sum(covered) / len(covered)
     assert abs(rate - 0.95) <= 3 * math.sqrt(0.95 * 0.05 / len(covered)), rate
@@ -83,5 +84,6 @@ def test_bootstrap_sd_matches_delong_se(name):
     # SD carries ~1.6% noise, so a factor of 1.1 is a wide margin.
     pos, neg = cells_for_delong()[name]
     *_, se = delong(pos, neg)
-    stats = resample_aurocs(pos[None], neg[None], 2000, substream(0, "delong", name))[0]
+    rng = substream(0, "delong", name)
+    stats = metrics._resample([metrics._Brackets(pos, neg)], 2000, rng)[0]
     assert 1 / 1.1 <= stats.std(ddof=1) / se <= 1.1

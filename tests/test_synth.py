@@ -227,6 +227,15 @@ class TestScenarioFile:
         path.write_text(json.dumps(raw))
         assert load_scenario(path) == spec
 
+    @pytest.mark.parametrize("content", [b'{"name": "x", "seed":', b'{"name": "\xff"}'])
+    def test_undecodable_file_names_the_file(self, tmp_path, content):
+        # Truncated JSON and bytes that are not UTF-8 used to exit 2 with the
+        # decoder's message alone, naming no file.
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"invalid scenario file {str(path)!r}: ")):
+            load_scenario(path)
+
     def test_repeated_group_id(self):
         with pytest.raises(ValueError, match=r"scenario 's' repeats group ids \['a'\]"):
             ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7), GroupRecipe("b", 5, 5, 0.7),
