@@ -229,43 +229,42 @@ def cmd_compare(args: argparse.Namespace) -> int:
     candidates = [ingest(p, Path(p).stem, delimiter=delimiter) for p in args.candidate]
     study = align(baseline, candidates)
 
-    # The models block carries point estimates only, so no bootstrap runs for it.
-    models = [
-        {"model_id": m.model_id,
-         "findings": [_summary_dict(metrics.summarize(m, f, policy, None), with_groups=False)
-                      for f in study.findings]}
-        for m in (baseline, *study.candidates)
-    ]
+    # One pass per finding scores every model: the models block takes each
+    # model's point summary, each comparison its candidate against the baseline.
+    models = (baseline, *study.candidates)
+    passes = [positive_sum._FindingPass(models, f, policy, boot if args.conservative_ci else None)
+              for f in study.findings]
+    model_docs = [{"model_id": m.model_id,
+                   "findings": [_summary_dict(p.summary(i), with_groups=False) for p in passes]}
+                  for i, m in enumerate(models)]
 
-    comparisons = []
-    warnings: list[str] = []
-    for cand in study.candidates:
-        for finding in study.findings:
+    comparisons, reports, warnings = [], [], []
+    for k, cand in enumerate(study.candidates, 1):
+        for p in passes:
             try:
-                cmp = positive_sum.compare(
-                    study, finding, cand.model_id, policy, boot,
-                    epsilon=args.epsilon, conservative=args.conservative_ci,
-                )
+                cmp = p.comparison(k, args.epsilon)
             except ValueError as exc:
-                warnings.append(f"{cand.model_id}/{finding}: skipped ({exc})")
+                warnings.append(f"{cand.model_id}/{p.finding}: skipped ({exc})")
                 continue
-            narrative = None
-            if sum(d.jointly_included for d in cmp.group_deltas) >= 2:
-                narrative = positive_sum.decompose_disparity_change(cmp)
-            comparisons.append((cmp, narrative, positive_sum.gate(cmp, gate_policy)))
+            narrative = (positive_sum.decompose_disparity_change(cmp)
+                         if sum(d.jointly_included for d in cmp.group_deltas) >= 2 else None)
+            doc = {**_plain(cmp), "narrative": _plain(narrative),
+                   "gate": _plain(positive_sum.gate(cmp, gate_policy))}
+            comparisons.append(cmp)
+            reports.append({key: doc[key] for key in _COMPARISON_KEYS})
     for w in warnings:
         print(f"psfair: warning: {w}", file=sys.stderr)
 
     pareto = []
     for finding in study.findings:
-        per_finding = [c for c, _, _ in comparisons if c.finding_id == finding]
+        per_finding = [c for c in comparisons if c.finding_id == finding]
         if per_finding:
             pareto.append({"finding_id": finding,
                            "front": positive_sum.pareto_select(per_finding)})
 
     macro_deltas = []
     for cand in study.candidates:
-        own = [c for c, _, _ in comparisons if c.candidate_id == cand.model_id]
+        own = [c for c in comparisons if c.candidate_id == cand.model_id]
         if own:
             macro_deltas.append({
                 "candidate_id": cand.model_id,
@@ -274,25 +273,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
             })
 
     # A skipped (candidate, finding) was never evaluated, so it cannot promote.
-    all_promoted = not warnings and all(verdict.promote for _, _, verdict in comparisons)
-
-    reports = []
-    for cmp, narrative, verdict in comparisons:
-        doc = {**_plain(cmp), "narrative": _plain(narrative), "gate": _plain(verdict)}
-        reports.append({k: doc[k] for k in _COMPARISON_KEYS})
+    all_promoted = not warnings and all(r["gate"]["promote"] for r in reports)
 
     if args.format == "json":
         doc = {
             "report_type": "compare",
             "baseline_id": baseline.model_id,
             "config": {**_plain(policy), **_plain(boot), **_plain(gate_policy)},
-            "models": models,
+            "models": model_docs,
             "comparisons": reports,
             "coordinates": [
                 {"candidate_id": cid, "finding_id": fid, "x": x, "y": y}
-                for cid, fid, x, y in positive_sum.plot_coordinates(
-                    [c for c, _, _ in comparisons]
-                )
+                for cid, fid, x, y in positive_sum.plot_coordinates(comparisons)
             ],
             "pareto": pareto,
             "macro_deltas": macro_deltas,

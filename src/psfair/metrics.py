@@ -223,21 +223,21 @@ def summarize(
 
     With boot=None no subgroup gets a CI; every other field is unchanged.
     """
-    per_group = tuple(group_performance(pset, finding, policy, boot))
+    per_group = group_performance(pset, finding, policy, boot)
+    return _roll_up(finding, overall_auroc(pset, finding), per_group)
+
+
+def _roll_up(finding: str, overall: float,
+             per_group: Sequence[SubgroupPerformance]) -> FairnessSummary:
+    """The fairness rule over a finding's included subgroups: 1 minus their
+    AUROC range, and the lowest-AUROC group (ties to the smaller group id)."""
     evaluable = [g for g in per_group if g.included]
-    fairness_score: float | None = None
-    worst_group: str | None = None
-    if len(evaluable) >= 2:
-        aurocs = [g.auroc for g in evaluable]
-        fairness_score = 1.0 - (max(aurocs) - min(aurocs))
-        worst_group = min(evaluable, key=lambda g: (g.auroc, g.group_id)).group_id
-    return FairnessSummary(
-        finding_id=finding,
-        overall_auroc=overall_auroc(pset, finding),
-        per_group=per_group,
-        fairness_score=fairness_score,
-        worst_group=worst_group,
-    )
+    if len(evaluable) < 2:
+        return FairnessSummary(finding, overall, tuple(per_group), None, None)
+    aurocs = [g.auroc for g in evaluable]
+    worst = min(evaluable, key=lambda g: (g.auroc, g.group_id))
+    return FairnessSummary(finding, overall, tuple(per_group),
+                           1.0 - (max(aurocs) - min(aurocs)), worst.group_id)
 
 
 def macro_average(summaries: Sequence[FairnessSummary]) -> float:

@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import AlignedStudy, InclusionPolicy, _check_types
-from .metrics import BootstrapConfig, _Brackets, _resample
+from .cohort import AlignedStudy, InclusionPolicy, PredictionSet, _check_types
+from .metrics import (BootstrapConfig, FairnessSummary, SubgroupPerformance, _Brackets,
+                      _resample, _roll_up)
 from .seeding import substream
 
 
@@ -112,6 +113,65 @@ def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0)
     return Classification.HARMFUL_BOTH
 
 
+class _FindingPass:
+    """One finding scored for aligned models, the baseline first, in one pass.
+
+    Each cell with both sides, the pooled cell first, is bracketed once per
+    model; ``points[c][m]`` is model m's AUROC of cell c, else None. Given a
+    bootstrap config, ``draws`` holds every model's resampled AUROCs of the
+    pooled cell and each included cell. A cell's stream is keyed by the
+    finding and the cell alone, so every model is scored on the same draws
+    and a candidate's CIs do not depend on the other candidates in the pass.
+    """
+
+    def __init__(self, models: Sequence[PredictionSet], finding: str,
+                 policy: InclusionPolicy, boot: BootstrapConfig | None):
+        self.finding, self.policy, self.boot = finding, policy, boot
+        self.model_ids = [m.model_id for m in models]
+        # Aligned sets share their cells, so the baseline's cells serve every model.
+        self.cells = [models[0].pooled(finding), *models[0].cells(finding)]
+        brackets = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in models]
+                    if len(cell.pos) and len(cell.neg) else None for cell in self.cells]
+        self.points = [[None] * len(models) if row is None else [b.point() for b in row]
+                       for row in brackets]
+        self.included = [policy.admits(len(cell.pos), len(cell.neg)) for cell in self.cells[1:]]
+        self.draws = None if boot is None or not any(self.included) else [
+            _resample(row, boot.n_resamples,
+                      substream(boot.seed, "delta-bootstrap", finding, cell.group_id or ""))
+            for cell, row, keep in zip(self.cells, brackets, [True, *self.included]) if keep]
+
+    def summary(self, m: int) -> FairnessSummary:
+        """Model m's point summary, as ``metrics.summarize(model, finding, policy, None)``."""
+        per_group = [SubgroupPerformance(cell.group_id, len(cell.pos), len(cell.neg), keep, p[m])
+                     for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
+        return _roll_up(self.finding, self.points[0][m], per_group)
+
+    def comparison(self, k: int, epsilon: float) -> PositiveSumComparison:
+        """Model k against the baseline, with delta CIs if the pass drew resamples."""
+        deltas = [GroupDelta(cell.group_id, p[0], p[k], None if p[0] is None else p[k] - p[0], keep)
+                  for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
+        included = [d for d in deltas if d.jointly_included]
+        if not included:
+            raise ValueError(f"no jointly included group for finding {self.finding!r} "
+                             f"under policy {self.policy}")
+        worst = min(included, key=lambda d: (d.delta, d.group_id))
+        overall_delta = self.points[0][k] - self.points[0][0]
+
+        b_aucs, c_aucs = [d.baseline_auroc for d in included], [d.candidate_auroc for d in included]
+        disparity_change = ((max(c_aucs) - min(c_aucs)) - (max(b_aucs) - min(b_aucs))
+                            if len(included) >= 2 else None)
+
+        cis = (None, None)  # of the overall delta and of the minimum group delta
+        if self.draws is not None:
+            stats = [rows[k] - rows[0] for rows in self.draws]
+            cis = self.boot.interval(stats[0]), self.boot.interval(np.min(stats[1:], axis=0))
+
+        return PositiveSumComparison(
+            self.finding, self.model_ids[k], overall_delta, tuple(deltas), worst.delta,
+            worst.group_id, classify(overall_delta, worst.delta, epsilon), disparity_change,
+            epsilon, *cis)
+
+
 def compare(
     study: AlignedStudy,
     finding: str,
@@ -125,66 +185,13 @@ def compare(
 
     A group enters min_group_delta only when it passes the inclusion policy
     (the shared key set makes inclusion identical for both models) and its
-    AUROC is defined on both sides. Each cell with both sides, the pooled one
-    included, is bracketed once per model. With conservative=True, paired
-    stratified bootstrap CIs for the overall and minimum-group deltas are
-    attached: both models score the same resampled examples, and each cell
-    draws from its own substream, keyed by its group id or by ``""`` for the
-    pooled cell, so no cell's deltas depend on the other groups or their order.
+    AUROC is defined on both sides. With conservative=True, paired stratified
+    bootstrap CIs of the overall and minimum-group deltas are attached; each
+    cell's resamples are drawn as in ``_FindingPass``.
     """
-    baseline = study.baseline
-    candidate = study.candidate(candidate_id)
-
-    # Aligned sets share their cells, so a baseline cell serves both models.
-    cells = [baseline.pooled(finding), *baseline.cells(finding)]
-    pairs = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in (baseline, candidate)]
-             if len(cell.pos) and len(cell.neg) else None for cell in cells]
-    points = [(None, None) if pair is None else [b.point() for b in pair] for pair in pairs]
-    deltas = [
-        GroupDelta(cell.group_id, b_auc, c_auc, None if b_auc is None else c_auc - b_auc,
-                   policy.admits(len(cell.pos), len(cell.neg)))
-        for cell, (b_auc, c_auc) in zip(cells[1:], points[1:])
-    ]
-
-    included_deltas = [d for d in deltas if d.jointly_included]
-    if not included_deltas:
-        raise ValueError(
-            f"no jointly included group for finding {finding!r} under policy {policy}"
-        )
-    worst = min(included_deltas, key=lambda d: (d.delta, d.group_id))
-
-    overall_delta = points[0][1] - points[0][0]
-
-    disparity_change: float | None = None
-    if len(included_deltas) >= 2:
-        b_aucs = [d.baseline_auroc for d in included_deltas]
-        c_aucs = [d.candidate_auroc for d in included_deltas]
-        disparity_change = (max(c_aucs) - min(c_aucs)) - (max(b_aucs) - min(b_aucs))
-
-    overall_ci = min_ci = None
-    if conservative:
-        stats = []  # resampled deltas of the pooled cell, then of each included group
-        for cell, pair, keep in zip(cells, pairs, [True, *(d.jointly_included for d in deltas)]):
-            if keep:
-                rng = substream(boot.seed, "delta-bootstrap", candidate_id, finding,
-                                cell.group_id or "")
-                b_stats, c_stats = _resample(pair, boot.n_resamples, rng)
-                stats.append(c_stats - b_stats)
-        overall_ci, min_ci = boot.interval(stats[0]), boot.interval(np.min(stats[1:], axis=0))
-
-    return PositiveSumComparison(
-        finding_id=finding,
-        candidate_id=candidate_id,
-        overall_delta=overall_delta,
-        group_deltas=tuple(deltas),
-        min_group_delta=worst.delta,
-        min_group=worst.group_id,
-        classification=classify(overall_delta, worst.delta, epsilon),
-        disparity_change=disparity_change,
-        epsilon=epsilon,
-        overall_delta_ci=overall_ci,
-        min_group_delta_ci=min_ci,
-    )
+    scores = _FindingPass([study.baseline, study.candidate(candidate_id)], finding, policy,
+                          boot if conservative else None)
+    return scores.comparison(1, epsilon)
 
 
 def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateVerdict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import AlignedStudy, PredictionSet, align
-from .seeding import substream
+from .seeding import check_seed, substream
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
             name=_typed(raw["name"], str, "name"),
             baseline_recipes=recipes,
             candidates=tuple(_candidate(c) for c in raw["candidates"]),
-            seed=_typed(raw["seed"], int, "seed"),
+            seed=check_seed(_typed(raw["seed"], int, "seed")),
             finding=_typed(raw.get("finding", "finding"), str, "finding"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -75,12 +75,13 @@ def rank_bootstrap_auroc_ci(scores_pos, scores_neg, boot, rng) -> tuple[float, f
 
 
 def rank_delta_bootstrap_cis(baseline, candidate, finding, included, boot):
-    """Paired CIs for (overall delta, min group delta); one stream per cell."""
+    """Paired CIs for (overall delta, min group delta); one stream per cell,
+    keyed by the finding and the cell alone, so every candidate shares it."""
     b, c = baseline.score, candidate.score
     stats = []
     for token, cell in [("", baseline.pooled(finding)),
                         *[(cell.group_id, cell) for cell in included]]:
-        rng = substream(boot.seed, "delta-bootstrap", candidate.model_id, finding, token)
+        rng = substream(boot.seed, "delta-bootstrap", finding, token)
         draws = _resamples(len(cell.pos), len(cell.neg), boot.n_resamples, rng)
         stats.append([rank_auroc(c[cell.pos[pi]], c[cell.neg[ni]])
                       - rank_auroc(b[cell.pos[pi]], b[cell.neg[ni]]) for pi, ni in draws])

@@ -417,6 +417,16 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_scenario_seed_outside_64_bits_exits_2(self, tmp_path, capsys):
+        raw = scenario_to_dict(preset("m2_like"))
+        raw["seed"] = -1
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert (f"invalid scenario file {str(spec_path)!r}: seed must be in [0, 2**64)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_model_id_outside_out_dir_exits_2(self, tmp_path, capsys):
         raw = scenario_to_dict(preset("m2_like"))
         raw["candidates"][0]["model_id"] = "../evil"

@@ -227,6 +227,17 @@ class TestScenarioFile:
         path.write_text(json.dumps(raw))
         assert load_scenario(path) == spec
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, tmp_path, seed):
+        # build_study used to reject it, in a message naming no file.
+        raw = scenario_to_dict(preset("m2_like"))
+        raw["seed"] = seed
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        message = f"invalid scenario file {str(path)!r}: seed must be in [0, 2**64), got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(path)
+
     @pytest.mark.parametrize("content", [b'{"name": "x", "seed":', b'{"name": "\xff"}'])
     def test_undecodable_file_names_the_file(self, tmp_path, content):
         # Truncated JSON and bytes that are not UTF-8 used to exit 2 with the
