@@ -11,7 +11,6 @@ from .cohort import (
     CohortError,
     InclusionPolicy,
     IngestError,
-    PredictionRecord,
     PredictionSet,
     align,
     emit,
@@ -22,9 +21,7 @@ from .metrics import (
     FairnessSummary,
     SubgroupPerformance,
     auroc,
-    group_performance,
     macro_average,
-    overall_auroc,
     summarize,
 )
 from .positive_sum import (

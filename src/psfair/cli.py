@@ -232,7 +232,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # One pass per finding scores every model: the models block takes each
     # model's point summary, each comparison its candidate against the baseline.
     models = (baseline, *study.candidates)
-    passes = [positive_sum._FindingPass(models, f, policy, boot if args.conservative_ci else None)
+    passes = [positive_sum._FindingDeltas(models, f, policy,
+                                          boot if args.conservative_ci else None)
               for f in study.findings]
     model_docs = [{"model_id": m.model_id,
                    "findings": [_summary_dict(p.summary(i), with_groups=False) for p in passes]}

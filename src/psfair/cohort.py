@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class CohortError(ValueError):
 
 
 class IngestError(CohortError):
-    """Malformed or inconsistent prediction rows, from a file or from records."""
+    """Malformed or inconsistent prediction rows, from a file or from columns."""
 
 
 class AlignmentError(CohortError):
@@ -48,15 +48,6 @@ def _check_types(obj, **kinds: type) -> None:
         value = getattr(obj, name)
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    example_id: str
-    finding_id: str
-    label: int
-    score: float
-    group_id: str
 
 
 @dataclass(frozen=True)
@@ -101,37 +92,28 @@ def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 class PredictionSet:
-    """One model's scored test set, immutable after construction.
+    """One model's scored test set, built from parallel per-row columns and
+    immutable after construction.
 
-    Enforces: labels binary, scores finite, ids non-empty, (example_id,
-    finding) unique, and every finding present has at least one positive and
-    one negative record.
+    Enforces: a non-empty string model_id, columns of equal length, labels
+    binary, scores finite, ids non-empty, (example_id, finding) unique, and
+    every finding present has at least one positive and one negative row.
+    ``lines`` holds each row's input line number, for error messages; without
+    it a row is named by its index.
     """
 
-    def __init__(self, model_id: str, records: Iterable[PredictionRecord]):
-        recs = tuple(records)
-        self._load(model_id, [r.example_id for r in recs], [r.finding_id for r in recs],
-                   [r.label for r in recs], [r.score for r in recs], [r.group_id for r in recs])
-
-    @classmethod
-    def _from_columns(cls, model_id, example_id, finding_id, label, score, group_id,
-                      lines=None) -> PredictionSet:
-        """A set from parallel per-row columns, validated as records are."""
-        pset = cls.__new__(cls)
-        pset._load(model_id, example_id, finding_id, label, score, group_id, lines)
-        return pset
-
-    def _load(self, model_id, example_id, finding_id, label, score, group_id, lines=None) -> None:
-        """Validate parallel per-row columns once, then encode, sort and bucket them.
-
-        ``lines`` holds each row's input line number for error messages.
-        """
-
+    def __init__(self, model_id: str, example_id: Sequence[str], finding_id: Sequence[str],
+                 label: Sequence[int], score: Sequence[float], group_id: Sequence[str],
+                 lines: Sequence[int] | None = None):
         def where(i) -> str:
-            return f"record {i}" if lines is None else f"line {lines[i]}"
+            return f"row {i}" if lines is None else f"line {lines[i]}"
 
-        if not model_id:
-            raise CohortError("model_id must be non-empty")
+        if not isinstance(model_id, str) or not model_id:
+            raise CohortError(f"model_id must be a non-empty string, got {model_id!r}")
+        lengths = dict(zip(("example_id", "finding_id", "label", "score", "group_id"),
+                           map(len, (example_id, finding_id, label, score, group_id))))
+        if len(set(lengths.values())) > 1:
+            raise IngestError(f"columns differ in length: {lengths}")
         if len(score) == 0:
             raise IngestError(f"empty input: no data rows for {model_id!r}")
         if not all(map((0, 1).__contains__, label)):
@@ -209,13 +191,6 @@ class PredictionSet:
                                  (self.groups, self.group_code))
         )
 
-    @property
-    def records(self) -> tuple[PredictionRecord, ...]:
-        """The rows as records, in (finding, example_id) order."""
-        example_id, finding_id, group_id = self._ids()
-        return tuple(map(PredictionRecord, example_id, finding_id, self.label.tolist(),
-                         self.score.tolist(), group_id))
-
     def __len__(self) -> int:
         return len(self.score)
 
@@ -232,7 +207,7 @@ class PredictionSet:
 
     def __repr__(self) -> str:
         return (
-            f"PredictionSet({self.model_id!r}, {len(self)} records, "
+            f"PredictionSet({self.model_id!r}, {len(self)} rows, "
             f"{len(self.findings)} findings)"
         )
 
@@ -307,7 +282,7 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
         raise
     if rows:
         _extend(columns, rows, lines, len(header), col)
-    return PredictionSet._from_columns(model_id, *columns)
+    return PredictionSet(model_id, *columns)
 
 
 def _extend(columns: list[list], rows: list[list[str]], lines: list[int], width: int,

@@ -7,8 +7,9 @@ so the point estimate and each bootstrap resample reduce to integer counts
 read off a prefix sum of negatives per level, one flattened prefix sum per
 block of resamples. ``2U`` (twice the number of correct pairs, ties once) is
 exact, so every AUROC agrees bit for bit with exhaustive pair counting.
-``_resample`` draws every resample, of audit and paired delta CIs alike, on
-brackets built once per cell and model.
+``_FindingPass`` scores a finding for audit and compare alike: it brackets
+each cell once per model, and ``_resample`` draws every resample, of audit
+and of paired delta CIs, on those brackets.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -35,7 +36,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_types(self, n_resamples=int, seed=int, confidence_level=Real)
+        _check_types(self, n_resamples=int, confidence_level=Real)
         check_seed(self.seed)
         if self.n_resamples < 1:
             raise ValueError("n_resamples must be >= 1")
@@ -172,45 +173,63 @@ def _resample(brackets: Sequence[_Brackets], n_resamples: int,
     return stats
 
 
-def group_performance(
-    pset: PredictionSet,
-    finding: str,
-    policy: InclusionPolicy = InclusionPolicy(),
-    boot: BootstrapConfig | None = BootstrapConfig(),
-) -> list[SubgroupPerformance]:
-    """Per-subgroup AUROC with bootstrap CIs, flagged by the inclusion policy.
+class _FindingPass:
+    """One finding scored for one or more aligned models, in one pass.
 
-    CIs are only computed for included groups, and for none when boot is
-    None. If the point estimate falls outside the percentile interval
-    (possible at tiny n), the interval is widened to cover it and the group
-    flagged low_confidence. One quantile call gives every included cell's CI.
+    Each cell with both sides, the pooled cell first, is bracketed once per
+    model; ``points[c][m]`` is model m's AUROC of cell c, else None.
+    ``included`` holds the inclusion policy's verdict on each group cell, and
+    ``kept`` the index of each included cell. Aligned sets share their cells,
+    so the first model's cells serve every model.
     """
-    out: list[SubgroupPerformance] = []
-    stats = []  # one row of resampled AUROCs per included cell, in cell order
-    for cell in pset.cells(finding):
-        n_pos, n_neg = len(cell.pos), len(cell.neg)
-        b = _Brackets(pset.score[cell.pos], pset.score[cell.neg]) if n_pos and n_neg else None
-        out.append(SubgroupPerformance(cell.group_id, n_pos, n_neg, policy.admits(n_pos, n_neg),
-                                       None if b is None else b.point()))
-        if out[-1].included and boot is not None:
-            rng = substream(boot.seed, "bootstrap", pset.model_id, finding, cell.group_id)
-            stats.append(_resample([b], boot.n_resamples, rng)[0])
-    if not stats:
-        return out
-    bounds = zip(*boot.interval(np.array(stats)))
-    for i, g in enumerate(out):
-        if g.included:
-            low, high = next(bounds)
-            low, high = max(0.0, low), min(1.0, high)
-            out[i] = replace(g, ci_low=min(low, g.auroc), ci_high=max(high, g.auroc),
-                             low_confidence=not low <= g.auroc <= high)
-    return out
 
+    def __init__(self, models: Sequence[PredictionSet], finding: str, policy: InclusionPolicy):
+        self.finding, self.policy = finding, policy
+        self.model_ids = [m.model_id for m in models]
+        self.cells = [models[0].pooled(finding), *models[0].cells(finding)]
+        self.brackets = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in models]
+                         if len(cell.pos) and len(cell.neg) else None for cell in self.cells]
+        self.points = [[None] * len(models) if row is None else [b.point() for b in row]
+                       for row in self.brackets]
+        self.included = [policy.admits(len(cell.pos), len(cell.neg)) for cell in self.cells[1:]]
+        self.kept = [c for c, keep in enumerate(self.included, 1) if keep]
 
-def overall_auroc(pset: PredictionSet, finding: str) -> float:
-    """Pooled AUROC over all records of a finding, regardless of inclusion."""
-    cell = pset.pooled(finding)
-    return auroc(pset.score[cell.pos], pset.score[cell.neg])
+    def resample(self, boot: BootstrapConfig, key: tuple[str, ...],
+                 cells: Sequence[int]) -> list[np.ndarray]:
+        """Every model's resampled AUROCs of each listed cell (an index into ``cells``).
+
+        Cell c is drawn on ``substream(boot.seed, *key, finding, group_id or "")``,
+        so its resamples depend on neither the other cells nor the other models.
+        """
+        return [_resample(self.brackets[c], boot.n_resamples,
+                          substream(boot.seed, *key, self.finding, self.cells[c].group_id or ""))
+                for c in cells]
+
+    def summary(self, m: int, boot: BootstrapConfig | None = None) -> FairnessSummary:
+        """Model m's overall AUROC, per-group rows and fairness (see ``summarize``).
+
+        With boot, each included group gets a CI drawn on the key ``("bootstrap",
+        model_id)``. If the point estimate falls outside the percentile interval
+        (possible at tiny n), the interval is widened to cover it and the group
+        flagged low_confidence. One quantile call gives every CI of the finding.
+        """
+        per_group = [SubgroupPerformance(cell.group_id, len(cell.pos), len(cell.neg), keep, p[m])
+                     for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
+        if boot is not None and self.kept:
+            draws = self.resample(boot, ("bootstrap", self.model_ids[m]), self.kept)
+            bounds = zip(*boot.interval(np.array([d[m] for d in draws])))
+            for c, (low, high) in zip(self.kept, bounds):
+                g = per_group[c - 1]
+                low, high = max(0.0, low), min(1.0, high)
+                per_group[c - 1] = replace(g, ci_low=min(low, g.auroc), ci_high=max(high, g.auroc),
+                                           low_confidence=not low <= g.auroc <= high)
+        evaluable = [per_group[c - 1] for c in self.kept]
+        if len(evaluable) < 2:
+            return FairnessSummary(self.finding, self.points[0][m], tuple(per_group), None, None)
+        aurocs = [g.auroc for g in evaluable]
+        worst = min(evaluable, key=lambda g: (g.auroc, g.group_id))
+        return FairnessSummary(self.finding, self.points[0][m], tuple(per_group),
+                               1.0 - (max(aurocs) - min(aurocs)), worst.group_id)
 
 
 def summarize(
@@ -221,23 +240,14 @@ def summarize(
 ) -> FairnessSummary:
     """Overall AUROC plus fairness over included subgroups for one finding.
 
-    With boot=None no subgroup gets a CI; every other field is unchanged.
+    The overall AUROC pools all of the finding's rows, regardless of
+    inclusion. Fairness is 1 minus the AUROC range of the included subgroups,
+    and the worst group the lowest-AUROC one (ties to the smaller group id);
+    both are None with fewer than two included subgroups. Included subgroups
+    get bootstrap CIs; with boot=None none does and every other field is
+    unchanged.
     """
-    per_group = group_performance(pset, finding, policy, boot)
-    return _roll_up(finding, overall_auroc(pset, finding), per_group)
-
-
-def _roll_up(finding: str, overall: float,
-             per_group: Sequence[SubgroupPerformance]) -> FairnessSummary:
-    """The fairness rule over a finding's included subgroups: 1 minus their
-    AUROC range, and the lowest-AUROC group (ties to the smaller group id)."""
-    evaluable = [g for g in per_group if g.included]
-    if len(evaluable) < 2:
-        return FairnessSummary(finding, overall, tuple(per_group), None, None)
-    aurocs = [g.auroc for g in evaluable]
-    worst = min(evaluable, key=lambda g: (g.auroc, g.group_id))
-    return FairnessSummary(finding, overall, tuple(per_group),
-                           1.0 - (max(aurocs) - min(aurocs)), worst.group_id)
+    return _FindingPass([pset], finding, policy).summary(0, boot)
 
 
 def macro_average(summaries: Sequence[FairnessSummary]) -> float:
@@ -252,8 +262,6 @@ __all__ = [
     "SubgroupPerformance",
     "FairnessSummary",
     "auroc",
-    "group_performance",
-    "overall_auroc",
     "summarize",
     "macro_average",
 ]

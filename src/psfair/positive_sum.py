@@ -17,9 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import AlignedStudy, InclusionPolicy, PredictionSet, _check_types
-from .metrics import (BootstrapConfig, FairnessSummary, SubgroupPerformance, _Brackets,
-                      _resample, _roll_up)
-from .seeding import substream
+from .metrics import BootstrapConfig, _FindingPass
 
 
 class Classification(enum.Enum):
@@ -113,38 +111,23 @@ def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0)
     return Classification.HARMFUL_BOTH
 
 
-class _FindingPass:
-    """One finding scored for aligned models, the baseline first, in one pass.
+class _FindingDeltas(_FindingPass):
+    """A finding's pass over aligned models, the baseline first, that compares
+    each candidate with the baseline.
 
-    Each cell with both sides, the pooled cell first, is bracketed once per
-    model; ``points[c][m]`` is model m's AUROC of cell c, else None. Given a
-    bootstrap config, ``draws`` holds every model's resampled AUROCs of the
-    pooled cell and each included cell. A cell's stream is keyed by the
-    finding and the cell alone, so every model is scored on the same draws
-    and a candidate's CIs do not depend on the other candidates in the pass.
+    Given a bootstrap config, ``draws`` holds every model's resampled AUROCs of
+    the pooled cell and each included cell, on the key ``("delta-bootstrap",)``.
+    A cell's stream is keyed by the finding and the cell alone, so every model
+    is scored on the same draws and a candidate's CIs do not depend on the
+    other candidates in the pass.
     """
 
     def __init__(self, models: Sequence[PredictionSet], finding: str,
                  policy: InclusionPolicy, boot: BootstrapConfig | None):
-        self.finding, self.policy, self.boot = finding, policy, boot
-        self.model_ids = [m.model_id for m in models]
-        # Aligned sets share their cells, so the baseline's cells serve every model.
-        self.cells = [models[0].pooled(finding), *models[0].cells(finding)]
-        brackets = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in models]
-                    if len(cell.pos) and len(cell.neg) else None for cell in self.cells]
-        self.points = [[None] * len(models) if row is None else [b.point() for b in row]
-                       for row in brackets]
-        self.included = [policy.admits(len(cell.pos), len(cell.neg)) for cell in self.cells[1:]]
-        self.draws = None if boot is None or not any(self.included) else [
-            _resample(row, boot.n_resamples,
-                      substream(boot.seed, "delta-bootstrap", finding, cell.group_id or ""))
-            for cell, row, keep in zip(self.cells, brackets, [True, *self.included]) if keep]
-
-    def summary(self, m: int) -> FairnessSummary:
-        """Model m's point summary, as ``metrics.summarize(model, finding, policy, None)``."""
-        per_group = [SubgroupPerformance(cell.group_id, len(cell.pos), len(cell.neg), keep, p[m])
-                     for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
-        return _roll_up(self.finding, self.points[0][m], per_group)
+        super().__init__(models, finding, policy)
+        self.boot = boot
+        self.draws = (None if boot is None or not self.kept
+                      else self.resample(boot, ("delta-bootstrap",), [0, *self.kept]))
 
     def comparison(self, k: int, epsilon: float) -> PositiveSumComparison:
         """Model k against the baseline, with delta CIs if the pass drew resamples."""
@@ -187,10 +170,10 @@ def compare(
     (the shared key set makes inclusion identical for both models) and its
     AUROC is defined on both sides. With conservative=True, paired stratified
     bootstrap CIs of the overall and minimum-group deltas are attached; each
-    cell's resamples are drawn as in ``_FindingPass``.
+    cell's resamples are drawn as in ``_FindingDeltas``.
     """
-    scores = _FindingPass([study.baseline, study.candidate(candidate_id)], finding, policy,
-                          boot if conservative else None)
+    scores = _FindingDeltas([study.baseline, study.candidate(candidate_id)], finding, policy,
+                            boot if conservative else None)
     return scores.comparison(1, epsilon)
 
 

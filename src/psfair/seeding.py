@@ -18,10 +18,13 @@ def _token_words(tokens: tuple[str, ...]) -> list[int]:
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int; ValueError outside [0, 2**64), where seeds would alias."""
-    if not 0 <= int(seed) < 1 << 64:
+    """The seed; ValueError unless it is an int, not a bool, in [0, 2**64),
+    where seeds would alias."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be of type int, got {seed!r}")
+    if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
-    return int(seed)
+    return seed
 
 
 def substream(seed: int, *tokens: str) -> np.random.Generator:

@@ -52,6 +52,7 @@ class ScenarioSpec:
     finding: str = "finding"
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if not self.baseline_recipes:
             raise ValueError(f"scenario {self.name!r} has no groups")
         ids = [r.group_id for r in self.baseline_recipes]
@@ -104,8 +105,7 @@ def build_study(spec: ScenarioSpec) -> AlignedStudy:
             np.concatenate([z_pos + mu_for_auc(overrides.get(r.group_id, r.target_auc)), z_neg])
             for r, (z_pos, z_neg) in zip(recipes, deviates)
         ])
-        return PredictionSet._from_columns(model_id, example_id, finding_id, label, score,
-                                           group_id)
+        return PredictionSet(model_id, example_id, finding_id, label, score, group_id)
 
     return align(model("baseline", {}), [model(c.model_id, c.overrides) for c in spec.candidates])
 
@@ -201,7 +201,7 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
             name=_typed(raw["name"], str, "name"),
             baseline_recipes=recipes,
             candidates=tuple(_candidate(c) for c in raw["candidates"]),
-            seed=check_seed(_typed(raw["seed"], int, "seed")),
+            seed=_typed(raw["seed"], int, "seed"),
             finding=_typed(raw.get("finding", "finding"), str, "finding"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from psfair import metrics
-from psfair.cohort import PredictionRecord, PredictionSet
+from psfair.cohort import PredictionSet
 
 
 def make_set(model_id, rows):
-    """Build a PredictionSet from (example_id, finding, label, score, group) tuples."""
-    return PredictionSet(model_id, [PredictionRecord(*row) for row in rows])
+    """Build a PredictionSet from the columns of (example_id, finding, label, score, group) rows."""
+    return PredictionSet(model_id, *([list(column) for column in zip(*rows)] or [[]] * 5))
+
+
+def set_rows(pset):
+    """A set's (example_id, finding, label, score, group) rows, in (finding, example_id) order."""
+    example_id, finding_id, group_id = pset._ids()
+    return list(zip(example_id, finding_id, pset.label.tolist(), pset.score.tolist(), group_id))
 
 
 def group_rows(finding, group, pos_scores, neg_scores, prefix=""):

@@ -124,8 +124,7 @@ def rowwise_ingest(source, model_id, delimiter=","):
             lines.append(lineno)
     except csv.Error as exc:
         raise IngestError(f"line {reader.line_num}: {exc}") from None
-    return PredictionSet._from_columns(model_id, example_ids, findings, labels, scores, groups,
-                                       lines)
+    return PredictionSet(model_id, example_ids, findings, labels, scores, groups, lines)
 
 
 def scenario_to_dict(spec) -> dict:

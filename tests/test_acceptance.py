@@ -14,7 +14,7 @@ import pytest
 
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy
-from psfair.metrics import BootstrapConfig, auroc, group_performance, summarize
+from psfair.metrics import BootstrapConfig, auroc, summarize
 from psfair.positive_sum import (
     Classification,
     GatePolicy,
@@ -82,7 +82,7 @@ def test_binormal_calibration():
 def test_inclusion_rule_boundary():
     rows = group_rows("f", "four_pos", [0.9] * 4, [0.1] * 100)
     rows += group_rows("f", "five_five", [0.9] * 5, [0.1] * 5)
-    perf = {g.group_id: g for g in group_performance(make_set("m", rows), "f")}
+    perf = {g.group_id: g for g in summarize(make_set("m", rows), "f").per_group}
     ok = (not perf["four_pos"].included) and perf["five_five"].included
     ok = ok and perf["four_pos"].ci_low is None
     _report("inclusion-rule boundary (4 pos excluded, 5/5 included)", ok)
@@ -172,8 +172,8 @@ def test_bootstrap_determinism_and_ci_sanity():
             )
         pset = make_set("m", rows)
         boot = BootstrapConfig(n_resamples=60, seed=trial)
-        first = group_performance(pset, "f", boot=boot)
-        second = group_performance(pset, "f", boot=boot)
+        first = summarize(pset, "f", boot=boot).per_group
+        second = summarize(pset, "f", boot=boot).per_group
         ok = ok and first == second
         for g in first:
             if g.included:

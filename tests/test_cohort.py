@@ -12,13 +12,12 @@ from psfair.cohort import (
     CohortError,
     InclusionPolicy,
     IngestError,
-    PredictionRecord,
     PredictionSet,
     align,
     emit,
     ingest,
 )
-from conftest import group_rows, make_set
+from conftest import group_rows, make_set, set_rows
 from reference import rowwise_ingest
 
 WELL_FORMED = """\
@@ -37,7 +36,8 @@ def emits(pset):
 
 
 def by_key(pset):
-    return {(r.example_id, r.finding_id): r for r in pset.records}
+    """Each row's label and score by (example_id, finding)."""
+    return {(e, f): {"label": y, "score": s} for e, f, y, s, _ in set_rows(pset)}
 
 
 def included_groups(pset, finding, policy=InclusionPolicy()):
@@ -50,13 +50,13 @@ def test_ingest_well_formed():
     assert len(pset) == 4
     assert pset.findings == ("effusion", "pneumonia")
     assert pset.groups == ("asian", "white")
-    assert by_key(pset)[("ex1", "pneumonia")].score == 0.9
+    assert by_key(pset)[("ex1", "pneumonia")]["score"] == 0.9
 
 
 def test_ingest_column_order_irrelevant():
     text = "score,group,label,finding,example_id\n0.5,g,1,f,e1\n0.2,g,0,f,e2\n"
     pset = ingest(io.StringIO(text), "m")
-    assert by_key(pset)[("e1", "f")].label == 1
+    assert by_key(pset)[("e1", "f")]["label"] == 1
 
 
 def test_ingest_nonbinary_label():
@@ -233,6 +233,33 @@ def test_set_requires_pos_and_neg_per_finding():
         make_set("m", [("e1", "f", 1, 0.5, "g"), ("e2", "f", 1, 0.6, "g")])
 
 
+COLUMNS = (["e1", "e2"], ["f", "f"], [1, 0], [0.9, 0.1], ["g", "g"])
+
+
+@pytest.mark.parametrize("column", range(5))
+def test_set_rejects_columns_of_unequal_length(column):
+    # A short column used to fail with numpy's IndexError or shape error.
+    columns = [list(c) for c in COLUMNS]
+    columns[column].pop()
+    lengths = [len(c) for c in columns]
+    with pytest.raises(IngestError, match=r"^columns differ in length: \{'example_id': %d, "
+                       r"'finding_id': %d, 'label': %d, 'score': %d, 'group_id': %d\}$"
+                       % tuple(lengths)):
+        PredictionSet("m", *columns)
+
+
+@pytest.mark.parametrize("model_id", [5, None, b"m", ""])
+def test_set_requires_a_non_empty_string_model_id(model_id):
+    # Both report schemas hold model ids as strings.
+    with pytest.raises(CohortError, match="^model_id must be a non-empty string, got "):
+        PredictionSet(model_id, *COLUMNS)
+
+
+def test_set_from_columns_names_a_bad_row_by_index():
+    with pytest.raises(IngestError, match=r"^row 1: label not binary: 2$"):
+        PredictionSet("m", ["e1", "e2"], ["f", "f"], [1, 2], [0.9, 0.1], ["g", "g"])
+
+
 def test_roundtrip_emit_ingest():
     pset = ingest(io.StringIO(WELL_FORMED), "m1")
     again = ingest(io.StringIO(emits(pset)), "m1")
@@ -251,7 +278,7 @@ def test_align_identity():
     study = align(base, [cand])
     assert [c.model_id for c in study.candidates] == ["m2"]
     assert len(study.baseline) == 4
-    assert study.candidates[0].records == study.baseline.records
+    assert set_rows(study.candidates[0]) == set_rows(study.baseline)
 
 
 def test_align_order_insensitive():
@@ -261,7 +288,7 @@ def test_align_order_insensitive():
     shuffled = make_set("m2", rows)
     study = align(base, [shuffled])
     in_order = align(base, [make_set("m2", sorted(rows))])
-    assert study.candidates[0].records == in_order.candidates[0].records
+    assert set_rows(study.candidates[0]) == set_rows(in_order.candidates[0])
 
 
 def test_align_rejects_repeated_model_ids():

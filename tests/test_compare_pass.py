@@ -1,4 +1,4 @@
-"""compare scores each finding in one pass over every model.
+"""audit and compare score each finding in one pass over every model.
 
 The pass brackets each cell once per model and resamples each resampled cell
 once for all models, on a stream keyed by the finding and the cell alone. So
@@ -8,6 +8,7 @@ it, and the library's ``compare`` must give the CLI's CIs. Examples are
 derandomized, so every run checks the same cases.
 """
 
+import contextlib
 import dataclasses
 import json
 import tempfile
@@ -17,12 +18,12 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from psfair import metrics, positive_sum
+from psfair import metrics
 from psfair.cli import main
-from psfair.cohort import (InclusionPolicy, PredictionRecord, PredictionSet, align, emit,
-                           ingest)
+from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
-from psfair.positive_sum import _FindingPass, compare
+from psfair.positive_sum import _FindingDeltas, compare
+from conftest import make_set
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -33,17 +34,17 @@ def multi_study(draw):
     may lack one side, and its scores have few levels, so ties are common."""
     score = st.integers(0, 4).map(float)
     n_models = draw(st.integers(2, 4))
-    records = [[] for _ in range(n_models)]
+    rows = [[] for _ in range(n_models)]
     for f in draw(st.lists(st.sampled_from(["f1", "f2"]), min_size=1, max_size=2, unique=True)):
         labels = set()
         for g in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)):
             n_pos, n_neg = draw(st.integers(0, 7)), draw(st.integers(0, 7))
             for i in range(n_pos + n_neg):
                 labels.add(int(i < n_pos))
-                for model in records:
-                    model.append(PredictionRecord(f"{g}{i}", f, int(i < n_pos), draw(score), g))
+                for model in rows:
+                    model.append((f"{g}{i}", f, int(i < n_pos), draw(score), g))
         assume(labels == {0, 1})
-    sets = [PredictionSet(f"m{i}", rows) for i, rows in enumerate(records)]
+    sets = [make_set(f"m{i}", model) for i, model in enumerate(rows)]
     return align(sets[0], sets[1:])
 
 
@@ -78,7 +79,7 @@ def test_candidate_cis_do_not_depend_on_the_others(study, min_pos, min_neg, n, s
     policy, boot = InclusionPolicy(min_pos, min_neg), BootstrapConfig(n, seed=seed)
     models = (study.baseline, *study.candidates)
     for finding in study.findings:
-        scores = _FindingPass(models, finding, policy, boot)
+        scores = _FindingDeltas(models, finding, policy, boot)
         for k, cand in enumerate(study.candidates, 1):
             try:
                 alone = compare(study, finding, cand.model_id, policy, boot, conservative=True)
@@ -97,9 +98,9 @@ def write_study(folder):
     folder.mkdir()
     paths = []
     for m in range(3):
-        rows = [PredictionRecord(e, f, y, float(rng.normal(y)), g) for e, f, y, g in keys]
+        rows = [(e, f, y, float(rng.normal(y)), g) for e, f, y, g in keys]
         paths.append(folder / f"m{m}.csv")
-        emit(PredictionSet(f"m{m}", rows), paths[-1])
+        emit(make_set(f"m{m}", rows), paths[-1])
     return paths
 
 
@@ -111,12 +112,11 @@ def run_compare(capsys, baseline, candidates, *flags):
     return json.loads(capsys.readouterr().out)
 
 
-def test_study_brackets_each_cell_once_and_resamples_it_once(tmp_path, capsys):
-    # 3 models x 2 findings x (pooled + 5 groups): 36 brackets, and one
-    # resample call per finding's pooled and group cells: 12.
-    baseline, *candidates = write_study(tmp_path / "s")
+@contextlib.contextmanager
+def counting():
+    """Collect every ``_Brackets`` built and the model count of every ``_resample`` call."""
     built, draws = [], []
-    init, resample = metrics._Brackets.__init__, positive_sum._resample
+    init, resample = metrics._Brackets.__init__, metrics._resample
 
     def counting_init(self, pos, neg):
         built.append(self)
@@ -127,10 +127,38 @@ def test_study_brackets_each_cell_once_and_resamples_it_once(tmp_path, capsys):
         return resample(brackets, n_resamples, rng)
 
     with mock.patch.object(metrics._Brackets, "__init__", counting_init), \
-            mock.patch.object(positive_sum, "_resample", counting_resample):
+            mock.patch.object(metrics, "_resample", counting_resample):
+        yield built, draws
+
+
+def test_study_brackets_each_cell_once_and_resamples_it_once(tmp_path, capsys):
+    # 3 models x 2 findings x (pooled + 5 groups): 36 brackets, and one
+    # resample call per finding's pooled and group cells: 12.
+    baseline, *candidates = write_study(tmp_path / "s")
+    with counting() as (built, draws):
         run_compare(capsys, baseline, candidates, "--conservative-ci")
     assert len(built) == 36
     assert draws == [3] * 12
+
+
+def test_audit_brackets_each_cell_once_and_resamples_each_included_cell(tmp_path, capsys):
+    # Per finding: the pooled cell, 5 admitted groups, "g5" (3 positives, so
+    # excluded, but bracketed for its reported AUROC) and "g6" (negatives
+    # only, so never bracketed). 2 findings x 7 brackets, and one one-model
+    # resample call per admitted cell: 2 x 5.
+    rng = np.random.default_rng(1)
+    sizes = [(8, 12)] * 5 + [(3, 12), (0, 6)]
+    rows = [(f"{f}-g{g}-{i}", f, int(i < n_pos), float(rng.normal()), f"g{g}")
+            for f in ("edema", "effusion") for g, (n_pos, n_neg) in enumerate(sizes)
+            for i in range(n_pos + n_neg)]
+    path = tmp_path / "m.csv"
+    emit(make_set("m", rows), path)
+    with counting() as (built, draws):
+        assert main(["audit", str(path), "--bootstrap-n", "30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [g["included"] for f in doc["findings"] for g in f["groups"]] == ([True] * 5 + [False] * 2) * 2
+    assert len(built) == 14
+    assert draws == [1] * 10
 
 
 def test_cli_cis_match_compare_alone_and_together(tmp_path, capsys):

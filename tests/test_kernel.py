@@ -6,7 +6,7 @@ side's stream, under heavy ties, sides of one score, a single resample,
 ragged last blocks and blocks of one resample each. CIs must not depend on
 the block cap or on the cells around them, and no block may exceed the cap.
 ``compare`` brackets each cell once per model and must agree with the
-one-model ``group_performance`` and ``overall_auroc``. Examples are
+one-model ``summarize``. Examples are
 derandomized, so every run checks the same cases.
 """
 
@@ -16,11 +16,11 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from psfair import metrics
-from psfair.cohort import InclusionPolicy, PredictionRecord, PredictionSet, align
-from psfair.metrics import BootstrapConfig, auroc, group_performance, overall_auroc
+from psfair.cohort import InclusionPolicy, align
+from psfair.metrics import BootstrapConfig, auroc, summarize
 from psfair.positive_sum import compare
 from psfair.seeding import substream
-from conftest import bootstrap_ci
+from conftest import bootstrap_ci, make_set
 from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -69,15 +69,15 @@ def paired_study(draw, min_side=1):
     """An aligned baseline and candidate over 1-3 groups of one finding; with
     min_side=0 a group may lack one side, never both, but the finding has both."""
     score = draw(tied_score())
-    records = ([], [])
+    rows = ([], [])
     for g in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
         n_pos = draw(side_size(8, min_side))
         n_neg = draw(side_size(8, min_side if n_pos else 1))
         for i in range(n_pos + n_neg):
-            for model in records:
-                model.append(PredictionRecord(f"{g}{i}", "f", int(i < n_pos), draw(score), g))
-    assume({r.label for r in records[0]} == {0, 1})
-    return align(PredictionSet("base", records[0]), [PredictionSet("cand", records[1])])
+            for model in rows:
+                model.append((f"{g}{i}", "f", int(i < n_pos), draw(score), g))
+    assume({label for _, _, label, _, _ in rows[0]} == {0, 1})
+    return align(make_set("base", rows[0]), [make_set("cand", rows[1])])
 
 
 @PROPERTY
@@ -86,7 +86,7 @@ def test_audit_cis_match_reference(study, n, cap, seed):
     pset = study.baseline
     boot = BootstrapConfig(n_resamples=n, seed=seed)
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
-        perf = group_performance(pset, "f", InclusionPolicy(1, 1), boot)
+        perf = summarize(pset, "f", InclusionPolicy(1, 1), boot).per_group
     for cell, g in zip(pset.cells("f"), perf):
         pos, neg = pset.score[cell.pos], pset.score[cell.neg]
         assert g.auroc == rank_auroc(pos, neg)
@@ -118,7 +118,8 @@ def test_compare_matches_group_performance(study, min_pos, min_neg):
     # and overall delta must still be those of the one-model functions.
     policy = InclusionPolicy(min_pos, min_neg)
     baseline, candidate = study.baseline, study.candidates[0]
-    perf = [group_performance(m, "f", policy, None) for m in (baseline, candidate)]
+    summaries = [summarize(m, "f", policy, None) for m in (baseline, candidate)]
+    perf = [s.per_group for s in summaries]
     try:
         cmp = compare(study, "f", "cand", policy)
     except ValueError:
@@ -128,7 +129,7 @@ def test_compare_matches_group_performance(study, min_pos, min_neg):
     for d, b, c in zip(cmp.group_deltas, *perf):
         assert (d.group_id, d.baseline_auroc, d.candidate_auroc) == (b.group_id, b.auroc, c.auroc)
         assert d.jointly_included == b.included == c.included
-    assert cmp.overall_delta == overall_auroc(candidate, "f") - overall_auroc(baseline, "f")
+    assert cmp.overall_delta == summaries[1].overall_auroc - summaries[0].overall_auroc
 
 
 @PROPERTY
@@ -159,15 +160,15 @@ def gated_set(draw):
     groups = draw(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=8, unique=True))
     admitted = draw(st.lists(st.booleans(), min_size=len(groups), max_size=len(groups))
                     .filter(any))
-    records = []
+    rows = []
     for g, admit in zip(groups, admitted):
         sizes = [draw(st.integers(3, 8)), draw(st.integers(3, 8))]
         if not admit:
             sizes[draw(st.integers(0, 1))] = draw(st.integers(0, 2))
         n_pos, n_neg = sizes
         for i in range(n_pos + n_neg):
-            records.append(PredictionRecord(f"{g}{i}", "f", int(i < n_pos), draw(score), g))
-    return PredictionSet("m", records)
+            rows.append((f"{g}{i}", "f", int(i < n_pos), draw(score), g))
+    return make_set("m", rows)
 
 
 @PROPERTY
@@ -178,7 +179,7 @@ def test_audit_rows_follow_their_cells(pset, n, cap, seed):
     policy = InclusionPolicy(3, 3)
     boot = BootstrapConfig(n_resamples=n, seed=seed)
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
-        perf = group_performance(pset, "f", policy, boot)
+        perf = summarize(pset, "f", policy, boot).per_group
     cells = list(pset.cells("f"))
     assert len(perf) == len(cells)
     for cell, g in zip(cells, perf):
@@ -227,7 +228,7 @@ def test_cis_ignore_block_cap_and_cell_order(study, n, seed):
 
     def cis():
         cmp = compare(study, "f", "cand", InclusionPolicy(1, 1), boot, conservative=True)
-        return (group_performance(study.baseline, "f", InclusionPolicy(1, 1), boot),
+        return (summarize(study.baseline, "f", InclusionPolicy(1, 1), boot).per_group,
                 cmp.overall_delta_ci, cmp.min_group_delta_ci)
 
     expected = cis()

@@ -8,13 +8,11 @@ from psfair.cohort import InclusionPolicy
 from psfair.metrics import (
     BootstrapConfig,
     auroc,
-    group_performance,
     macro_average,
-    overall_auroc,
     summarize,
 )
 from psfair.seeding import substream
-from conftest import bootstrap_ci, group_rows, make_set, random_instance
+from conftest import bootstrap_ci, group_rows, make_set, random_instance, set_rows
 from reference import oracle_auroc
 
 
@@ -73,7 +71,7 @@ class TestGroupPerformance:
     def test_small_group_excluded_without_ci(self):
         rows = group_rows("f", "small", [0.9] * 4, [0.1] * 20)
         rows += group_rows("f", "big", [0.9] * 8, [0.1] * 8)
-        perf = {g.group_id: g for g in group_performance(make_set("m", rows), "f")}
+        perf = {g.group_id: g for g in summarize(make_set("m", rows), "f").per_group}
         assert not perf["small"].included
         assert perf["small"].ci_low is None and perf["small"].ci_high is None
         assert perf["small"].auroc is not None  # point estimate still reported
@@ -81,7 +79,7 @@ class TestGroupPerformance:
 
     def test_perfect_separation_ci_stays_perfect(self):
         pset = make_set("m", group_rows("f", "g", [2.0 + i for i in range(6)], [-i * 1.0 for i in range(6)]))
-        (g,) = group_performance(pset, "f")
+        (g,) = summarize(pset, "f").per_group
         assert g.auroc == 1.0
         assert g.ci_high == 1.0
 
@@ -89,15 +87,15 @@ class TestGroupPerformance:
         rows = group_rows("f", "g", list(rng.normal(1, 1, 30)), list(rng.normal(0, 1, 40)))
         pset = make_set("m", rows)
         boot = BootstrapConfig(seed=99)
-        a = group_performance(pset, "f", boot=boot)
-        b = group_performance(pset, "f", boot=boot)
+        a = summarize(pset, "f", boot=boot).per_group
+        b = summarize(pset, "f", boot=boot).per_group
         assert a == b
 
     def test_different_seed_differs(self, rng):
         rows = group_rows("f", "g", list(rng.normal(1, 1, 30)), list(rng.normal(0, 1, 40)))
         pset = make_set("m", rows)
-        a = group_performance(pset, "f", boot=BootstrapConfig(seed=1))
-        b = group_performance(pset, "f", boot=BootstrapConfig(seed=2))
+        a = summarize(pset, "f", boot=BootstrapConfig(seed=1)).per_group
+        b = summarize(pset, "f", boot=BootstrapConfig(seed=2)).per_group
         assert (a[0].ci_low, a[0].ci_high) != (b[0].ci_low, b[0].ci_high)
 
     def test_unspawnable_generator_is_a_value_error(self):
@@ -112,7 +110,7 @@ class TestGroupPerformance:
             if len(pos) < 5 or len(neg) < 5:
                 continue
             pset = make_set("m", group_rows("f", "g", pos, neg))
-            (g,) = group_performance(pset, "f", boot=BootstrapConfig(n_resamples=50, seed=3))
+            (g,) = summarize(pset, "f", boot=BootstrapConfig(n_resamples=50, seed=3)).per_group
             assert g.ci_low <= g.auroc <= g.ci_high
 
 
@@ -164,12 +162,7 @@ class TestSummarize:
         base = self._three_group_set()
         s_base = summarize(base, "f")
         extra = group_rows("f", "d", [1.0] * 20, [0.0] * 15 + [2.0] * 5)  # auroc 0.75
-        from psfair.cohort import PredictionRecord, PredictionSet
-
-        s_more = summarize(
-            PredictionSet("m", list(base.records) + [PredictionRecord(*r) for r in extra]),
-            "f",
-        )
+        s_more = summarize(make_set("m", set_rows(base) + extra), "f")
         d = {g.group_id: g.auroc for g in s_more.per_group}["d"]
         assert 0.70 <= d <= 0.80
         assert s_more.fairness_score == s_base.fairness_score
@@ -188,7 +181,7 @@ class TestMacroAverage:
 
 def test_overall_auroc_matches_direct():
     pset = make_set("m", group_rows("f", "g", [0.9, 0.4], [0.8, 0.2]))
-    assert overall_auroc(pset, "f") == 0.75
+    assert summarize(pset, "f", boot=None).overall_auroc == 0.75
 
 
 def test_bootstrap_config_validation():
@@ -206,6 +199,13 @@ def test_seed_outside_64_bits_is_rejected(seed):
         BootstrapConfig(seed=seed)
     with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2**64)")):
         substream(seed, "bootstrap")
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "5", np.int64(5), None])
+def test_substream_seed_must_be_an_int(seed):
+    # int() used to be applied first, so 1.5 and True drew seed 1's stream and "5" seed 5's.
+    with pytest.raises(ValueError, match=re.escape(f"seed must be of type int, got {seed!r}")):
+        substream(seed, "a")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63, 2**64 - 1])

@@ -15,7 +15,7 @@ from psfair.positive_sum import (
     pareto_select,
     plot_coordinates,
 )
-from conftest import group_rows, make_set
+from conftest import group_rows, make_set, set_rows
 
 
 def make_cmp(overall_delta, min_group_delta, candidate_id="c", finding="f",
@@ -140,10 +140,7 @@ class TestCompare:
         # monotone transform of the candidate's scores only
         warped = make_set(
             "cand",
-            [
-                (r.example_id, r.finding_id, r.label, float(np.exp(r.score)), r.group_id)
-                for r in study.candidates[0].records
-            ],
+            [(e, f, y, float(np.exp(s)), g) for e, f, y, s, g in set_rows(study.candidates[0])],
         )
         cmp2 = compare(align(study.baseline, [warped]), "f", "cand")
         assert cmp2.overall_delta == cmp.overall_delta

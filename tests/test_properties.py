@@ -11,10 +11,11 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from psfair.cli import main
-from psfair.cohort import InclusionPolicy, PredictionRecord, PredictionSet, align, emit, ingest
+from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import Classification, GatePolicy, compare, gate
 from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study
+from conftest import make_set
 from reference import scenario_to_dict
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -78,16 +79,15 @@ def prediction_sets(draw):
     examples = draw(st.lists(ids, min_size=2, max_size=8, unique=True))
     findings = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
     group_of = {e: draw(ids) for e in examples}
-    records = []
+    rows = []
     for f in findings:
         labels = [1, 0] + draw(st.lists(st.integers(0, 1), min_size=len(examples) - 2,
                                         max_size=len(examples) - 2))
-        records += [
-            PredictionRecord(e, f, y, draw(st.floats(allow_nan=False, allow_infinity=False)),
-                             group_of[e])
+        rows += [
+            (e, f, y, draw(st.floats(allow_nan=False, allow_infinity=False)), group_of[e])
             for e, y in zip(examples, labels)
         ]
-    return PredictionSet("m", draw(st.permutations(records)))
+    return make_set("m", draw(st.permutations(rows)))
 
 
 @PROPERTY
@@ -105,10 +105,10 @@ def test_ingest_emit_identity(pset, delimiter):
 @PROPERTY
 @given(paired_rows(), st.randoms(use_true_random=False))
 def test_score_identical_candidate_has_zero_deltas(rows, rnd):
-    records = [PredictionRecord(e, f, y, b, g) for e, f, y, b, _, g in rows]
-    baseline = PredictionSet("base", records)
-    rnd.shuffle(records)
-    study = align(baseline, [PredictionSet("same", records)])
+    base = [(e, f, y, b, g) for e, f, y, b, _, g in rows]
+    baseline = make_set("base", base)
+    rnd.shuffle(base)
+    study = align(baseline, [make_set("same", base)])
     boot = BootstrapConfig(n_resamples=10)
     for finding in study.findings:
         cmp = compare(study, finding, "same", InclusionPolicy(1, 1), boot, conservative=True)
@@ -121,9 +121,9 @@ def test_score_identical_candidate_has_zero_deltas(rows, rnd):
 
 def study_of(rows):
     """The baseline (column 3) and candidate "cand" (column 4) of paired rows."""
-    base = [PredictionRecord(e, f, y, b, g) for e, f, y, b, _, g in rows]
-    cand = [PredictionRecord(e, f, y, c, g) for e, f, y, _, c, g in rows]
-    return align(PredictionSet("base", base), [PredictionSet("cand", cand)])
+    base = [(e, f, y, b, g) for e, f, y, b, _, g in rows]
+    cand = [(e, f, y, c, g) for e, f, y, _, c, g in rows]
+    return align(make_set("base", base), [make_set("cand", cand)])
 
 
 @PROPERTY

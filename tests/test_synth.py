@@ -17,6 +17,7 @@ from psfair.synth import (
     mu_for_auc,
     preset,
 )
+from conftest import set_rows
 from reference import oracle_auroc, scenario_to_dict
 
 
@@ -100,21 +101,21 @@ class TestBuildStudy:
 
     def test_no_override_candidate_identical(self):
         study = build_study(self._spec({}))
-        base_scores = {(r.example_id): r.score for r in study.baseline.records}
-        for r in study.candidates[0].records:
-            assert r.score == base_scores[r.example_id]
+        base_scores = {e: s for e, _, _, s, _ in set_rows(study.baseline)}
+        for e, _, _, s, _ in set_rows(study.candidates[0]):
+            assert s == base_scores[e]
         cmp = compare(study, "f", "cand")
         assert cmp.overall_delta == 0.0
         assert cmp.min_group_delta == 0.0
 
     def test_override_perturbs_only_that_group(self):
         study = build_study(self._spec({"a": 0.85}))
-        base = {r.example_id: r.score for r in study.baseline.records}
-        for r in study.candidates[0].records:
-            if r.group_id == "b" or r.label == 0:
-                assert r.score == base[r.example_id]
+        base = {e: s for e, _, _, s, _ in set_rows(study.baseline)}
+        for e, _, y, s, g in set_rows(study.candidates[0]):
+            if g == "b" or y == 0:
+                assert s == base[e]
             else:
-                assert r.score != base[r.example_id]
+                assert s != base[e]
 
     def test_unknown_override_group(self):
         with pytest.raises(ValueError, match="unknown group"):
@@ -246,6 +247,12 @@ class TestScenarioFile:
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(f"invalid scenario file {str(path)!r}: ")):
             load_scenario(path)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_spec_checks_its_seed(self, seed):
+        # A float or bool seed used to generate seed 1's data, silently.
+        with pytest.raises(ValueError, match=r"^seed must be (of type int|in \[0, 2\*\*64\))"):
+            ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7),), (), seed)
 
     def test_repeated_group_id(self):
         with pytest.raises(ValueError, match=r"scenario 's' repeats group ids \['a'\]"):
