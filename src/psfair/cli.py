@@ -316,9 +316,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             f"{sorted(synth.PRESET_NAMES)}"
         )
     if args.seed is not None:
-        spec = synth.ScenarioSpec(
-            spec.name, spec.baseline_recipes, spec.candidates, args.seed, spec.finding
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     study = synth.build_study(spec)
 
     out_dir = Path(args.out_dir)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -40,14 +41,20 @@ class AlignmentError(CohortError):
     """Candidate model does not share the baseline's test set."""
 
 
-def _check_types(obj, **kinds: type) -> None:
-    """ValueError unless each named field of obj is of its kind. A bool is
-    only ever a bool, never an int or a number, since a report's config block
-    records the value as given."""
+# The wording of each kind, as a scenario file's reader would say it.
+_KINDS = {int: "an integer", Real: "a number", str: "a string", dict: "an object",
+          list: "an array", bool: "a bool"}
+
+
+def _check_types(obj, prefix: str = "", **kinds: type) -> None:
+    """ValueError, its message starting with prefix, unless each named field
+    of obj (an attribute, or a key of a dict) is of its kind. A bool is only
+    ever a bool, never an int or a number, since a report's config block or a
+    generated study keeps the value as given."""
     for name, kind in kinds.items():
-        value = getattr(obj, name)
+        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            raise ValueError(f"{prefix}{name} must be {_KINDS[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ def check_seed(seed: int) -> int:
     """The seed; ValueError unless it is an int, not a bool, in [0, 2**64),
     where seeds would alias."""
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be of type int, got {seed!r}")
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
     return seed

@@ -16,10 +16,11 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .cohort import AlignedStudy, PredictionSet, align
+from .cohort import AlignedStudy, PredictionSet, _check_types, align
 from .seeding import check_seed, substream
 
 
@@ -31,16 +32,31 @@ class GroupRecipe:
     target_auc: float
 
     def __post_init__(self) -> None:
+        _check_types(self, group_id=str)
+        where = f"group {self.group_id!r}: "
+        _check_types(self, where, n_pos=int, n_neg=int, target_auc=Real)
         if self.n_pos < 1 or self.n_neg < 1:
-            raise ValueError(f"group {self.group_id!r}: n_pos and n_neg must be >= 1")
+            raise ValueError(f"{where}n_pos and n_neg must be >= 1")
         if not 0.0 < self.target_auc < 1.0:
-            raise ValueError(f"group {self.group_id!r}: target_auc must be in (0, 1)")
+            raise ValueError(f"{where}target_auc must be in (0, 1)")
 
 
 @dataclass(frozen=True)
 class CandidateSpec:
     model_id: str
     overrides: dict[str, float] = field(default_factory=dict)  # group_id -> target_auc
+
+    def __post_init__(self) -> None:
+        _check_types(self, model_id=str)
+        _check_types(self, f"candidate {self.model_id!r}: ", overrides=dict)
+        # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
+        if self.model_id in (".", "..") or set(self.model_id) & {"/", "\\", "\0"}:
+            raise ValueError(f"candidate {self.model_id!r}: model id must be a plain file name")
+        for g, auc in self.overrides.items():
+            where = f"candidate {self.model_id!r}, group {g!r}: "
+            _check_types({"target_auc": auc}, where, target_auc=Real)
+            if not 0.0 < auc < 1.0:
+                raise ValueError(f"{where}target_auc must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -52,6 +68,7 @@ class ScenarioSpec:
     finding: str = "finding"
 
     def __post_init__(self) -> None:
+        _check_types(self, name=str, finding=str)
         check_seed(self.seed)
         if not self.baseline_recipes:
             raise ValueError(f"scenario {self.name!r} has no groups")
@@ -59,21 +76,10 @@ class ScenarioSpec:
         repeated = sorted({g for g in ids if ids.count(g) > 1})
         if repeated:
             raise ValueError(f"scenario {self.name!r} repeats group ids {repeated}")
-        groups = set(ids)
         for cand in self.candidates:
-            # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
-            if cand.model_id in (".", "..") or set(cand.model_id) & {"/", "\\", "\0"}:
-                raise ValueError(f"candidate {cand.model_id!r}: model id must be a plain file name")
-            for g, auc in cand.overrides.items():
-                if g not in groups:
-                    raise ValueError(
-                        f"candidate {cand.model_id!r} overrides unknown group {g!r}"
-                    )
-                if not 0.0 < auc < 1.0:
-                    raise ValueError(
-                        f"candidate {cand.model_id!r}, group {g!r}: "
-                        f"target_auc must be in (0, 1)"
-                    )
+            for g in cand.overrides:
+                if g not in ids:
+                    raise ValueError(f"candidate {cand.model_id!r} overrides unknown group {g!r}")
 
 
 def mu_for_auc(target_auc: float) -> float:
@@ -153,56 +159,43 @@ def preset(name: str, seed: int = DEFAULT_PRESET_SEED) -> ScenarioSpec:
     )
 
 
-_KINDS = {int: "an integer", str: "a string", (int, float): "a number", dict: "an object"}
+def _objects(raw: dict, key: str, *fields: str) -> list[dict]:
+    """The array raw[key], each item a JSON object holding every one of fields."""
+    _check_types(raw, **{key: list})
+    return [_object(item, f"{key}[{i}]", *fields) for i, item in enumerate(raw[key])]
 
 
-def _typed(value, kind, what: str):
-    """``value`` if it is a ``kind`` and not a bool, else a ValueError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r}")
-    return value
+def _object(raw, where: str, *fields: str) -> dict:
+    """raw, a JSON object holding every one of fields; else a ValueError naming
+    where, or nothing at the top level."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where or 'the top level'} must be an object, got {raw!r}")
+    for name in fields:
+        if name not in raw:
+            raise ValueError(f"{where}{': ' if where else ''}missing field {name!r}")
+    return raw
 
 
-def _count(group: dict, name: str) -> int:
-    """A group's case count; a boolean or a non-integral number is an error."""
-    value = group[name]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return _typed(value, int, f"group {group['group_id']!r}: {name}")
-
-
-def _auc(value, where: str) -> float:
-    return float(_typed(value, (int, float), f"{where}: target_auc"))
-
-
-def _candidate(raw: dict) -> CandidateSpec:
-    model_id = _typed(raw["model_id"], str, "model_id")
-    where = f"candidate {model_id!r}"
-    overrides = _typed(raw.get("overrides", {}), dict, f"{where}: overrides")
-    return CandidateSpec(model_id, {g: _auc(auc, f"{where}, group {g!r}")
-                                    for g, auc in overrides.items()})
+def _count(value):
+    """A whole JSON number as an int: 10.0 counts as 10."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     """Load a scenario from its JSON file format (see docs/scenario format in README).
 
-    Every field must have its JSON type: a bool or a string is never read as
-    a number, nor a number as a string.
+    The spec dataclasses check every field's type: a bool or a string is never
+    read as a number, nor a number as a string.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = _object(json.load(fh), "", "name", "seed", "groups", "candidates")
         recipes = tuple(
-            GroupRecipe(_typed(g["group_id"], str, "group_id"), _count(g, "n_pos"),
-                        _count(g, "n_neg"), _auc(g["target_auc"], f"group {g['group_id']!r}"))
-            for g in raw["groups"]
-        )
-        return ScenarioSpec(
-            name=_typed(raw["name"], str, "name"),
-            baseline_recipes=recipes,
-            candidates=tuple(_candidate(c) for c in raw["candidates"]),
-            seed=_typed(raw["seed"], int, "seed"),
-            finding=_typed(raw.get("finding", "finding"), str, "finding"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+            GroupRecipe(g["group_id"], _count(g["n_pos"]), _count(g["n_neg"]), g["target_auc"])
+            for g in _objects(raw, "groups", "group_id", "n_pos", "n_neg", "target_auc"))
+        candidates = tuple(CandidateSpec(c["model_id"], c.get("overrides", {}))
+                           for c in _objects(raw, "candidates", "model_id"))
+        return ScenarioSpec(raw["name"], recipes, candidates, raw["seed"],
+                            raw.get("finding", "finding"))
+    except ValueError as exc:
         raise ValueError(f"invalid scenario file {os.fspath(path)!r}: {exc}") from exc

@@ -15,7 +15,7 @@ from psfair.cohort import emit, ingest
 from psfair.synth import build_study, preset
 from conftest import group_rows
 from reference import scenario_to_dict
-from test_synth import WRONG_TYPES, set_field
+from test_synth import MALFORMED, WRONG_TYPES, set_field
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO_ROOT / "schemas"
@@ -445,6 +445,16 @@ class TestGen:
         spec_path.write_text(json.dumps(raw))
         assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where, value, message", MALFORMED)
+    def test_malformed_scenario_file_exits_2(self, tmp_path, capsys, where, value, message):
+        raw = set_field(scenario_to_dict(preset("m2_like")), where, value)
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"psfair: error: invalid scenario file {str(spec_path)!r}: {message}\n")
         assert not (tmp_path / "out").exists()
 
 

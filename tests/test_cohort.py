@@ -350,7 +350,7 @@ def test_eligible_zero_policy_includes_all():
 def test_inclusion_policy_field_types(field, value):
     # A threshold of 2.5 admitted a cell of 3 positives, as a threshold of 3
     # would, while the report's config block recorded 2.5.
-    with pytest.raises(ValueError, match=f"^{field} must be of type int, got"):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
         InclusionPolicy(**{field: value})
 
 

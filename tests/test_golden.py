@@ -1,13 +1,15 @@
-"""Golden report hashes: every report and generated file of the four presets.
+"""Golden report hashes: every report and generated file of the four presets,
+and the files ``gen`` writes for a custom scenario file.
 
 ``gen`` writes each preset at seed 0, then ``audit`` and ``compare`` read it
 back, all through ``cli.main``. Each output file's sha256 and each exit code
-must equal the table below, so a change that alters any byte of a report or
+must equal the tables below, so a change that alters any byte of a report or
 of a ``gen`` file fails here. A declared change of output updates the table
 in the same diff.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -81,3 +83,42 @@ def test_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys, preset, cand
     for name in [n for n in os.environ if n.startswith("PSFAIR_")]:
         monkeypatch.delenv(name)
     assert outputs(tmp_path, preset, candidate) == GOLDEN[preset, candidate]
+
+
+# A scenario file that reaches what no preset does: load_scenario, uneven
+# groups, a whole-number float count, two candidates and no overrides.
+SCENARIO = {
+    "name": "custom", "seed": 11, "finding": "effusion",
+    "groups": [
+        {"group_id": "a", "n_pos": 40, "n_neg": 60.0, "target_auc": 0.7},
+        {"group_id": "b", "n_pos": 25, "n_neg": 35, "target_auc": 0.8},
+        {"group_id": "c", "n_pos": 12, "n_neg": 50, "target_auc": 0.66},
+    ],
+    "candidates": [{"model_id": "tuned", "overrides": {"a": 0.76, "c": 0.6}},
+                   {"model_id": "same"}],
+}
+
+# gen run -> {output: sha256}
+SCENARIO_GOLDEN = {
+    "csv": {"baseline.csv": "8b0a58f8d916e89fc83346ea433421b48635257f478e117e39aa8220df0d8580",
+            "same.csv": "8b0a58f8d916e89fc83346ea433421b48635257f478e117e39aa8220df0d8580",
+            "tuned.csv": "fa9d1b3f23311a735d3b16ccd38a83e6be0e882e6c5c9127efefceec447288f1"},
+    "tab": {"baseline.tsv": "a9159f5e7f3f1248c765d5185a04a2dae99943a6afecae6ace4e79a0c1bca116",
+            "same.tsv": "a9159f5e7f3f1248c765d5185a04a2dae99943a6afecae6ace4e79a0c1bca116",
+            "tuned.tsv": "268425b4e198e133f255b5147d59a1ba4ef5e0b892d7fa59beb2fe87a2c20e4e"},
+    "seed-3": {"baseline.csv": "14b0772abdba79e4bf29941d5abdc74739d877c4f32740b01f3bdbe3e8a74707",
+               "same.csv": "14b0772abdba79e4bf29941d5abdc74739d877c4f32740b01f3bdbe3e8a74707",
+               "tuned.csv": "806aedbb028ed9e0521c9891f3dc266ca62c62592ddde65adab103926b8aa9e0"},
+}
+
+
+def test_scenario_file_gen_matches_golden_hashes(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SCENARIO))
+    hashes = {}
+    for name, flags in {"csv": [], "tab": ["--tab"], "seed-3": ["--seed", "3"]}.items():
+        out = tmp_path / name
+        assert main(["gen", str(path), "--out-dir", str(out), *flags]) == 0
+        hashes[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.iterdir())}
+    assert hashes == SCENARIO_GOLDEN

@@ -83,7 +83,7 @@ class TestClassify:
 ])
 def test_gate_policy_field_types(field, value):
     # conservative_ci="no" is truthy, so the gate used to classify the CIs.
-    with pytest.raises(ValueError, match=f"^{field} must be of type"):
+    with pytest.raises(ValueError, match=f"^{field} must be (a number|a bool), got"):
         GatePolicy(**{field: value})
     assert GatePolicy(epsilon=0, conservative_ci=True).epsilon == 0
     assert GatePolicy(epsilon=np.float64(0.01)).epsilon == 0.01

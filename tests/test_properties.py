@@ -8,13 +8,13 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import Classification, GatePolicy, compare, gate
-from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study
+from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study, load_scenario
 from conftest import make_set
 from reference import scenario_to_dict
 
@@ -160,6 +160,31 @@ def scenarios(draw):
     overrides = {names[0]: draw(aucs)}
     return ScenarioSpec("p", recipes, (CandidateSpec("cand", overrides),),
                         draw(st.integers(0, 2**32)), "f")
+
+
+@st.composite
+def accepted_specs(draw):
+    """Any spec the constructors accept, over the whole range of each field."""
+    ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    aucs = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    try:
+        recipes = tuple(GroupRecipe(g, draw(st.integers(1, 2**40)), draw(st.integers(1, 2**40)),
+                                    draw(aucs)) for g in ids)
+        candidates = tuple(CandidateSpec(m, draw(st.dictionaries(st.sampled_from(ids), aucs)))
+                           for m in draw(st.lists(st.text(min_size=1, max_size=4), max_size=3)))
+        return ScenarioSpec(draw(st.text(max_size=4)), recipes, candidates,
+                            draw(st.integers(0, 2**64 - 1)), draw(st.text(max_size=4)))
+    except ValueError:
+        assume(False)
+
+
+@PROPERTY
+@given(accepted_specs())
+def test_accepted_spec_survives_its_scenario_file(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario_to_dict(spec)))
+        assert load_scenario(path) == spec
 
 
 @PROPERTY

@@ -186,11 +186,41 @@ WRONG_TYPES = [
 ]
 
 
+# Scenario files not in the shape of a scenario, which no constructor sees:
+# (path in the file, value or DELETE, error).
+DELETE = object()
+MALFORMED = [
+    ((), [], "the top level must be an object, got []"),
+    (("name",), DELETE, "missing field 'name'"),
+    (("groups",), {"group_a": 5}, "groups must be an array, got {'group_a': 5}"),
+    (("groups", 1), 5, "groups[1] must be an object, got 5"),
+    (("groups", 1, "n_neg"), DELETE, "groups[1]: missing field 'n_neg'"),
+    (("candidates", 0), "m2", "candidates[0] must be an object, got 'm2'"),
+    (("candidates", 0, "model_id"), DELETE, "candidates[0]: missing field 'model_id'"),
+]
+
+
 def set_field(raw, where, value):
+    """raw with the field at where set to value, or deleted if value is DELETE;
+    an empty where replaces raw itself."""
+    if not where:
+        return value
     *parents, last = where
+    parent = raw
     for key in parents:
-        raw = raw[key]
-    raw[last] = value
+        parent = parent[key]
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return raw
+
+
+def spec_from_dict(raw):
+    """The spec a scenario file's dict describes, built by the constructors alone."""
+    return ScenarioSpec(raw["name"], tuple(GroupRecipe(**g) for g in raw["groups"]),
+                        tuple(CandidateSpec(**c) for c in raw["candidates"]), raw["seed"],
+                        raw["finding"])
 
 
 class TestScenarioFile:
@@ -219,6 +249,31 @@ class TestScenarioFile:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_scenario(path)
+
+    @pytest.mark.parametrize("where, value, message", WRONG_TYPES)
+    def test_constructors_give_the_file_message(self, tmp_path, where, value, message):
+        # One checker behind both entry points: a spec built in code fails
+        # with the message its scenario file gets, after the file's name.
+        raw = set_field(scenario_to_dict(preset("m2_like")), where, value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as from_file:
+            load_scenario(path)
+        with pytest.raises(ValueError) as from_code:
+            spec_from_dict(raw)
+        assert str(from_code.value) == message
+        assert str(from_file.value) == f"invalid scenario file {str(path)!r}: {message}"
+
+    @pytest.mark.parametrize("where, value, message", MALFORMED)
+    def test_rejects_malformed_file(self, tmp_path, where, value, message):
+        # A missing field read as the bare key, "'name'", and a top-level
+        # array as "list indices must be integers or slices, not str".
+        raw = set_field(scenario_to_dict(preset("m2_like")), where, value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"invalid scenario file {str(path)!r}: {message}"
 
     def test_integral_float_count_is_a_count(self, tmp_path):
         spec = preset("m2_like", seed=11)
@@ -251,8 +306,20 @@ class TestScenarioFile:
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_spec_checks_its_seed(self, seed):
         # A float or bool seed used to generate seed 1's data, silently.
-        with pytest.raises(ValueError, match=r"^seed must be (of type int|in \[0, 2\*\*64\))"):
+        with pytest.raises(ValueError, match=r"^seed must be (an integer|in \[0, 2\*\*64\))"):
             ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7),), (), seed)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_study(ScenarioSpec("s", (GroupRecipe("a", 2.5, 5, 0.7),), (), 0)),
+         "group 'a': n_pos must be an integer, got 2.5"),
+        (lambda: GroupRecipe("a", True, 5, 0.7), "group 'a': n_pos must be an integer, got True"),
+        (lambda: ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7),), (CandidateSpec(5),), 0),
+         "model_id must be a string, got 5"),
+    ], ids=["float-count", "bool-count", "int-model-id"])
+    def test_spec_checks_its_field_types(self, build, message):
+        # Each used to fail later with a TypeError that named no field.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_repeated_group_id(self):
         with pytest.raises(ValueError, match=r"scenario 's' repeats group ids \['a'\]"):
