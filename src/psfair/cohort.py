@@ -5,6 +5,12 @@ Input files are UTF-8 delimited text with a header row naming the columns
 byte-order mark is ignored. One file holds one model's scored test set, long
 format: one row per (example, finding).
 
+Both readers share one grammar, ``csv.reader``'s default dialect with the
+given delimiter. Lines with no quote, CR or NUL are split with ``str.split``,
+which reads them exactly as ``csv.reader`` does; from the first chunk of lines
+that holds one, ``csv.reader`` reads the rest. ``emit`` writes the same
+grammar and quotes an id that holds the delimiter, a quote, CR or LF.
+
 In memory a set is one column table: ``score`` (float64), ``label`` (int8)
 and integer codes into sorted vocabularies of example, finding and group ids.
 Rows are sorted by (finding, example_id), so nothing computed from a set
@@ -16,16 +22,18 @@ from __future__ import annotations
 
 import csv
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 from numbers import Real
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 REQUIRED_COLUMNS = ("example_id", "finding", "label", "score", "group")
 _LABELS = {"0": 0, "1": 1}
-# Data rows turned into columns at a time. Each chunk's row lists die young,
-# so the cyclic garbage collector does not rescan a whole file's rows.
+# Lines read and turned into columns at a time. A chunk's lists die young, so
+# the cyclic garbage collector does not rescan a whole file's rows.
 _CHUNK_ROWS = 1024
 
 
@@ -242,12 +250,15 @@ class AlignedStudy:
         return self.baseline.findings
 
 
-def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = ",") -> PredictionSet:
+def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
+           delimiter: str = ",") -> PredictionSet:
     """Parse a delimited prediction file into a validated PredictionSet.
 
-    Raises IngestError with a line number for malformed rows and malformed
-    CSV, a named key for duplicates, and outright for empty input. Read from a
-    path, each IngestError names the path, also the one for a file not in UTF-8.
+    ``source`` is a path, an open text file or any iterable of lines as a
+    text file yields them. Raises IngestError with a line number for
+    malformed rows and malformed CSV, a named key for duplicates, and
+    outright for empty input. Read from a path, each IngestError names the
+    path, also the one for a file not in UTF-8.
     """
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
@@ -260,87 +271,187 @@ def ingest(source: str | os.PathLike | TextIO, model_id: str, delimiter: str = "
                 # The codec's byte position counts from its read buffer, not the file.
                 raise IngestError(f"{source}: not UTF-8 text") from None
 
-    columns: list[list] = [[], [], [], [], [], []]  # REQUIRED_COLUMNS, then line numbers
-    rows, lines = [], []  # the chunk being read, and each row's line number
-    reader = csv.reader(source, delimiter=delimiter)
+    lines = iter(source)
+    reader = csv.reader(lines, delimiter=delimiter)
     try:
         header = next((row for row in reader if any(map(str.strip, row))), None)
-        if header is not None:
-            header = [cell.strip() for cell in header]
-            missing = [c for c in REQUIRED_COLUMNS if c not in header]
-            if missing:
-                raise IngestError(f"line {reader.line_num}: header missing columns {missing}")
-            repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
-            if repeated:
-                raise IngestError(f"line {reader.line_num}: header repeats columns {repeated}")
-            col = [header.index(name) for name in REQUIRED_COLUMNS]
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        return PredictionSet(model_id, [], [], [], [], [])  # raises: empty input
+    header = [cell.strip() for cell in header]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise IngestError(f"line {reader.line_num}: header missing columns {missing}")
+    repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise IngestError(f"line {reader.line_num}: header repeats columns {repeated}")
+    rows = _Rows(delimiter, len(header), [header.index(c) for c in REQUIRED_COLUMNS])
+    rows.read(lines, reader.line_num)
+    return PredictionSet(model_id, *rows.columns, np.concatenate(rows.lines))
+
+
+class _Rows:
+    """The data rows of one source as columns, read a chunk of whole lines at a time.
+
+    A chunk with no quote, CR or NUL is split with ``str.split``, which reads
+    such lines exactly as ``csv.reader`` does. The first chunk that holds one
+    hands itself and the rest of the source to ``csv.reader``. A chunk never
+    exceeds ``csv.field_size_limit()`` characters, so no field it holds can
+    pass the limit. A single longer line, and a chunk that fails a check, are
+    read by ``csv.reader`` on their own, so the first bad row is reported as
+    a row-by-row reader would report it.
+    """
+
+    def __init__(self, delimiter: str, width: int, col: list[int]):
+        # width: fields per row; col: the field index of each REQUIRED_COLUMNS name
+        self.delimiter, self.width, self.col = delimiter, width, col
+        self.columns: tuple[list, ...] = ([], [], [], [], [])  # as REQUIRED_COLUMNS
+        self.lines = [np.zeros(0, np.int64)]  # each row's line number, a chunk at a time
+        # What str.strip removes besides CR and LF: a chunk with none of it needs no strip.
+        self.spaces = [c for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f" if c != delimiter]
+
+    def read(self, lines: Iterator[str], line: int) -> None:
+        """Read every remaining line of ``lines``, the first being line ``line + 1``."""
+        limit = csv.field_size_limit()
+        chunk: list[str] = []
+        while True:
+            try:
+                chunk.extend(islice(lines, _CHUNK_ROWS - len(chunk)))
+            except (OSError, UnicodeError) as exc:
+                self.read_csv(_then_raise(chunk, exc), line)  # a bad row's error, else exc
+            if not chunk:
+                return
+            text = "".join(chunk)
+            rest: list[str] = []
+            if len(text) > limit:
+                ends = list(accumulate(map(len, chunk)))
+                k = max(bisect_right(ends, limit), 1)
+                chunk, rest, text = chunk[:k], chunk[k:], text[:ends[k - 1]]
+            if '"' in text or "\r" in text or "\0" in text:
+                self.read_csv(chain(chunk, rest, lines), line)
+                return
+            if len(text) > limit or not self.split(text, len(chunk), line):
+                self.read_csv(chunk, line)
+            line += len(chunk)
+            chunk = rest
+
+    def split(self, text: str, n: int, line: int) -> bool:
+        """Append ``text``, n lines with no quote, CR or NUL; False, appending
+        nothing, if a line is blank or fails the field-count or score check."""
+        width, d = self.width, self.delimiter
+        if not text.endswith("\n"):  # a last line with no line end
+            text += "\n"
+        if text.count("\n") != n:  # an item of the source that is not one line
+            return False
+        # Each newline ends a field, so the rows are the lines only if the
+        # last column holds all n of them.
+        fields = text.replace("\n", "\n" + d).split(d)
+        if len(fields) != n * width + 1 or "".join(fields[width - 1::width]).count("\n") != n:
+            return False
+        fields.pop()
+        strip = not text.isascii() or any(map(text.__contains__, self.spaces))
+        example_id, finding, label, score, group = (
+            [*map(str.strip, fields[i::width])] if strip or i == width - 1 else fields[i::width]
+            for i in self.col)
+        try:
+            score = [*map(float, score)]  # float() ignores surrounding whitespace
+        except ValueError:
+            return False
+        self.append((example_id, finding, label, score, group), np.arange(line + 1, line + n + 1))
+        return True
+
+    def read_csv(self, lines: Iterable[str], line: int) -> None:
+        """Read ``lines``, the first being line ``line + 1``, with ``csv.reader``."""
+        rows, numbers = [], []  # the chunk being read, and each row's line number
+        reader = csv.reader(lines, delimiter=self.delimiter)
+        try:
             for row in reader:
                 if row:
                     rows.append(row)
-                    lines.append(reader.line_num)  # physical line: a quoted field may span several
+                    numbers.append(line + reader.line_num)  # a quoted field may span lines
                     if len(rows) == _CHUNK_ROWS:
-                        _extend(columns, rows, lines, len(header), col)
-                        rows, lines = [], []
-    except (csv.Error, OSError, UnicodeError) as exc:
-        if rows:  # a bad row read before the failure is the error to report
-            _extend(columns, rows, lines, len(header), col)
-        if isinstance(exc, csv.Error):
-            raise IngestError(f"line {reader.line_num}: {exc}") from None
-        raise
-    if rows:
-        _extend(columns, rows, lines, len(header), col)
-    return PredictionSet(model_id, *columns)
+                        self.extend(rows, numbers)
+                        rows, numbers = [], []
+        except (csv.Error, OSError, UnicodeError) as exc:
+            if rows:  # a bad row read before the failure is the error to report
+                self.extend(rows, numbers)
+            if isinstance(exc, csv.Error):
+                raise IngestError(f"line {line + reader.line_num}: {exc}") from None
+            raise
+        if rows:
+            self.extend(rows, numbers)
+
+    def extend(self, rows: list[list[str]], numbers: list[int]) -> None:
+        """Append one chunk of non-empty rows, skipping blank rows.
+
+        Fields are stripped and scores parsed. A row is looked at on its own
+        only when the chunk fails its field-count or score check: a blank row
+        always fails one of them, so it is found that way too. The first bad
+        row in file order raises, as a row-by-row scan would.
+        """
+        width, col = self.width, self.col
+        if set(map(len, rows)) == {width}:
+            fields = list(zip(*rows))
+            example_id, finding, label, score, group = ([*map(str.strip, fields[i])] for i in col)
+            try:
+                score = [*map(float, score)]
+            except ValueError:
+                pass
+            else:
+                self.append((example_id, finding, label, score, group), np.array(numbers))
+                return
+        kept = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
+        for i in kept:
+            if len(rows[i]) != width:
+                raise IngestError(f"line {numbers[i]}: expected {width} fields, got {len(rows[i])}")
+            score = rows[i][col[3]].strip()
+            try:
+                float(score)
+            except ValueError:
+                raise IngestError(f"line {numbers[i]}: score not a number: {score!r}") from None
+        if kept:  # only blank rows failed the checks, so the rest pass them now
+            self.extend([rows[i] for i in kept], [numbers[i] for i in kept])
+
+    def append(self, fields: tuple[list, ...], numbers: np.ndarray) -> None:
+        """Append rows that passed their checks, labels "0"/"1" made ints."""
+        example_id, finding, label, score, group = fields
+        for column, values in zip(self.columns, (example_id, finding,
+                                                 map(_LABELS.get, label, label), score, group)):
+            column.extend(values)
+        self.lines.append(numbers)
 
 
-def _extend(columns: list[list], rows: list[list[str]], lines: list[int], width: int,
-            col: list[int]) -> None:
-    """Append one chunk of non-empty data rows to ``columns``, skipping blank rows.
-
-    Fields are stripped, scores parsed and labels "0"/"1" made ints. A row is
-    looked at on its own only when the chunk fails its field-count or score
-    check: a blank row always fails one of them, so it is found that way too.
-    The first bad row in file order raises, as a row-by-row scan would.
-    """
-    if set(map(len, rows)) == {width}:
-        fields = list(zip(*rows))
-        example_id, finding, label, score, group = ([*map(str.strip, fields[i])] for i in col)
-        try:
-            score = [*map(float, score)]
-        except ValueError:
-            pass
-        else:
-            for column, values in zip(columns, (example_id, finding, map(_LABELS.get, label, label),
-                                                score, group, lines)):
-                column.extend(values)
-            return
-    kept = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
-    for i in kept:
-        if len(rows[i]) != width:
-            raise IngestError(f"line {lines[i]}: expected {width} fields, got {len(rows[i])}")
-        score = rows[i][col[3]].strip()
-        try:
-            float(score)
-        except ValueError:
-            raise IngestError(f"line {lines[i]}: score not a number: {score!r}") from None
-    if kept:  # only blank rows failed the checks, so the rest pass them now
-        _extend(columns, [rows[i] for i in kept], [lines[i] for i in kept], width, col)
+def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:
+    """The lines read before a read failure, then the failure."""
+    yield from lines
+    raise exc
 
 
 def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str = ",") -> None:
     """Write a PredictionSet in the ingestion format, canonically ordered.
 
     Rows are sorted by (finding, example_id) and scores use shortest
-    round-trip decimals, so identical sets emit byte-identical files.
+    round-trip decimals, so identical sets emit byte-identical files. An id
+    holding the delimiter, a quote, CR or LF is quoted, its quotes doubled.
     """
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             emit(pset, fh, delimiter=delimiter)
         return
-    writer = csv.writer(target, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS)
-    example_id, finding_id, group_id = pset._ids()
-    writer.writerows(zip(example_id, finding_id, pset.label.tolist(),
-                         map(repr, pset.score.tolist()), group_id))
+    special = (delimiter, '"', "\r", "\n")
+
+    def column(vocab: Sequence[str], codes: np.ndarray) -> list[str]:
+        """Each row's value, each vocabulary value encoded once."""
+        if any(map("".join(vocab).__contains__, special)):
+            vocab = ['"' + v.replace('"', '""') + '"' if any(map(v.__contains__, special)) else v
+                     for v in vocab]
+        return np.array(vocab, dtype=object)[codes].tolist()
+
+    rows = zip(column(pset.examples, pset.example_code), column(pset.findings, pset.finding_code),
+               column(("0", "1"), pset.label), map(repr, pset.score.tolist()),
+               column(pset.groups, pset.group_code))
+    target.write("\n".join([delimiter.join(REQUIRED_COLUMNS), *map(delimiter.join, rows), ""]))
 
 
 def align(baseline: PredictionSet, candidates: list[PredictionSet] | tuple[PredictionSet, ...]) -> AlignedStudy:

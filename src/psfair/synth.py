@@ -33,6 +33,8 @@ class GroupRecipe:
 
     def __post_init__(self) -> None:
         _check_types(self, group_id=str)
+        if not self.group_id:
+            raise ValueError("group_id must be a non-empty string, got ''")
         where = f"group {self.group_id!r}: "
         _check_types(self, where, n_pos=int, n_neg=int, target_auc=Real)
         if self.n_pos < 1 or self.n_neg < 1:
@@ -48,6 +50,8 @@ class CandidateSpec:
 
     def __post_init__(self) -> None:
         _check_types(self, model_id=str)
+        if not self.model_id:
+            raise ValueError("model_id must be a non-empty string, got ''")
         _check_types(self, f"candidate {self.model_id!r}: ", overrides=dict)
         # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
         if self.model_id in (".", "..") or set(self.model_id) & {"/", "\\", "\0"}:
@@ -70,6 +74,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         _check_types(self, name=str, finding=str)
         check_seed(self.seed)
+        for name, kind in (("baseline_recipes", GroupRecipe), ("candidates", CandidateSpec)):
+            for i, item in enumerate(getattr(self, name)):
+                if not isinstance(item, kind):
+                    raise ValueError(f"{name}[{i}] must be a {kind.__name__}, got {item!r}")
         if not self.baseline_recipes:
             raise ValueError(f"scenario {self.name!r} has no groups")
         ids = [r.group_id for r in self.baseline_recipes]

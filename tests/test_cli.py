@@ -395,6 +395,16 @@ class TestGen:
         assert rc == 0
         assert (tmp_path / "out" / "m3.csv").exists()
 
+    def test_ids_holding_a_line_break_survive_gen_then_audit(self, tmp_path, capsys):
+        raw = scenario_to_dict(preset("m2_like"))
+        raw["groups"][0]["group_id"] = "a\rb"
+        raw["candidates"][0]["overrides"] = {}
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(raw))
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["audit", str(tmp_path / "out" / "baseline.csv"), "--bootstrap-n", "10",
+                     "--out", str(tmp_path / "audit.json")]) == 0
+
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         assert main(["gen", "nonexistent_preset", "--out-dir", str(tmp_path)]) == 2
 

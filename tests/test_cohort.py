@@ -1,10 +1,11 @@
 import csv
 import io
 import random
+from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psfair import cohort
 from psfair.cohort import (
@@ -126,22 +127,34 @@ def test_ingest_tab_delimiter():
 
 # 1 and 2 convert every row or pair on its own, 7 leaves ragged chunks.
 CHUNK_SIZES = [1, 2, 7, cohort._CHUNK_ROWS]
+# 60 caps a chunk at a few lines and is passed by a long unquoted line; the
+# default lets a chunk reach its row count.
+FIELD_LIMITS = [60, csv.field_size_limit()]
 DIFFERENTIAL = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 # Faults put into an otherwise valid row: a field and its new value, or a change of shape.
 FAULTS = [("label", "2"), ("label", "1.0"), ("label", ""), ("label", " 1 "),
           ("score", ""), ("score", "abc"), ("score", "nan"), ("score", "-inf"),
           ("score", "1e999"), ("score", " 0.25 "), ("example_id", ""), ("example_id", "  "),
-          ("example_id", "e0"), ("example_id", "e\nq"), ("finding", ""), ("group", ""),
-          ("group", "a\r\nb"), ("drop", None), ("extra", None), ("unclosed", None)]
-BLANK_ROWS = [[], [""], ["  "], ["", "", "", "", ""], [" ", "\t"], ["", ""] * 4]
+          ("example_id", "e0"), ("example_id", "e\nq"), ("example_id", "e\0"),
+          ("example_id", "\u3000e9"), ("finding", ""), ("group", ""), ("group", "a\r\nb"),
+          ("group", "a\rb"), ("group", "b\x0c"), ("drop", None), ("extra", None),
+          ("unclosed", None)]
+BLANK_ROWS = [[], [""], ["  "], ["", "", "", "", ""], [" ", "\t"], ["", ""] * 4, ["\x0c "]]
+# Notes csv.writer leaves plain, and notes it quotes.
+PLAIN_NOTES = ["", "x", "y" * 40, "y" * 70]
+QUOTED_NOTES = ["two\nlines", "a,b"]
 
 
 @st.composite
 def prediction_texts(draw):
-    """(text, delimiter) of a prediction file with blank rows and a few faults.
+    """(text, delimiter, field size limit, newline, lines read before a read
+    failure or None) of a prediction file with blank rows and a few faults.
 
     Quoted newlines, CRLF, an extra column and the tab delimiter are drawn
-    too, so line numbers and field counts vary.
+    too, so line numbers and field counts vary. Quoted notes start at a drawn
+    row, so a file's first quote can come after several clean chunks. The
+    text is read as lines split at CR and LF, or at LF alone, so that a line
+    can hold a CR.
     """
     delimiter = draw(st.sampled_from([",", "\t"]))
     buf = io.StringIO(newline="")
@@ -151,15 +164,17 @@ def prediction_texts(draw):
     header.insert(draw(st.integers(0, 5)), "note")
     header = header[:draw(st.sampled_from([6] * 10 + [5, 4]))]  # 4 drops a required one
     fault_odds = draw(st.sampled_from([0, 1, 2, 4]))  # in 12, per row
+    first_quoted = draw(st.integers(0, 25))
     rows = [*draw(st.lists(st.sampled_from(BLANK_ROWS), max_size=2)), header]
     for i in range(draw(st.sampled_from(range(25)))):
         # The first four rows give both findings a positive and a negative.
+        notes = PLAIN_NOTES + QUOTED_NOTES if i >= first_quoted else PLAIN_NOTES
         fields = {"example_id": f"e{i}",
                   "finding": "fg"[i // 2] if i < 4 else draw(st.sampled_from("fg")),
                   "label": "10"[i % 2] if i < 4 else draw(st.sampled_from("01")),
                   "group": draw(st.sampled_from("ab")),
                   "score": repr(draw(st.floats(-2, 2).map(lambda x: round(x, 2)))),
-                  "note": draw(st.sampled_from(["", "x", "two\nlines", "a,b"]))}
+                  "note": draw(st.sampled_from(notes))}
         if draw(st.integers(1, 12)) <= fault_odds:
             fault, value = draw(st.sampled_from(FAULTS))
             fields[fault] = value
@@ -178,28 +193,77 @@ def prediction_texts(draw):
             buf.write(delimiter.join(["e99", "f", "0", '"0.4', "b"]) + "\n")
         else:
             writer.writerow(row)
-    return buf.getvalue(), delimiter
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    newline = draw(st.sampled_from(["", "\n"]))
+    n_lines = len(io.StringIO(text, newline=newline).readlines())
+    return (text, delimiter, draw(st.sampled_from(FIELD_LIMITS)), newline,
+            draw(st.none() | st.integers(0, n_lines)))
 
 
-def parsed(parse, text, delimiter):
+def parsed(parse, text, delimiter, newline="", fail_after=None):
+    """What parse makes of text, read as a file or, given fail_after, as
+    lines whose reading fails after that many."""
+    lines = io.StringIO(text, newline=newline)
+    if fail_after is not None:
+        head = list(islice(lines, fail_after))
+
+        def failing():
+            yield from head
+            raise OSError("disk gone")
+        lines = failing()
     try:
-        return parse(io.StringIO(text, newline=""), "m", delimiter=delimiter)
-    except IngestError as exc:
-        return f"IngestError: {exc}"
+        return parse(lines, "m", delimiter=delimiter)
+    except (IngestError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+HEADER = "example_id,finding,label,score,group\n"
+CLEAN = "".join(f"e{i},f,{i % 2},0.{i},g\n" for i in range(6))
+MORE = CLEAN.replace("e", "x")
 
 
 @DIFFERENTIAL
 @given(prediction_texts())
-def test_ingest_matches_rowwise_reference(text_and_delimiter):
-    text, delimiter = text_and_delimiter
-    limit = csv.field_size_limit(60)
+# Hand-overs to csv.reader, each also drawn at random: a quote first met after
+# three clean chunks of two lines, a quote that opens a field spanning chunks,
+# an unquoted line longer than the limit, a lone CR, a NUL.
+@example((HEADER + CLEAN + 'e6,f,0,0.6,"g"\n', ",", 60, "", None))
+@example((HEADER + CLEAN + 'e6,f,0,0.6,"g\nh"\ne7,f,1,0.7,g\n', ",", 10_000, "", None))
+@example((HEADER + CLEAN + f"e6,f,0,0.6,{'g' * 70}\n" + MORE, ",", 60, "", None))
+@example((HEADER + CLEAN + f"e6,f,0,0.6,{'g' * 50}\n" + MORE, ",", 60, "", None))
+@example((HEADER + CLEAN + "e6,f,0,0.6,g\rh\n", ",", 10_000, "\n", None))
+@example((HEADER + CLEAN + "e6,f,0,0.6,g\0\n", ",", 10_000, "", None))
+# No trailing newline; blank and whitespace-only lines at chunk boundaries.
+@example((HEADER + CLEAN.removesuffix("\n"), ",", 10_000, "", None))
+@example((HEADER + CLEAN.replace("e2", "\n e2").replace("e4", " ,\n\t\ne4"), ",", 10_000, "",
+          None))
+# A read failure in the middle of a chunk, after a bad row and after none.
+@example((HEADER + CLEAN.replace("e3,f,1,0.3", "e3,f,1,x"), ",", 10_000, "", 5))
+@example((HEADER + CLEAN, ",", 10_000, "", 5))
+def test_ingest_matches_rowwise_reference(case):
+    text, delimiter, field_limit, newline, fail_after = case
+    limit = csv.field_size_limit(field_limit)
     try:
-        expected = parsed(rowwise_ingest, text, delimiter)
+        expected = parsed(rowwise_ingest, text, delimiter, newline, fail_after)
         for chunk in CHUNK_SIZES:
             with mock.patch.object(cohort, "_CHUNK_ROWS", chunk):
-                assert parsed(ingest, text, delimiter) == expected, chunk
+                assert parsed(ingest, text, delimiter, newline, fail_after) == expected, chunk
     finally:
         csv.field_size_limit(limit)
+
+
+def test_ingest_reads_a_path_an_open_file_and_lines_alike(tmp_path):
+    text = WELL_FORMED + 'ex3,effusion,0,0.3,"black, hispanic"\n'
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(cohort, "_CHUNK_ROWS", 2):
+        with open(path, encoding="utf-8", newline="") as fh:
+            from_file = ingest(fh, "m")
+        from_lines = ingest((line for line in text.splitlines(keepends=True)), "m")
+        assert ingest(path, "m") == from_file == from_lines
+    assert "black, hispanic" in from_file.groups
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)

@@ -71,7 +71,9 @@ def test_reports_invariant_to_row_order(rows, rnd):
         assert reports(Path(tmp) / "a", rows) == reports(Path(tmp) / "b", shuffled)
 
 
-ids = st.text(alphabet="ab,\"é1-", min_size=1, max_size=4)
+# Ids holding either delimiter, quotes, CR, LF and non-ASCII text; ingest strips
+# the whitespace around a field, so no id starts or ends with it.
+ids = st.text(alphabet="ab,\t\"\r\né1-", min_size=1, max_size=4).filter(lambda s: s == s.strip())
 
 
 @st.composite

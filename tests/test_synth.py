@@ -165,8 +165,8 @@ class TestPresets:
             preset("m9_like")
 
 
-# One wrongly typed value per scenario field, and an empty group list:
-# (path in the file, value, error).
+# One wrongly typed value per scenario field, an empty group list and empty
+# ids: (path in the file, value, error).
 WRONG_TYPES = [
     (("seed",), 1.5, "seed must be an integer, got 1.5"),
     (("seed",), True, "seed must be an integer, got True"),
@@ -183,6 +183,8 @@ WRONG_TYPES = [
     (("candidates", 0, "overrides", "group_a"), "0.7",
      "candidate 'm2', group 'group_a': target_auc must be a number, got '0.7'"),
     (("groups",), [], "scenario 'm2_like' has no groups"),
+    (("groups", 0, "group_id"), "", "group_id must be a non-empty string, got ''"),
+    (("candidates", 0, "model_id"), "", "model_id must be a non-empty string, got ''"),
 ]
 
 
@@ -315,9 +317,13 @@ class TestScenarioFile:
         (lambda: GroupRecipe("a", True, 5, 0.7), "group 'a': n_pos must be an integer, got True"),
         (lambda: ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7),), (CandidateSpec(5),), 0),
          "model_id must be a string, got 5"),
-    ], ids=["float-count", "bool-count", "int-model-id"])
+        (lambda: ScenarioSpec("s", ("a",), (), 0),
+         "baseline_recipes[0] must be a GroupRecipe, got 'a'"),
+        (lambda: ScenarioSpec("s", (GroupRecipe("a", 5, 5, 0.7),), (CandidateSpec("m"), "m"), 0),
+         "candidates[1] must be a CandidateSpec, got 'm'"),
+    ], ids=["float-count", "bool-count", "int-model-id", "str-recipe", "str-candidate"])
     def test_spec_checks_its_field_types(self, build, message):
-        # Each used to fail later with a TypeError that named no field.
+        # Each used to fail later with a TypeError or AttributeError that named no field.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
