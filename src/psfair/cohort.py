@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import csv
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from numbers import Real
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -296,11 +295,11 @@ class _Rows:
 
     A chunk with no quote, CR or NUL is split with ``str.split``, which reads
     such lines exactly as ``csv.reader`` does. The first chunk that holds one
-    hands itself and the rest of the source to ``csv.reader``. A chunk never
-    exceeds ``csv.field_size_limit()`` characters, so no field it holds can
-    pass the limit. A single longer line, and a chunk that fails a check, are
-    read by ``csv.reader`` on their own, so the first bad row is reported as
-    a row-by-row reader would report it.
+    hands itself and the rest of the source to ``csv.reader``. A chunk longer
+    than ``csv.field_size_limit()`` characters, which might hold a field past
+    the limit, and a chunk that fails a check are read by ``csv.reader`` on
+    their own, so the first bad row is reported as a row-by-row reader would
+    report it.
     """
 
     def __init__(self, delimiter: str, width: int, col: list[int]):
@@ -323,18 +322,13 @@ class _Rows:
             if not chunk:
                 return
             text = "".join(chunk)
-            rest: list[str] = []
-            if len(text) > limit:
-                ends = list(accumulate(map(len, chunk)))
-                k = max(bisect_right(ends, limit), 1)
-                chunk, rest, text = chunk[:k], chunk[k:], text[:ends[k - 1]]
             if '"' in text or "\r" in text or "\0" in text:
-                self.read_csv(chain(chunk, rest, lines), line)
+                self.read_csv(chain(chunk, lines), line)
                 return
             if len(text) > limit or not self.split(text, len(chunk), line):
                 self.read_csv(chunk, line)
             line += len(chunk)
-            chunk = rest
+            chunk = []
 
     def split(self, text: str, n: int, line: int) -> bool:
         """Append ``text``, n lines with no quote, CR or NUL; False, appending
@@ -434,7 +428,12 @@ def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str
     Rows are sorted by (finding, example_id) and scores use shortest
     round-trip decimals, so identical sets emit byte-identical files. An id
     holding the delimiter, a quote, CR or LF is quoted, its quotes doubled.
+    Header names, labels and scores are never quoted, so the delimiter is
+    one character that none of them can hold.
     """
+    if len(delimiter) != 1 or delimiter in '"\r\n0123456789.+-' + "".join(REQUIRED_COLUMNS):
+        raise ValueError("delimiter must be one character other than a quote, a line end, "
+                         f"a digit, '.', '+', '-' or a letter of the header, got {delimiter!r}")
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             emit(pset, fh, delimiter=delimiter)

@@ -336,6 +336,22 @@ def test_roundtrip_preserves_exact_scores():
     assert ingest(io.StringIO(emits(pset)), "m") == pset
 
 
+@pytest.mark.parametrize("delimiter", ["", "::", '"', "\r", "\n", "5", ".", "-", "+", "e", "_"])
+def test_emit_rejects_a_delimiter_it_cannot_write_unambiguously(tmp_path, delimiter):
+    pset = ingest(io.StringIO(WELL_FORMED), "m1")
+    with pytest.raises(ValueError, match=r"^delimiter must be one character other than"):
+        emit(pset, tmp_path / "out.csv", delimiter=delimiter)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", " "])
+def test_emit_ingest_roundtrip_with_any_accepted_delimiter(delimiter):
+    pset = ingest(io.StringIO(WELL_FORMED), "m1")
+    buf = io.StringIO()
+    emit(pset, buf, delimiter=delimiter)
+    assert ingest(io.StringIO(buf.getvalue()), "m1", delimiter=delimiter) == pset
+
+
 def test_align_identity():
     base = ingest(io.StringIO(WELL_FORMED), "m1")
     cand = ingest(io.StringIO(WELL_FORMED), "m2")
