@@ -344,14 +344,6 @@ def test_emit_rejects_a_delimiter_it_cannot_write_unambiguously(tmp_path, delimi
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("delimiter", [",", "\t", ";", "|", " "])
-def test_emit_ingest_roundtrip_with_any_accepted_delimiter(delimiter):
-    pset = ingest(io.StringIO(WELL_FORMED), "m1")
-    buf = io.StringIO()
-    emit(pset, buf, delimiter=delimiter)
-    assert ingest(io.StringIO(buf.getvalue()), "m1", delimiter=delimiter) == pset
-
-
 def test_align_identity():
     base = ingest(io.StringIO(WELL_FORMED), "m1")
     cand = ingest(io.StringIO(WELL_FORMED), "m2")

@@ -71,9 +71,9 @@ def test_reports_invariant_to_row_order(rows, rnd):
         assert reports(Path(tmp) / "a", rows) == reports(Path(tmp) / "b", shuffled)
 
 
-# Ids holding either delimiter, quotes, CR, LF and non-ASCII text; ingest strips
+# Ids holding every delimiter, quotes, CR, LF and non-ASCII text; ingest strips
 # the whitespace around a field, so no id starts or ends with it.
-ids = st.text(alphabet="ab,\t\"\r\né1-", min_size=1, max_size=4).filter(lambda s: s == s.strip())
+ids = st.text(alphabet="ab,\t; \"\r\né1-", min_size=1, max_size=4).filter(lambda s: s == s.strip())
 
 
 @st.composite
@@ -93,7 +93,7 @@ def prediction_sets(draw):
 
 
 @PROPERTY
-@given(prediction_sets(), st.sampled_from([",", "\t"]))
+@given(prediction_sets(), st.sampled_from([",", "\t", ";", " "]))
 def test_ingest_emit_identity(pset, delimiter):
     text = io.StringIO()
     emit(pset, text, delimiter=delimiter)
