@@ -16,6 +16,12 @@ and integer codes into sorted vocabularies of example, finding and group ids.
 Rows are sorted by (finding, example_id), so nothing computed from a set
 depends on the row order of its input, and sets over the same keys have
 equal vocabularies and the same row layout.
+
+Ingest encodes each chunk of lines as soon as it is read, so it never holds
+a whole file's strings: per chunk it holds the chunk's fields, and per row
+only numbers, three id codes, a label, a score and a line number. An id's
+string is held once, in its column's vocabulary. Memory thus grows with rows
+as numeric columns and with distinct ids as strings.
 """
 
 from __future__ import annotations
@@ -23,16 +29,17 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, filterfalse, islice
 from numbers import Real
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 REQUIRED_COLUMNS = ("example_id", "finding", "label", "score", "group")
-_LABELS = {"0": 0, "1": 1}
-# Lines read and turned into columns at a time. A chunk's lists die young, so
-# the cyclic garbage collector does not rescan a whole file's rows.
+# Lines read and encoded at a time. A chunk's lists of strings die young, so
+# the cyclic garbage collector does not rescan a whole file's rows. Per chunk
+# ingest holds those lists; per row it keeps 41 bytes of numbers (three id
+# codes, a label, a score, a line number) until the set is built.
 _CHUNK_ROWS = 1024
 
 
@@ -99,10 +106,68 @@ class Cell:
     neg: np.ndarray
 
 
-def _encode(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    vocab = sorted(set(values))
-    index = {v: i for i, v in enumerate(vocab)}
-    return tuple(vocab), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+def _check_model_id(model_id) -> None:
+    if not isinstance(model_id, str) or not model_id:
+        raise CohortError(f"model_id must be a non-empty string, got {model_id!r}")
+
+
+class _Columns:
+    """Rows added a chunk at a time, each chunk encoded as it is added: the
+    one encoder of ``ingest`` and of the ``PredictionSet`` constructor.
+
+    Each id column becomes integer codes into a running vocabulary, in the
+    order ids are first seen; ``labels`` holds the two values read as 0 and
+    1, and the first row with any other label is remembered, not raised at
+    once, so that an error found later in reading still comes first. Only
+    numbers are kept per row; strings are kept once per distinct id.
+    """
+
+    def __init__(self, labels: tuple):
+        self.labels = labels
+        self.vocabs: tuple[dict, ...] = ({}, {}, {})  # example, finding, group: id -> code
+        self.codes: tuple[list[np.ndarray], ...] = ([], [], [])
+        self.label: list[np.ndarray] = []
+        self.score: list[np.ndarray] = []
+        self.lines: list[np.ndarray] = []  # each row's input line number, if given
+        self.rows = 0
+        self.bad_label: tuple[int, object] | None = None  # (row, value) of the first
+
+    def add(self, example_id: Sequence, finding_id: Sequence, label: Sequence,
+            score: Sequence[float], group_id: Sequence,
+            lines: Sequence[int] | None = None) -> None:
+        """Append one chunk of rows, its columns of equal length."""
+        n = len(score)
+        for vocab, codes, ids in zip(self.vocabs, self.codes, (example_id, finding_id, group_id)):
+            vocab.update(zip([*filterfalse(vocab.__contains__, dict.fromkeys(ids))],
+                             count(len(vocab))))
+            codes.append(np.fromiter(map(vocab.__getitem__, ids), np.intp, n))
+        try:
+            self.label.append(np.fromiter(map(self.labels.index, label), np.int8, n))
+        except ValueError:
+            if self.bad_label is None:
+                i = next(i for i, y in enumerate(label) if y not in self.labels)
+                self.bad_label = (self.rows + i, label[i])
+        self.score.append(np.asarray(score, np.float64))
+        if lines is not None:
+            self.lines.append(np.asarray(lines))
+        self.rows += n
+
+    def ids(self) -> list[tuple[tuple, np.ndarray]]:
+        """Each id column's sorted vocabulary, and every row's code into it."""
+        out = []
+        for vocab, codes in zip(self.vocabs, self.codes):
+            ids = sorted(vocab)
+            rank = np.empty(len(ids), np.intp)
+            rank[np.fromiter(map(vocab.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
+            out.append((tuple(ids), rank.take(_joined(codes))))
+        return out
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The chunks as one array. The list is emptied, so each chunk is freed."""
+    joined = np.concatenate(chunks)
+    chunks.clear()
+    return joined
 
 
 class PredictionSet:
@@ -119,37 +184,45 @@ class PredictionSet:
     def __init__(self, model_id: str, example_id: Sequence[str], finding_id: Sequence[str],
                  label: Sequence[int], score: Sequence[float], group_id: Sequence[str],
                  lines: Sequence[int] | None = None):
-        def where(i) -> str:
-            return f"row {i}" if lines is None else f"line {lines[i]}"
-
-        if not isinstance(model_id, str) or not model_id:
-            raise CohortError(f"model_id must be a non-empty string, got {model_id!r}")
+        _check_model_id(model_id)
         lengths = dict(zip(("example_id", "finding_id", "label", "score", "group_id"),
                            map(len, (example_id, finding_id, label, score, group_id))))
         if len(set(lengths.values())) > 1:
             raise IngestError(f"columns differ in length: {lengths}")
-        if len(score) == 0:
+        columns = _Columns((0, 1))
+        columns.add(example_id, finding_id, label, score, group_id, lines)
+        self._build(model_id, columns)
+
+    def _build(self, model_id: str, columns: _Columns) -> None:
+        """Check, sort and bucket the rows of ``columns``, freeing each of
+        its chunks once they are joined. The checks run in the order of the
+        class docstring, after every row is read."""
+        def where(i) -> str:
+            return f"line {np.concatenate(columns.lines)[i]}" if columns.lines else f"row {i}"
+
+        if columns.rows == 0:
             raise IngestError(f"empty input: no data rows for {model_id!r}")
-        if not all(map((0, 1).__contains__, label)):
-            i = next(i for i, y in enumerate(label) if y not in (0, 1))
-            raise IngestError(f"{where(i)}: label not binary: {label[i]!r}")
-        scores = np.array(score, dtype=np.float64)
+        if columns.bad_label is not None:
+            i, y = columns.bad_label
+            raise IngestError(f"{where(i)}: label not binary: {y!r}")
+        scores = _joined(columns.score)
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             raise IngestError(f"{where(bad[0])}: score not finite: {float(scores[bad[0]])!r}")
-        encoded = [_encode(ids) for ids in (example_id, finding_id, group_id)]
-        for name, (vocab, codes) in zip(("example_id", "finding", "group"), encoded):
+        (examples, ex), (findings, fi), (groups, gr) = columns.ids()
+        for name, vocab, codes in (("example_id", examples, ex), ("finding", findings, fi),
+                                   ("group", groups, gr)):
             if vocab[0] == "":
                 raise IngestError(f"{where(np.argmax(codes == 0))}: empty {name}")
-        (examples, ex), (findings, fi), (groups, gr) = encoded
 
         order = np.lexsort((ex, fi))
-        ex, fi = ex[order], fi[order]
+        ex, fi, gr = ex[order], fi[order], gr[order]
         repeats = np.flatnonzero((ex[1:] == ex[:-1]) & (fi[1:] == fi[:-1])) + 1
         if repeats.size:
-            i = int(order[repeats].min())  # the first row that repeats an earlier key
-            raise IngestError(f"{where(i)}: duplicate key {(example_id[i], finding_id[i])}")
-        labels = np.array(label, dtype=np.int8)[order]
+            j = repeats[np.argmin(order[repeats])]  # the first row that repeats an earlier key
+            key = (examples[ex[j]], findings[fi[j]])
+            raise IngestError(f"{where(order[j])}: duplicate key {key}")
+        labels = _joined(columns.label)[order]
         n_pos = np.bincount(fi, weights=labels, minlength=len(findings))
         n_rows = np.bincount(fi, minlength=len(findings))
         for f, (p, n) in enumerate(zip(n_pos.tolist(), n_rows.tolist())):
@@ -159,7 +232,7 @@ class PredictionSet:
 
         self.model_id = model_id
         self.examples, self.findings, self.groups = examples, findings, groups
-        self.example_code, self.finding_code, self.group_code = ex, fi, gr[order]
+        self.example_code, self.finding_code, self.group_code = ex, fi, gr
         self.label, self.score = labels, scores[order]
         pooled = self._bucket(np.zeros_like(self.group_code), (None,))
         by_group = self._bucket(self.group_code, groups)
@@ -287,11 +360,15 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
         raise IngestError(f"line {reader.line_num}: header repeats columns {repeated}")
     rows = _Rows(delimiter, len(header), [header.index(c) for c in REQUIRED_COLUMNS])
     rows.read(lines, reader.line_num)
-    return PredictionSet(model_id, *rows.columns, np.concatenate(rows.lines))
+    _check_model_id(model_id)
+    pset = PredictionSet.__new__(PredictionSet)
+    pset._build(model_id, rows)
+    return pset
 
 
-class _Rows:
-    """The data rows of one source as columns, read a chunk of whole lines at a time.
+class _Rows(_Columns):
+    """The data rows of one source, read a chunk of whole lines at a time and
+    encoded as each chunk is read; the labels are "0" and "1".
 
     A chunk with no quote, CR or NUL is split with ``str.split``, which reads
     such lines exactly as ``csv.reader`` does. The first chunk that holds one
@@ -304,9 +381,8 @@ class _Rows:
 
     def __init__(self, delimiter: str, width: int, col: list[int]):
         # width: fields per row; col: the field index of each REQUIRED_COLUMNS name
+        super().__init__(("0", "1"))
         self.delimiter, self.width, self.col = delimiter, width, col
-        self.columns: tuple[list, ...] = ([], [], [], [], [])  # as REQUIRED_COLUMNS
-        self.lines = [np.zeros(0, np.int64)]  # each row's line number, a chunk at a time
         # What str.strip removes besides CR and LF: a chunk with none of it needs no strip.
         self.spaces = [c for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f" if c != delimiter]
 
@@ -349,10 +425,10 @@ class _Rows:
             [*map(str.strip, fields[i::width])] if strip or i == width - 1 else fields[i::width]
             for i in self.col)
         try:
-            score = [*map(float, score)]  # float() ignores surrounding whitespace
+            score = np.fromiter(map(float, score), np.float64, n)  # float() ignores whitespace
         except ValueError:
             return False
-        self.append((example_id, finding, label, score, group), np.arange(line + 1, line + n + 1))
+        self.add(example_id, finding, label, score, group, np.arange(line + 1, line + n + 1))
         return True
 
     def read_csv(self, lines: Iterable[str], line: int) -> None:
@@ -389,11 +465,11 @@ class _Rows:
             fields = list(zip(*rows))
             example_id, finding, label, score, group = ([*map(str.strip, fields[i])] for i in col)
             try:
-                score = [*map(float, score)]
+                score = np.fromiter(map(float, score), np.float64, len(rows))
             except ValueError:
                 pass
             else:
-                self.append((example_id, finding, label, score, group), np.array(numbers))
+                self.add(example_id, finding, label, score, group, np.array(numbers))
                 return
         kept = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
         for i in kept:
@@ -406,14 +482,6 @@ class _Rows:
                 raise IngestError(f"line {numbers[i]}: score not a number: {score!r}") from None
         if kept:  # only blank rows failed the checks, so the rest pass them now
             self.extend([rows[i] for i in kept], [numbers[i] for i in kept])
-
-    def append(self, fields: tuple[list, ...], numbers: np.ndarray) -> None:
-        """Append rows that passed their checks, labels "0"/"1" made ints."""
-        example_id, finding, label, score, group = fields
-        for column, values in zip(self.columns, (example_id, finding,
-                                                 map(_LABELS.get, label, label), score, group)):
-            column.extend(values)
-        self.lines.append(numbers)
 
 
 def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:

@@ -24,6 +24,16 @@ from .cohort import AlignedStudy, PredictionSet, _check_types, align
 from .seeding import check_seed, substream
 
 
+def _check_id(obj, name: str) -> None:
+    """ValueError unless the string field name of obj is a non-empty id with no
+    surrounding whitespace, which ingest would strip from a written file."""
+    value = getattr(obj, name)
+    if not value:
+        raise ValueError(f"{name} must be a non-empty string, got ''")
+    if value != value.strip():
+        raise ValueError(f"{name} must not start or end with whitespace, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroupRecipe:
     group_id: str
@@ -33,8 +43,7 @@ class GroupRecipe:
 
     def __post_init__(self) -> None:
         _check_types(self, group_id=str)
-        if not self.group_id:
-            raise ValueError("group_id must be a non-empty string, got ''")
+        _check_id(self, "group_id")
         where = f"group {self.group_id!r}: "
         _check_types(self, where, n_pos=int, n_neg=int, target_auc=Real)
         if self.n_pos < 1 or self.n_neg < 1:
@@ -50,8 +59,7 @@ class CandidateSpec:
 
     def __post_init__(self) -> None:
         _check_types(self, model_id=str)
-        if not self.model_id:
-            raise ValueError("model_id must be a non-empty string, got ''")
+        _check_id(self, "model_id")
         _check_types(self, f"candidate {self.model_id!r}: ", overrides=dict)
         # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
         if self.model_id in (".", "..") or set(self.model_id) & {"/", "\\", "\0"}:
@@ -73,6 +81,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         _check_types(self, name=str, finding=str)
+        _check_id(self, "finding")
         check_seed(self.seed)
         for name, kind in (("baseline_recipes", GroupRecipe), ("candidates", CandidateSpec)):
             for i, item in enumerate(getattr(self, name)):

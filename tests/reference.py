@@ -22,10 +22,11 @@ import csv
 import numpy as np
 from scipy.stats import rankdata
 
-from psfair.cohort import _LABELS, REQUIRED_COLUMNS, IngestError, PredictionSet
+from psfair.cohort import REQUIRED_COLUMNS, IngestError, PredictionSet
 from psfair.seeding import substream
 
 ORACLE_SIZE_LIMIT = 10_000
+LABELS = {"0": 0, "1": 1}
 
 
 def oracle_auroc(pos, neg) -> float:
@@ -119,7 +120,7 @@ def rowwise_ingest(source, model_id, delimiter=","):
                 raise IngestError(f"line {lineno}: score not a number: {score!r}") from None
             example_ids.append(example_id)
             findings.append(finding)
-            labels.append(_LABELS.get(label, label))
+            labels.append(LABELS.get(label, label))
             groups.append(group)
             lines.append(lineno)
     except csv.Error as exc:

@@ -165,8 +165,8 @@ class TestPresets:
             preset("m9_like")
 
 
-# One wrongly typed value per scenario field, an empty group list and empty
-# ids: (path in the file, value, error).
+# One wrongly typed value per scenario field, an empty group list, empty ids
+# and ids with surrounding whitespace: (path in the file, value, error).
 WRONG_TYPES = [
     (("seed",), 1.5, "seed must be an integer, got 1.5"),
     (("seed",), True, "seed must be an integer, got True"),
@@ -185,6 +185,17 @@ WRONG_TYPES = [
     (("groups",), [], "scenario 'm2_like' has no groups"),
     (("groups", 0, "group_id"), "", "group_id must be a non-empty string, got ''"),
     (("candidates", 0, "model_id"), "", "model_id must be a non-empty string, got ''"),
+    (("finding",), "", "finding must be a non-empty string, got ''"),
+    # gen wrote such ids and ingest stripped them, so " group_b" was read back as
+    # group_b: beside group_b, it gave a file that its own audit rejected.
+    (("groups", 0, "group_id"), " group_b",
+     "group_id must not start or end with whitespace, got ' group_b'"),
+    (("groups", 2, "group_id"), "group_c\u3000",
+     "group_id must not start or end with whitespace, got 'group_c\\u3000'"),
+    (("candidates", 0, "model_id"), "m2\t",
+     "model_id must not start or end with whitespace, got 'm2\\t'"),
+    (("finding",), "lung_lesion\n",
+     "finding must not start or end with whitespace, got 'lung_lesion\\n'"),
 ]
 
 
