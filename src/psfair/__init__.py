@@ -20,7 +20,6 @@ from .metrics import (
     BootstrapConfig,
     FairnessSummary,
     SubgroupPerformance,
-    auroc,
     macro_average,
     summarize,
 )
@@ -34,6 +33,7 @@ from .positive_sum import (
     PositiveSumComparison,
     classify,
     compare,
+    compare_study,
     decompose_disparity_change,
     gate,
     pareto_select,

@@ -227,69 +227,32 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     baseline = ingest(args.baseline, Path(args.baseline).stem, delimiter=delimiter)
     candidates = [ingest(p, Path(p).stem, delimiter=delimiter) for p in args.candidate]
-    study = align(baseline, candidates)
-
-    # One pass per finding scores every model: the models block takes each
-    # model's point summary, each comparison its candidate against the baseline.
-    models = (baseline, *study.candidates)
-    passes = [positive_sum._FindingDeltas(models, f, policy,
-                                          boot if args.conservative_ci else None)
-              for f in study.findings]
-    model_docs = [{"model_id": m.model_id,
-                   "findings": [_summary_dict(p.summary(i), with_groups=False) for p in passes]}
-                  for i, m in enumerate(models)]
-
-    comparisons, reports, warnings = [], [], []
-    for k, cand in enumerate(study.candidates, 1):
-        for p in passes:
-            try:
-                cmp = p.comparison(k, args.epsilon)
-            except ValueError as exc:
-                warnings.append(f"{cand.model_id}/{p.finding}: skipped ({exc})")
-                continue
-            narrative = (positive_sum.decompose_disparity_change(cmp)
-                         if sum(d.jointly_included for d in cmp.group_deltas) >= 2 else None)
-            doc = {**_plain(cmp), "narrative": _plain(narrative),
-                   "gate": _plain(positive_sum.gate(cmp, gate_policy))}
-            comparisons.append(cmp)
-            reports.append({key: doc[key] for key in _COMPARISON_KEYS})
+    result = positive_sum.compare_study(align(baseline, candidates), policy, boot, gate_policy)
+    warnings = [f"{cid}/{fid}: skipped ({reason})" for cid, fid, reason in result.unevaluated]
     for w in warnings:
         print(f"psfair: warning: {w}", file=sys.stderr)
-
-    pareto = []
-    for finding in study.findings:
-        per_finding = [c for c in comparisons if c.finding_id == finding]
-        if per_finding:
-            pareto.append({"finding_id": finding,
-                           "front": positive_sum.pareto_select(per_finding)})
-
-    macro_deltas = []
-    for cand in study.candidates:
-        own = [c for c in comparisons if c.candidate_id == cand.model_id]
-        if own:
-            macro_deltas.append({
-                "candidate_id": cand.model_id,
-                "mean_overall_delta": sum(c.overall_delta for c in own) / len(own),
-                "mean_min_group_delta": sum(c.min_group_delta for c in own) / len(own),
-            })
-
-    # A skipped (candidate, finding) was never evaluated, so it cannot promote.
-    all_promoted = not warnings and all(r["gate"]["promote"] for r in reports)
+    reports = [{**_plain(c), "narrative": _plain(n), "gate": _plain(v)}
+               for c, n, v in zip(result.comparisons, result.narratives, result.verdicts)]
+    reports = [{key: doc[key] for key in _COMPARISON_KEYS} for doc in reports]
 
     if args.format == "json":
         doc = {
             "report_type": "compare",
             "baseline_id": baseline.model_id,
             "config": {**_plain(policy), **_plain(boot), **_plain(gate_policy)},
-            "models": model_docs,
+            "models": [{"model_id": mid,
+                        "findings": [_summary_dict(s, with_groups=False) for s in sums]}
+                       for mid, sums in result.summaries.items()],
             "comparisons": reports,
             "coordinates": [
                 {"candidate_id": cid, "finding_id": fid, "x": x, "y": y}
-                for cid, fid, x, y in positive_sum.plot_coordinates(comparisons)
+                for cid, fid, x, y in positive_sum.plot_coordinates(result.comparisons)
             ],
-            "pareto": pareto,
-            "macro_deltas": macro_deltas,
-            "all_promoted": all_promoted,
+            "pareto": [{"finding_id": f, "front": front} for f, front in result.pareto.items()],
+            "macro_deltas": [{"candidate_id": cid, "mean_overall_delta": overall,
+                              "mean_min_group_delta": worst}
+                             for cid, (overall, worst) in result.macro_deltas.items()],
+            "all_promoted": result.all_promoted,
             "warnings": warnings,
         }
         _write_output(_render_json(doc), args.out)
@@ -302,7 +265,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ]
         _write_output(_render_csv(COMPARE_CSV_COLUMNS, rows), args.out)
 
-    return 0 if all_promoted else 1
+    return 0 if result.all_promoted else 1
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -123,23 +123,6 @@ class _Brackets:
         return two_u.astype(np.float64) / 2.0 / self.n_pairs
 
 
-def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
-    """Probability a random positive outscores a random negative, ties half.
-
-    Counts pairs from the negatives sorted once, so it exactly equals
-    exhaustive pair counting; no tolerance is needed.
-    """
-    pos = np.asarray(scores_pos, dtype=np.float64)
-    neg = np.asarray(scores_neg, dtype=np.float64)
-    if pos.size == 0:
-        raise ValueError("undefined AUROC: no positive scores")
-    if neg.size == 0:
-        raise ValueError("undefined AUROC: no negative scores")
-    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
-        raise ValueError("undefined AUROC: non-finite score")
-    return _Brackets(pos, neg).point()
-
-
 def _resample(brackets: Sequence[_Brackets], n_resamples: int,
               rng: np.random.Generator) -> np.ndarray:
     """AUROC of every model on each label-stratified resample of one cell.
@@ -261,7 +244,6 @@ __all__ = [
     "BootstrapConfig",
     "SubgroupPerformance",
     "FairnessSummary",
-    "auroc",
     "summarize",
     "macro_average",
 ]

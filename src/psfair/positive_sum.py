@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .cohort import AlignedStudy, InclusionPolicy, PredictionSet, _check_types
-from .metrics import BootstrapConfig, _FindingPass
+from .metrics import BootstrapConfig, FairnessSummary, _FindingPass
 
 
 class Classification(enum.Enum):
@@ -252,6 +252,60 @@ def pareto_select(cmps: Sequence[PositiveSumComparison]) -> list[str]:
     ]
     front.sort(key=lambda cid: (-points[cid][0], -points[cid][1], cid))
     return front
+
+
+@dataclass(frozen=True)
+class StudyComparison:
+    """``compare_study``'s result. ``summaries`` maps each model id, the baseline
+    first, to its point summary per finding. ``comparisons`` runs candidate by
+    candidate, finding by finding, with ``verdicts`` and ``narratives`` (None
+    below two jointly included groups) beside it; ``unevaluated`` lists
+    (candidate_id, finding_id, reason) per pair with no jointly included group.
+    """
+
+    summaries: dict[str, tuple[FairnessSummary, ...]]
+    comparisons: tuple[PositiveSumComparison, ...]
+    narratives: tuple[ChangeNarrative | None, ...]
+    verdicts: tuple[GateVerdict, ...]
+    unevaluated: tuple[tuple[str, str, str], ...]
+    pareto: dict[str, list[str]]  # finding -> pareto_select front
+    macro_deltas: dict[str, tuple[float, float]]  # candidate -> mean (overall, min group) delta
+    all_promoted: bool
+
+
+def compare_study(study: AlignedStudy, policy: InclusionPolicy = InclusionPolicy(),
+                  boot: BootstrapConfig = BootstrapConfig(),
+                  gate_policy: GatePolicy = GatePolicy()) -> StudyComparison:
+    """Every candidate against the baseline on every finding, as ``psfair compare``
+    reports it: each comparison is ``compare``'s at ``gate_policy.epsilon``, with
+    delta CIs only under ``gate_policy.conservative_ci``, and ``gate``'s verdict.
+    ``all_promoted`` holds only if every pair was evaluated and promotes.
+    """
+    models = (study.baseline, *study.candidates)
+    passes = [_FindingDeltas(models, f, policy, boot if gate_policy.conservative_ci else None)
+              for f in study.findings]
+    cmps, unevaluated = [], []
+    for k, cand in enumerate(study.candidates, 1):
+        for p in passes:
+            try:
+                cmps.append(p.comparison(k, gate_policy.epsilon))
+            except ValueError as exc:  # no jointly included group
+                unevaluated.append((cand.model_id, p.finding, str(exc)))
+    verdicts = tuple(gate(c, gate_policy) for c in cmps)
+    by_finding = {f: [c for c in cmps if c.finding_id == f] for f in study.findings}
+    by_cand = {m.model_id: [c for c in cmps if c.candidate_id == m.model_id]
+               for m in study.candidates}
+    return StudyComparison(
+        summaries={m.model_id: tuple(p.summary(i) for p in passes) for i, m in enumerate(models)},
+        comparisons=tuple(cmps),
+        narratives=tuple(None if c.disparity_change is None else decompose_disparity_change(c)
+                         for c in cmps),
+        verdicts=verdicts, unevaluated=tuple(unevaluated),
+        pareto={f: pareto_select(own) for f, own in by_finding.items() if own},
+        macro_deltas={cid: (sum(c.overall_delta for c in own) / len(own),
+                            sum(c.min_group_delta for c in own) / len(own))
+                      for cid, own in by_cand.items() if own},
+        all_promoted=not unevaluated and all(v.promote for v in verdicts))
 
 
 def plot_coordinates(

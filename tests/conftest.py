@@ -36,6 +36,12 @@ def random_instance(rng, max_records=200, tie_prone=True):
     return list(pos), list(neg)
 
 
+def auroc(scores_pos, scores_neg):
+    """Point AUROC of one cell, as audit and compare compute it: ``_Brackets.point``."""
+    return metrics._Brackets(np.asarray(scores_pos, np.float64),
+                             np.asarray(scores_neg, np.float64)).point()
+
+
 def bootstrap_ci(scores_pos, scores_neg, boot, rng):
     """Percentile CI of one cell's resampled AUROCs, clamped to [0, 1], as the
     kernel computes it: the counterpart of ``reference.rank_bootstrap_auroc_ci``."""

@@ -1,10 +1,10 @@
 """Straightforward forms of psfair's kernels, and test-only helpers.
 
 ``rank_auroc``, ``rank_bootstrap_auroc_ci`` and ``rank_delta_bootstrap_cis``
-are the plain forms of ``psfair.metrics.auroc``, of one cell's CI from
-``metrics._resample`` and ``BootstrapConfig.interval`` (as
-``conftest.bootstrap_ci`` takes it) and of the delta CIs of
-``positive_sum.compare(..., conservative=True)``. Each cell's stream is split
+are the plain forms of a cell's point AUROC (``metrics._Brackets.point``, as
+``conftest.auroc`` takes it), of one cell's CI from ``metrics._resample`` and
+``BootstrapConfig.interval`` (as ``conftest.bootstrap_ci`` takes it) and of
+the delta CIs of ``positive_sum.compare(..., conservative=True)``. Each cell's stream is split
 into a positive and a negative stream; every resample draws one index array
 from each, on its own, and is re-ranked with ``scipy.stats.rankdata``. The
 counting kernel must agree with them bit for bit.

@@ -14,7 +14,7 @@ import pytest
 
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy
-from psfair.metrics import BootstrapConfig, auroc, summarize
+from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import (
     Classification,
     GatePolicy,
@@ -25,7 +25,7 @@ from psfair.positive_sum import (
     pareto_select,
 )
 from psfair.synth import build_study, preset
-from conftest import group_rows, make_set, random_instance
+from conftest import auroc, group_rows, make_set, random_instance
 from reference import oracle_auroc
 from test_positive_sum import make_cmp
 

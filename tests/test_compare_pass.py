@@ -4,12 +4,15 @@ The pass brackets each cell once per model and resamples each resampled cell
 once for all models, on a stream keyed by the finding and the cell alone. So
 the report's ``models`` block must equal the one-model ``summarize``, a
 candidate's delta CIs must not depend on the other candidates passed with
-it, and the library's ``compare`` must give the CLI's CIs. Examples are
-derandomized, so every run checks the same cases.
+it, and the library's ``compare`` must give the CLI's CIs. ``compare_study``
+is the study-level verdict: its comparisons are ``compare``'s, its verdicts
+``gate``'s, and its ``all_promoted`` is ``psfair compare``'s exit code.
+Examples are derandomized, so every run checks the same cases.
 """
 
 import contextlib
 import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -22,8 +25,11 @@ from psfair import metrics
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
-from psfair.positive_sum import _FindingDeltas, compare
-from conftest import make_set
+from psfair.positive_sum import (
+    GatePolicy, _FindingDeltas, compare, compare_study, decompose_disparity_change, gate,
+    pareto_select,
+)
+from conftest import group_rows, make_set
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -89,6 +95,63 @@ def test_candidate_cis_do_not_depend_on_the_others(study, min_pos, min_neg, n, s
             assert scores.comparison(k, 0.0) == alone
 
 
+@PROPERTY
+@given(multi_study(), st.integers(0, 4), st.integers(0, 4), st.integers(1, 12),
+       st.integers(0, 2**32), st.sampled_from([0.0, 0.1, 1.0]), st.booleans())
+def test_compare_study_is_compare_gate_and_the_exit_code(study, min_pos, min_neg, n, seed,
+                                                         epsilon, conservative):
+    policy, boot = InclusionPolicy(min_pos, min_neg), BootstrapConfig(n, seed=seed)
+    gate_policy = GatePolicy(epsilon, conservative)
+    result = compare_study(study, policy, boot, gate_policy)
+    models = (study.baseline, *study.candidates)
+    assert result.summaries == {m.model_id: tuple(summarize(m, f, policy, None)
+                                                  for f in study.findings) for m in models}
+    cmps, unevaluated = [], []
+    for cand in study.candidates:
+        for f in study.findings:
+            try:
+                cmps.append(compare(study, f, cand.model_id, policy, boot, epsilon, conservative))
+            except ValueError as exc:
+                unevaluated.append((cand.model_id, f, str(exc)))
+    assert result.comparisons == tuple(cmps)
+    assert result.unevaluated == tuple(unevaluated)
+    assert result.verdicts == tuple(gate(c, gate_policy) for c in cmps)
+    assert result.narratives == tuple(
+        decompose_disparity_change(c) if sum(d.jointly_included for d in c.group_deltas) >= 2
+        else None for c in cmps)
+    assert result.pareto == {f: pareto_select([c for c in cmps if c.finding_id == f])
+                             for f in study.findings if any(c.finding_id == f for c in cmps)}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{m.model_id}.csv" for m in models]
+        for m, path in zip(models, paths):
+            emit(m, path)
+        argv = ["compare", "--baseline", str(paths[0]), "--min-pos", str(min_pos),
+                "--min-neg", str(min_neg), "--bootstrap-n", str(n), "--seed", str(seed),
+                "--epsilon", str(epsilon), "--out", str(Path(tmp) / "report.json")]
+        argv += ["--conservative-ci"] * conservative
+        for path in paths[1:]:
+            argv += ["--candidate", str(path)]
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code == (0 if result.all_promoted else 1)
+
+
+def test_compare_study_lists_an_unevaluated_pair_and_rejects():
+    # Finding "f" has 4 positives and 4 negatives, so no group passes the 5/5
+    # rule; on finding "h" the candidate equals the baseline and promotes.
+    rows = group_rows("f", "g", [0.9, 0.8, 0.7, 0.6], [0.1, 0.2, 0.3, 0.4])
+    same = group_rows("h", "g", [0.9] * 6, [0.1] * 6)
+    study = align(make_set("base", rows + same),
+                  [make_set("cand", [(e, f, y, -s, g) for e, f, y, s, g in rows] + same)])
+    result = compare_study(study)
+    reason = ("no jointly included group for finding 'f' under policy "
+              "InclusionPolicy(min_positives=5, min_negatives=5)")
+    assert result.unevaluated == (("cand", "f", reason),)
+    assert [(c.candidate_id, c.finding_id) for c in result.comparisons] == [("cand", "h")]
+    assert [v.promote for v in result.verdicts] == [True]
+    assert result.all_promoted is False
+
+
 def write_study(folder):
     """Prediction files of a study_ci-shaped study: 3 models, 2 findings and
     5 groups of 8 positives and 12 negatives, so every group is admitted."""
@@ -138,6 +201,19 @@ def test_study_brackets_each_cell_once_and_resamples_it_once(tmp_path, capsys):
     with counting() as (built, draws):
         run_compare(capsys, baseline, candidates, "--conservative-ci")
     assert len(built) == 36
+    assert draws == [3] * 12
+
+
+def test_point_gated_compare_study_never_resamples(tmp_path):
+    # desk_gate runs the point gate, which must not pay for the bootstrap.
+    baseline, *candidates = [ingest(p, p.stem) for p in write_study(tmp_path / "s")]
+    study = align(baseline, candidates)
+    with counting() as (built, draws):
+        result = compare_study(study, boot=BootstrapConfig(30))
+    assert len(result.comparisons) == 4 and len(built) == 36
+    assert draws == []
+    with counting() as (built, draws):
+        compare_study(study, boot=BootstrapConfig(30), gate_policy=GatePolicy(conservative_ci=True))
     assert draws == [3] * 12
 
 

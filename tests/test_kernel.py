@@ -17,10 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from psfair import metrics
 from psfair.cohort import InclusionPolicy, align
-from psfair.metrics import BootstrapConfig, auroc, summarize
+from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import compare
 from psfair.seeding import substream
-from conftest import bootstrap_ci, make_set
+from conftest import auroc, bootstrap_ci, make_set
 from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -4,15 +4,14 @@ import zlib
 import numpy as np
 import pytest
 
-from psfair.cohort import InclusionPolicy
+from psfair.cohort import InclusionPolicy, IngestError
 from psfair.metrics import (
     BootstrapConfig,
-    auroc,
     macro_average,
     summarize,
 )
 from psfair.seeding import substream
-from conftest import bootstrap_ci, group_rows, make_set, random_instance, set_rows
+from conftest import auroc, bootstrap_ci, group_rows, make_set, random_instance, set_rows
 from reference import oracle_auroc
 
 
@@ -28,10 +27,11 @@ class TestAuroc:
         assert auroc([0.9, 0.4], [0.8, 0.2]) == 0.75
 
     def test_empty_side_errors(self):
-        with pytest.raises(ValueError, match="undefined AUROC"):
-            auroc([], [0.1])
-        with pytest.raises(ValueError, match="undefined AUROC"):
-            auroc([0.9], [])
+        # A cell's AUROC needs both sides, so every set must give each finding both.
+        with pytest.raises(IngestError, match="finding 'f' in 'm' has no positive records"):
+            make_set("m", [("e0", "f", 0, 0.1, "a")])
+        with pytest.raises(IngestError, match="finding 'f' in 'm' has no negative records"):
+            make_set("m", [("e0", "f", 1, 0.9, "a")])
 
     def test_matches_oracle_on_random_instances(self, rng):
         for _ in range(200):

@@ -1,12 +1,15 @@
-"""Every name a psfair module exports resolves, and every test module imports.
+"""Every name a psfair module exports resolves, every test module imports,
+and the package's public names are the listed ones.
 
 The tier-1 command continues past collection errors, so a test module that
 fails to import, say on a name removed from ``psfair``, would otherwise drop
-out of the run with all its tests.
+out of the run with all its tests. Adding or removing a public name of
+``psfair`` means editing ``PUBLIC_NAMES``, so the change shows in the diff.
 """
 
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,15 @@ import psfair
 
 MODULES = ["psfair", *(f"psfair.{m.name}" for m in pkgutil.iter_modules(psfair.__path__))]
 TEST_MODULES = sorted(path.stem for path in Path(__file__).parent.glob("test_*.py"))
+PUBLIC_NAMES = (
+    "AlignedStudy", "AlignmentError", "BootstrapConfig", "CandidateSpec", "ChangeNarrative",
+    "Classification", "CohortError", "FairnessSummary", "GatePolicy", "GateVerdict",
+    "GroupDelta", "GroupRecipe", "InclusionPolicy", "IngestError", "NarrativeKind",
+    "PositiveSumComparison", "PredictionSet", "ScenarioSpec", "SubgroupPerformance", "align",
+    "build_study", "classify", "compare", "compare_study", "decompose_disparity_change", "emit",
+    "gate", "ingest", "load_scenario", "macro_average", "pareto_select", "plot_coordinates",
+    "preset", "summarize",
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,3 +38,10 @@ def test_exported_names_resolve(name):
 @pytest.mark.parametrize("name", TEST_MODULES)
 def test_test_module_imports(name):
     importlib.import_module(name)
+
+
+def test_public_names_are_listed():
+    # Submodules are attributes of the package once imported, but not names it defines.
+    names = sorted(n for n, v in vars(psfair).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert tuple(names) == PUBLIC_NAMES

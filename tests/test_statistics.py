@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from psfair import metrics
-from psfair.metrics import BootstrapConfig, auroc
+from psfair.metrics import BootstrapConfig
 from psfair.seeding import substream
 from psfair.synth import GroupRecipe, ScenarioSpec, build_study, mu_for_auc
-from conftest import bootstrap_ci
+from conftest import auroc, bootstrap_ci
 
 
 def binormal_cells(n_cells, n_per_side, target_auc, seed):

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from psfair.metrics import auroc
 from psfair.positive_sum import Classification, compare, decompose_disparity_change
 from psfair.synth import (
     PRESET_NAMES,
@@ -17,7 +16,7 @@ from psfair.synth import (
     mu_for_auc,
     preset,
 )
-from conftest import set_rows
+from conftest import auroc, set_rows
 from reference import oracle_auroc, scenario_to_dict
 
 
