@@ -37,7 +37,6 @@ from .positive_sum import (
     decompose_disparity_change,
     gate,
     pareto_select,
-    plot_coordinates,
 )
 from .synth import (
     CandidateSpec,

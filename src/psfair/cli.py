@@ -75,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=REPORT_FORMATS,
                         default=_env("FORMAT", _report_format, "json"),
                         help="report format (default json)")
-    parser.add_argument("--out", default=_env("OUT"),
+    parser.add_argument("--out", default=_env("OUT") or None,
                         help="write the report here instead of stdout")
     parser.add_argument("--tab", action="store_true", default=_env("TAB", _flag, False),
                         help="read input files as tab-separated instead of comma-separated")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_audit)
 
     p_cmp = sub.add_parser("compare", help="positive-sum comparison of candidates vs a baseline")
-    baseline = _env("BASELINE")
+    baseline = _env("BASELINE") or None
     p_cmp.add_argument("--baseline", required=baseline is None, default=baseline,
                        help="baseline prediction file")
     p_cmp.add_argument("--candidate", action="append", default=None,
@@ -158,24 +158,24 @@ _COMPARISON_KEYS = (
 )
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
+def _report(args: argparse.Namespace, doc: dict, columns: tuple, rows: list) -> None:
+    """Print the report's warnings to stderr, then write `doc` as JSON or
+    `rows` as CSV to --out or stdout."""
+    for w in doc["warnings"]:
+        print(f"psfair: warning: {w}", file=sys.stderr)
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        # Rows may carry keys beyond the columns; None is written as an empty field.
+        writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _render_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    # Rows may carry keys beyond the columns; None is written as an empty field.
-    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -186,30 +186,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     pset = ingest(args.model_file, model_id, delimiter=delimiter)
 
     summaries = [metrics.summarize(pset, f, policy, boot) for f in pset.findings]
-    warnings = [
-        f"finding {s.finding_id!r}: fairness score undefined "
-        f"(fewer than 2 included subgroups)"
-        for s in summaries
-        if s.fairness_score is None
-    ]
-    for w in warnings:
-        print(f"psfair: warning: {w}", file=sys.stderr)
-
     findings = [_summary_dict(s) for s in summaries]
-    if args.format == "json":
-        doc = {
-            "report_type": "audit",
-            "model_id": model_id,
-            "config": {**_plain(policy), **_plain(boot)},
-            "findings": findings,
-            "macro_average_auroc": metrics.macro_average(summaries),
-            "warnings": warnings,
-        }
-        _write_output(_render_json(doc), args.out)
-    else:
-        rows = [{**f, **g, "finding": f["finding_id"], "group": g["group_id"]}
-                for f in findings for g in f["groups"]]
-        _write_output(_render_csv(AUDIT_CSV_COLUMNS, rows), args.out)
+    doc = {
+        "report_type": "audit",
+        "model_id": model_id,
+        "config": {**_plain(policy), **_plain(boot)},
+        "findings": findings,
+        "macro_average_auroc": metrics.macro_average(summaries),
+        "warnings": [f"finding {s.finding_id!r}: fairness score undefined "
+                     f"(fewer than 2 included subgroups)"
+                     for s in summaries if s.fairness_score is None],
+    }
+    rows = [{**f, **g, "finding": f["finding_id"], "group": g["group_id"]}
+            for f in findings for g in f["groups"]]
+    _report(args, doc, AUDIT_CSV_COLUMNS, rows)
     return 0
 
 
@@ -228,43 +218,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
     baseline = ingest(args.baseline, Path(args.baseline).stem, delimiter=delimiter)
     candidates = [ingest(p, Path(p).stem, delimiter=delimiter) for p in args.candidate]
     result = positive_sum.compare_study(align(baseline, candidates), policy, boot, gate_policy)
-    warnings = [f"{cid}/{fid}: skipped ({reason})" for cid, fid, reason in result.unevaluated]
-    for w in warnings:
-        print(f"psfair: warning: {w}", file=sys.stderr)
     reports = [{**_plain(c), "narrative": _plain(n), "gate": _plain(v)}
                for c, n, v in zip(result.comparisons, result.narratives, result.verdicts)]
     reports = [{key: doc[key] for key in _COMPARISON_KEYS} for doc in reports]
-
-    if args.format == "json":
-        doc = {
-            "report_type": "compare",
-            "baseline_id": baseline.model_id,
-            "config": {**_plain(policy), **_plain(boot), **_plain(gate_policy)},
-            "models": [{"model_id": mid,
-                        "findings": [_summary_dict(s, with_groups=False) for s in sums]}
-                       for mid, sums in result.summaries.items()],
-            "comparisons": reports,
-            "coordinates": [
-                {"candidate_id": cid, "finding_id": fid, "x": x, "y": y}
-                for cid, fid, x, y in positive_sum.plot_coordinates(result.comparisons)
-            ],
-            "pareto": [{"finding_id": f, "front": front} for f, front in result.pareto.items()],
-            "macro_deltas": [{"candidate_id": cid, "mean_overall_delta": overall,
-                              "mean_min_group_delta": worst}
-                             for cid, (overall, worst) in result.macro_deltas.items()],
-            "all_promoted": result.all_promoted,
-            "warnings": warnings,
-        }
-        _write_output(_render_json(doc), args.out)
-    else:
-        rows = [
-            {**c, **d, **c["gate"], "candidate": c["candidate_id"], "finding": c["finding_id"],
-             "group": d["group_id"], "narrative": c["narrative"] and c["narrative"]["kind"],
-             "reasons": "; ".join(c["gate"]["reasons"])}
-            for c in reports for d in c["group_deltas"]
-        ]
-        _write_output(_render_csv(COMPARE_CSV_COLUMNS, rows), args.out)
-
+    doc = {
+        "report_type": "compare",
+        "baseline_id": baseline.model_id,
+        "config": {**_plain(policy), **_plain(boot), **_plain(gate_policy)},
+        "models": [{"model_id": mid,
+                    "findings": [_summary_dict(s, with_groups=False) for s in sums]}
+                   for mid, sums in result.summaries.items()],
+        "comparisons": reports,
+        "pareto": [{"finding_id": f, "front": front} for f, front in result.pareto.items()],
+        "macro_deltas": [{"candidate_id": cid, "mean_overall_delta": overall,
+                          "mean_min_group_delta": worst}
+                         for cid, (overall, worst) in result.macro_deltas.items()],
+        "all_promoted": result.all_promoted,
+        "warnings": [f"{cid}/{fid}: skipped ({reason})" for cid, fid, reason in result.unevaluated],
+    }
+    rows = [
+        {**c, **d, **c["gate"], "candidate": c["candidate_id"], "finding": c["finding_id"],
+         "group": d["group_id"], "narrative": c["narrative"] and c["narrative"]["kind"],
+         "reasons": "; ".join(c["gate"]["reasons"])}
+        for c in reports for d in c["group_deltas"]
+    ]
+    _report(args, doc, COMPARE_CSV_COLUMNS, rows)
     return 0 if result.all_promoted else 1
 
 
@@ -301,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)  # reads PSFAIR_* defaults
         return handlers[args.command](args)
-    except (CohortError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"psfair: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -392,7 +392,7 @@ class _Rows(_Columns):
         chunk: list[str] = []
         while True:
             try:
-                chunk.extend(islice(lines, _CHUNK_ROWS - len(chunk)))
+                chunk.extend(islice(lines, _CHUNK_ROWS))
             except (OSError, UnicodeError) as exc:
                 self.read_csv(_then_raise(chunk, exc), line)  # a bad row's error, else exc
             if not chunk:

@@ -307,12 +307,3 @@ def compare_study(study: AlignedStudy, policy: InclusionPolicy = InclusionPolicy
                       for cid, own in by_cand.items() if own},
         all_promoted=not unevaluated and all(v.promote for v in verdicts))
 
-
-def plot_coordinates(
-    cmps: Sequence[PositiveSumComparison],
-) -> list[tuple[str, str, float, float]]:
-    """(candidate, finding, x, y) points: x = overall delta, y = min group delta.
-
-    A candidate indistinguishable from the baseline sits exactly at (0, 0).
-    """
-    return [(c.candidate_id, c.finding_id, c.overall_delta, c.min_group_delta) for c in cmps]

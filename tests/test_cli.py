@@ -75,17 +75,22 @@ class TestAudit:
         assert [f["finding_id"] for f in doc["findings"]] == ["f1", "f2"]
         validate(doc, "audit_report.schema.json")
 
-    def test_single_group_warns_undefined_fairness(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_single_group_warns_undefined_fairness(self, tmp_path, capsys, fmt):
         text = "example_id,finding,label,score,group\n" + "".join(
             f"e{i},f,{i % 2},{i / 20},only\n" for i in range(20)
         )
         path = tmp_path / "m.csv"
         path.write_text(text)
-        rc, doc, err = run_json(capsys, ["audit", str(path), "--bootstrap-n", "20"])
+        rc = main(["audit", str(path), "--bootstrap-n", "20", "--format", fmt])
+        captured = capsys.readouterr()
         assert rc == 0
-        assert doc["findings"][0]["fairness_score"] is None
-        assert "fairness score undefined" in err
-        validate(doc, "audit_report.schema.json")
+        assert captured.err == ("psfair: warning: finding 'f': fairness score undefined "
+                                "(fewer than 2 included subgroups)\n")
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            assert doc["findings"][0]["fairness_score"] is None
+            validate(doc, "audit_report.schema.json")
 
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -166,8 +171,7 @@ class TestCompare:
         assert doc["all_promoted"] is True
         (comparison,) = doc["comparisons"]
         assert comparison["classification"] == "non_harmful"
-        (coord,) = doc["coordinates"]
-        assert coord["x"] > 0 and coord["y"] > 0
+        assert comparison["overall_delta"] > 0 and comparison["min_group_delta"] > 0
         validate(doc, "compare_report.schema.json")
 
     def test_m4_like_rejects_with_group_loss(self, tmp_path, capsys):
@@ -183,7 +187,7 @@ class TestCompare:
         (comparison,) = doc["comparisons"]
         assert not comparison["gate"]["promote"]
         assert any("group-loss" in r for r in comparison["gate"]["reasons"])
-        assert doc["coordinates"][0]["y"] < 0
+        assert comparison["min_group_delta"] < 0
         validate(doc, "compare_report.schema.json")
 
     def test_candidate_equals_baseline(self, study_files, tmp_path, capsys):
@@ -346,6 +350,25 @@ class TestReportKeyOrder:
         schema = json.loads((SCHEMAS / f"{command}_report.schema.json").read_text())
         assert assert_schema_key_order(doc, schema, schema) >= 3
 
+    def test_closed_objects_require_every_property(self):
+        # A key dropped from only one of `properties` and `required` fails here.
+        def objects(node):
+            if isinstance(node, dict):
+                if "properties" in node:
+                    yield node
+                for value in node.values():
+                    yield from objects(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from objects(value)
+
+        for path in sorted(SCHEMAS.glob("*.schema.json")):
+            found = list(objects(json.loads(path.read_text())))
+            assert len(found) >= 3, path.name
+            for node in found:
+                assert node.get("additionalProperties") is False, (path.name, node)
+                assert node.get("required") == list(node["properties"]), (path.name, node)
+
 
 class TestEnvironment:
     @pytest.mark.parametrize("name,value", [
@@ -360,6 +383,21 @@ class TestEnvironment:
         monkeypatch.setenv(name, value)
         assert main(["audit", str(path)]) == 2
         assert f"psfair: error: {name}={value!r}" in capsys.readouterr().err
+
+    def test_empty_out_writes_stdout(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text("example_id,finding,label,score,group\ne1,f,1,0.5,g\ne2,f,0,0.1,g\n")
+        monkeypatch.setenv("PSFAIR_OUT", "")
+        rc, doc, _ = run_json(capsys, ["audit", str(path), "--bootstrap-n", "10"])
+        assert rc == 0
+        assert doc["report_type"] == "audit"
+
+    def test_empty_baseline_is_unset(self, study_files, capsys, monkeypatch):
+        monkeypatch.setenv("PSFAIR_BASELINE", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--candidate", str(study_files["m2"])])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --baseline" in capsys.readouterr().err
 
 
 class TestGen:

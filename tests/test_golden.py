@@ -23,36 +23,36 @@ GOLDEN = {
          "m2.csv": "db0fed49b6578ff610e61e9b15fe38d2520073955149b50d4d828c7a19ddc87b",
          "audit.json": "c7579048f35add594ec5ba0e7646b86592618951dd2a5d3013565960e28e8f16",
          "audit.csv": "58e87359b96e4be850bb501f4f3eb77655703b249677d7820a2c0558249eb422",
-         "compare.json": "1a03417eb335ca52af99b345fe3e835eac85cad064f7468afb88f57290046a6c",
+         "compare.json": "c7428ad6cb528e7f658900b81549b0806d0c34aa35cbf44d3f87e7059376ec39",
          "compare.csv": "a00bc0e143179e702209ea0df58f5457013ad63ea484e1fce419a54158a5b763",
-         "conservative.json": "effc40a2c5bd1a2f0527f06cded03aa836e8c4cf5c2fe661b9f3e1cb249fe44c"},
+         "conservative.json": "f3d167b6c64ab808a9627edea1461afeecce2d31ef0fe03cfcad022b9943ab22"},
         (0, 0, 0, 0, 0, 0)),
     ("m3_like", "m3"): (
         {"baseline.csv": "9c3743af556ae14536b1d7e4f2365a4019fd281d048c02eb7cedcd78ad2682bf",
          "m3.csv": "49154530a547cdf2dfafb9bcd1b48093beb450cc80d5170b1a8428690c5e3790",
          "audit.json": "713ce08635fdab7d5dcbb0a3fe5e2d411781612c2d782f22ff3474d2f569da78",
          "audit.csv": "77187e1c11b677818aafc4f01f62c0cd10471185356f9ecd49ec0a1fe604669b",
-         "compare.json": "ae7f64a426ddbee7b51a1eb68fd1810b6a7ccb2da761c0aacdf7a7675c7759af",
+         "compare.json": "84ce29e888e7970f4bbcef4f8106dbd0e7afaea6a56d1481afc7463ffc8c6952",
          "compare.csv": "11adb68fda5f151ccf36c99c8953151b232ad9da212cc65b15300aa2fee54ed9",
-         "conservative.json": "625ca74805a2d085522983371151f3dad33302d46200d89d704f4156181afd24"},
+         "conservative.json": "1a3e68cd83889fee1f5d0dcfde8a224747621a61f356554f8606cd28ffb70a23"},
         (0, 0, 0, 1, 1, 1)),
     ("m4_like", "m4"): (
         {"baseline.csv": "9c3743af556ae14536b1d7e4f2365a4019fd281d048c02eb7cedcd78ad2682bf",
          "m4.csv": "ad5ca03534984b5ff1335867476b6f2f6756fca389425dd99ced2e27a416ed6c",
          "audit.json": "0507a32ae144e9f8940f9618438a8751a0f899677ba632a50dd466d85b848c32",
          "audit.csv": "d9d871242ac653e589c46108132b8208d2b29f35dfdf8fafa6bde26dcf9a2a71",
-         "compare.json": "aa02d352c35c2c31bf42353999038942e6311e628ced406d55fc19d0ccbc09ae",
+         "compare.json": "5beb294befd404a0683b08b190e88280a03d139c2f838d6a3686dd878a535c8e",
          "compare.csv": "abdd7ac46dcee70739db68e1fad9ea58574c8960590534e097131b5c8627e856",
-         "conservative.json": "e6486777d5f95371b037adec50163f97e8919d3d33f7c22f29a6dd8a81616d2a"},
+         "conservative.json": "3facf339888e844a3d4464b9f1d53a3587d4a1136756443afbe623488003b35f"},
         (0, 0, 0, 1, 1, 1)),
     ("no_change", "m_same"): (
         {"baseline.csv": "9c3743af556ae14536b1d7e4f2365a4019fd281d048c02eb7cedcd78ad2682bf",
          "m_same.csv": "9c3743af556ae14536b1d7e4f2365a4019fd281d048c02eb7cedcd78ad2682bf",
          "audit.json": "8061ccc11467c89c2f8e7286a22386181d59d8bf090247e837e71005ca0d754f",
          "audit.csv": "631a06404b2940ea34c5771c2cdd0f8b455877108414cc1a55cfe531b1012629",
-         "compare.json": "b90a7b692aa8e13c272908eb19cc01d1e8746a1ff37ca1fd462422e55fde9f69",
+         "compare.json": "da0aa78f71b82113174c9c1279c008ddc435a720327292ffbd8b95f74a190e7f",
          "compare.csv": "ae5b84ea5c9d352671b9ba189311a5f6ed90d3b288225ac3e6152ec2e224d688",
-         "conservative.json": "e8621086f70acbb8f8ba55b9b3e5e18a765c5988affdc3032df3af3f2277dfb1"},
+         "conservative.json": "c24b925787e61919d6f911a6410c39f9b15d9c578c4dc8fcecf620bb0ca35207"},
         (0, 0, 0, 0, 0, 0)),
 }
 

@@ -24,8 +24,8 @@ PUBLIC_NAMES = (
     "GroupDelta", "GroupRecipe", "InclusionPolicy", "IngestError", "NarrativeKind",
     "PositiveSumComparison", "PredictionSet", "ScenarioSpec", "SubgroupPerformance", "align",
     "build_study", "classify", "compare", "compare_study", "decompose_disparity_change", "emit",
-    "gate", "ingest", "load_scenario", "macro_average", "pareto_select", "plot_coordinates",
-    "preset", "summarize",
+    "gate", "ingest", "load_scenario", "macro_average", "pareto_select", "preset",
+    "summarize",
 )
 
 

@@ -13,7 +13,6 @@ from psfair.positive_sum import (
     dominates,
     gate,
     pareto_select,
-    plot_coordinates,
 )
 from conftest import group_rows, make_set, set_rows
 
@@ -302,9 +301,4 @@ class TestPlotCoordinates:
     def test_no_change_at_origin(self):
         study = study_from_group_aurocs({"A": 0.7, "B": 0.8}, {"A": 0.7, "B": 0.8})
         cmp = compare(study, "f", "cand")
-        assert plot_coordinates([cmp]) == [("cand", "f", 0.0, 0.0)]
-
-    def test_one_point_per_comparison(self):
-        cmps = [make_cmp(0.01, 0.02, "a"), make_cmp(-0.01, 0.0, "b")]
-        pts = plot_coordinates(cmps)
-        assert [(p[0], p[2], p[3]) for p in pts] == [("a", 0.01, 0.02), ("b", -0.01, 0.0)]
+        assert (cmp.overall_delta, cmp.min_group_delta) == (0.0, 0.0)
