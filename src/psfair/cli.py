@@ -3,6 +3,7 @@
 Exit codes: 0 success (and, for compare, every candidate promoted), 1 at least
 one candidate rejected by the gate, 2 input or validation error or out of
 memory. This makes `psfair compare` usable directly as a CI promotion gate.
+Each command imports the psfair modules it runs, and no others.
 
 These flags take their default from a PSFAIR_<NAME> variable (e.g.
 PSFAIR_BOOTSTRAP_N=500); explicit flags win and a malformed value exits 2:
@@ -25,11 +26,6 @@ import os
 import sys
 from pathlib import Path
 from typing import Sequence
-
-from . import metrics, positive_sum, synth
-from .cohort import CohortError, InclusionPolicy, align, emit, ingest
-from .metrics import BootstrapConfig, FairnessSummary
-from .positive_sum import GatePolicy
 
 _ENV_PREFIX = "PSFAIR_"
 REPORT_FORMATS = ("json", "csv")
@@ -109,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a synthetic baseline/candidate study to disk")
     p_gen.add_argument("scenario",
-                       help=f"scenario JSON file or preset name {sorted(synth.PRESET_NAMES)}")
+                       help="scenario JSON file or preset name (listed in the README)")
     p_gen.add_argument("--out-dir", default=_env("OUT_DIR", default="."),
                        help="directory for the generated prediction files (default .)")
     p_gen.add_argument("--seed", type=int, default=None,
@@ -144,7 +140,7 @@ def _plain(obj):
     return obj
 
 
-def _summary_dict(summary: FairnessSummary, with_groups: bool = True) -> dict:
+def _summary_dict(summary, with_groups: bool = True) -> dict:
     doc = _plain(summary)
     groups = doc.pop("per_group")
     return {**doc, "groups": groups} if with_groups else doc
@@ -179,20 +175,23 @@ def _report(args: argparse.Namespace, doc: dict, columns: tuple, rows: list) -> 
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .cohort import InclusionPolicy, ingest
+    from .metrics import BootstrapConfig, macro_average, summarize
+
     policy = InclusionPolicy(args.min_pos, args.min_neg)
     boot = BootstrapConfig(args.bootstrap_n, args.confidence, args.seed)
     delimiter = "\t" if args.tab else ","
     model_id = args.model_id or Path(args.model_file).stem
     pset = ingest(args.model_file, model_id, delimiter=delimiter)
 
-    summaries = [metrics.summarize(pset, f, policy, boot) for f in pset.findings]
+    summaries = [summarize(pset, f, policy, boot) for f in pset.findings]
     findings = [_summary_dict(s) for s in summaries]
     doc = {
         "report_type": "audit",
         "model_id": model_id,
         "config": {**_plain(policy), **_plain(boot)},
         "findings": findings,
-        "macro_average_auroc": metrics.macro_average(summaries),
+        "macro_average_auroc": macro_average(summaries),
         "warnings": [f"finding {s.finding_id!r}: fairness score undefined "
                      f"(fewer than 2 included subgroups)"
                      for s in summaries if s.fairness_score is None],
@@ -204,6 +203,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .cohort import CohortError, InclusionPolicy, align, ingest
+    from .metrics import BootstrapConfig
+    from .positive_sum import GatePolicy, compare_study
+
     if not args.candidate:
         env_cand = _env("CANDIDATE")
         if env_cand:
@@ -217,7 +220,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     baseline = ingest(args.baseline, Path(args.baseline).stem, delimiter=delimiter)
     candidates = [ingest(p, Path(p).stem, delimiter=delimiter) for p in args.candidate]
-    result = positive_sum.compare_study(align(baseline, candidates), policy, boot, gate_policy)
+    result = compare_study(align(baseline, candidates), policy, boot, gate_policy)
     reports = [{**_plain(c), "narrative": _plain(n), "gate": _plain(v)}
                for c, n, v in zip(result.comparisons, result.narratives, result.verdicts)]
     reports = [{key: doc[key] for key in _COMPARISON_KEYS} for doc in reports]
@@ -247,18 +250,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .cohort import emit
+    from .synth import PRESET_NAMES, build_study, load_scenario, preset
+
     if os.path.exists(args.scenario):
-        spec = synth.load_scenario(args.scenario)
-    elif args.scenario in synth.PRESET_NAMES:
-        spec = synth.preset(args.scenario)
+        spec = load_scenario(args.scenario)
+    elif args.scenario in PRESET_NAMES:
+        spec = preset(args.scenario)
     else:
         raise ValueError(
             f"{args.scenario!r} is neither a scenario file nor a preset "
-            f"{sorted(synth.PRESET_NAMES)}"
+            f"{sorted(PRESET_NAMES)}"
         )
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    study = synth.build_study(spec)
+    study = build_study(spec)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

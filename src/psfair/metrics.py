@@ -44,9 +44,22 @@ class BootstrapConfig:
             raise ValueError("confidence_level must be in (0, 1)")
 
     def interval(self, stats: np.ndarray) -> tuple:
-        """Percentile interval at this confidence level: two floats, or two lists for 2-D stats."""
+        """Percentile interval at this confidence level: two floats, or two lists for 2-D stats.
+
+        ``np.quantile``'s default linear rule, written out bit for bit, since
+        ``np.quantile`` loads ``numpy.ma`` (through ``np.unique``) on first use.
+        """
         alpha = 1.0 - self.confidence_level
-        return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1).tolist())
+        stats, last = np.sort(stats, axis=-1), stats.shape[-1] - 1
+        ends = []
+        for index in (last * (alpha / 2.0), last * (1.0 - alpha / 2.0)):
+            if index >= last:
+                ends.append(stats[..., last])
+            else:
+                below = int(index)
+                t, a, b = index - below, stats[..., below], stats[..., below + 1]
+                ends.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+        return tuple(np.stack(ends).tolist())
 
 
 @dataclass(frozen=True)

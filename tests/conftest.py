@@ -1,8 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import psfair
 from psfair import metrics
 from psfair.cohort import PredictionSet
+
+
+def child_env():
+    """The environment with this checkout's psfair first on PYTHONPATH."""
+    src = str(Path(psfair.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def make_set(model_id, rows):

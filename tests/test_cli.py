@@ -1,5 +1,4 @@
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -9,11 +8,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-import psfair
 from psfair.cli import COMPARE_CSV_COLUMNS, main
 from psfair.cohort import emit, ingest
 from psfair.synth import build_study, preset
-from conftest import group_rows
+from conftest import child_env, group_rows
 from reference import scenario_to_dict
 from test_synth import MALFORMED, WRONG_TYPES, set_field
 
@@ -446,6 +444,14 @@ class TestGen:
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         assert main(["gen", "nonexistent_preset", "--out-dir", str(tmp_path)]) == 2
 
+    def test_unknown_scenario_names_every_preset(self, capsys):
+        # gen's help cannot list the presets without loading synth, so the error must.
+        assert main(["gen", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("psfair: error: 'nosuch' is neither a scenario file nor a preset")
+        for name in ("no_change", "m2_like", "m3_like", "m4_like"):
+            assert repr(name) in err
+
     def test_invalid_scenario_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"name\": \"x\"}")
@@ -526,13 +532,6 @@ class TestEndToEnd:
         assert comparison["min_group_delta"] == lib.min_group_delta
 
 
-def child_env():
-    """The environment with this checkout's psfair first on PYTHONPATH."""
-    src = str(Path(psfair.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-
-
 def test_cli_import_loads_no_scipy(tmp_path):
     # psfair runs on numpy alone: no command loads scipy, gen included.
     code = (
@@ -549,6 +548,45 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=child_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+LOADED_MODULES = """
+import json, sys
+from psfair import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+else:
+    cli.build_parser()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `psfair *argv`,
+    or after building the parser when argv is empty."""
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_parser_loads_no_numpy_and_no_other_psfair_module():
+    loaded = loaded_modules()
+    assert "numpy" not in loaded
+    assert sorted(m for m in loaded if m.startswith("psfair.")) == ["psfair.cli"]
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    (["gen", "m2_like", "--out-dir", "{out}"], {"psfair.metrics", "psfair.positive_sum"}),
+    (["audit", "{baseline}"], {"psfair.synth", "psfair.positive_sum", "numpy.ma"}),
+    (["compare", "--conservative-ci", "--baseline", "{baseline}", "--candidate", "{m2}"],
+     {"psfair.synth", "numpy.ma"}),
+], ids=["gen", "audit", "compare"])
+def test_each_command_loads_only_what_it_runs(study_files, tmp_path, command, unloaded):
+    # np.quantile would load numpy.ma, through np.unique, partway through a run.
+    argv = [arg.format(out=tmp_path / "gen", **study_files) for arg in command]
+    if command[0] != "gen":
+        argv += ["--bootstrap-n", "5"]
+    assert loaded_modules(*argv) & unloaded == set()
 
 
 @pytest.mark.parametrize("command", [

@@ -206,6 +206,23 @@ def test_interval_of_rows_matches_each_row(rows, n, level, seed):
     assert all(type(end) is float for end in boot.interval(stats[0]))
 
 
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(st.none(), st.integers(1, 4)), st.one_of(st.just(1), st.integers(1, 400)),
+       st.one_of(st.sampled_from([0.5, 1e-9, 0.01, 0.99, 1 - 1e-9]),
+                 st.floats(0, 1, exclude_min=True, exclude_max=True)),
+       st.sampled_from([0, 1, 2, None]), st.booleans(), seeds)
+def test_interval_is_numpys_linear_quantile(rows, n, level, decimals, signed, seed):
+    # interval writes np.quantile's default rule out; the two must agree bit for bit.
+    stats = np.random.default_rng(seed).random((n,) if rows is None else (rows, n))
+    if signed:
+        stats = 2.0 * stats - 1.0
+    if decimals is not None:  # ties; + 0.0 makes each rounded -0.0 a 0.0, since a sort
+        stats = np.round(stats, decimals) + 0.0  # and a partition may order the two apart
+    alpha = 1.0 - level
+    expected = tuple(np.quantile(stats, [alpha / 2, 1 - alpha / 2], axis=-1).tolist())
+    assert repr(BootstrapConfig(confidence_level=level).interval(stats)) == repr(expected)
+
+
 def test_cell_larger_than_block_cap():
     # With the real cap: one resample per block, then a ragged last block.
     rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """Every name a psfair module exports resolves, every test module imports,
-and the package's public names are the listed ones.
+the package's public names are the listed ones, and ``import psfair`` loads
+none of its submodules until one of their names is used.
 
 The tier-1 command continues past collection errors, so a test module that
 fails to import, say on a name removed from ``psfair``, would otherwise drop
@@ -9,12 +10,15 @@ out of the run with all its tests. Adding or removing a public name of
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import psfair
+from conftest import child_env
 
 MODULES = ["psfair", *(f"psfair.{m.name}" for m in pkgutil.iter_modules(psfair.__path__))]
 TEST_MODULES = sorted(path.stem for path in Path(__file__).parent.glob("test_*.py"))
@@ -41,7 +45,20 @@ def test_test_module_imports(name):
 
 
 def test_public_names_are_listed():
-    # Submodules are attributes of the package once imported, but not names it defines.
-    names = sorted(n for n, v in vars(psfair).items()
-                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    # dir() lists a lazy export whether or not anything has used it yet, so the
+    # result does not depend on test order. Submodules are attributes of the
+    # package once imported, but not names it defines.
+    names = sorted(n for n in dir(psfair)
+                   if not n.startswith("_") and not isinstance(getattr(psfair, n), types.ModuleType))
     assert tuple(names) == PUBLIC_NAMES
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    code = ("import sys, psfair\n"
+            "assert [m for m in sys.modules if m.startswith(('psfair.', 'numpy'))] == []\n"
+            "psfair.positive_sum.StudyComparison, psfair.summarize\n"
+            "print(sorted(m for m in sys.modules if m.startswith('psfair.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == (
+        "['psfair.cohort', 'psfair.metrics', 'psfair.positive_sum', 'psfair.seeding']")
