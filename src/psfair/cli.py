@@ -5,6 +5,10 @@ one candidate rejected by the gate, 2 input or validation error or out of
 memory. This makes `psfair compare` usable directly as a CI promotion gate.
 Each command imports the psfair modules it runs, and no others.
 
+The `psfair` program (`entrypoint`, also run by `python -m psfair.cli`) sets
+OPENBLAS_NUM_THREADS=1 unless the caller set it, because psfair makes no BLAS
+call; `main` and the library never change the environment.
+
 These flags take their default from a PSFAIR_<NAME> variable (e.g.
 PSFAIR_BOOTSTRAP_N=500); explicit flags win and a malformed value exits 2:
 --min-pos, --min-neg, --bootstrap-n, --confidence, --seed, --format, --out
@@ -294,6 +298,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # Before any command imports numpy, whose OpenBLAS would otherwise start a
+    # worker pool that only spins. OpenBLAS reads an empty value as unset.
+    if not os.environ.get("OPENBLAS_NUM_THREADS"):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(main())
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -606,3 +607,95 @@ def test_out_of_memory_exits_2(study_files, command):
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("psfair: error: out of memory: ")
+
+
+
+# Imported at start-up from PYTHONPATH; records what the child saw when it exits.
+EXIT_PROBE = """
+import atexit, json, os, sys
+
+def record():
+    seen = {"blas": os.environ.get("OPENBLAS_NUM_THREADS"), "numpy": "numpy" in sys.modules}
+    if os.path.isfile("/proc/self/status"):
+        with open("/proc/self/status") as status:
+            seen["threads"] = next(int(line.split()[1]) for line in status
+                                   if line.startswith("Threads:"))
+    with open(os.environ["EXIT_PROBE_OUT"], "w") as out:
+        json.dump(seen, out)
+
+atexit.register(record)
+"""
+
+
+def blas_env(value: str | None) -> dict:
+    """child_env() with OPENBLAS_NUM_THREADS unset (None) or set to value."""
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env if value is None else {**env, "OPENBLAS_NUM_THREADS": value}
+
+
+def probed_child(tmp_path, args: list[str], blas: str | None = None) -> dict:
+    """Run `python *args` with EXIT_PROBE loaded; what it recorded at exit."""
+    (tmp_path / "probe").mkdir()
+    (tmp_path / "probe" / "sitecustomize.py").write_text(EXIT_PROBE)
+    env = blas_env(blas)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "probe"), env["PYTHONPATH"]])
+    env["EXIT_PROBE_OUT"] = str(tmp_path / "seen.json")
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads((tmp_path / "seen.json").read_text())
+
+
+def stub_main_child(main_body: str) -> list[str]:
+    """Arguments that run cli.entrypoint() with cli.main replaced by a stub."""
+    return ["-c", f"from psfair import cli\ndef main():\n    {main_body}\n    return 0\n"
+                  "cli.main = main\ncli.entrypoint()\n"]
+
+
+@pytest.mark.parametrize("value, expected", [(None, "1"), ("", "1"), ("3", "3")],
+                         ids=["unset", "empty", "caller"])
+def test_entrypoint_gives_openblas_one_thread_unless_the_caller_chose(tmp_path, value,
+                                                                      expected):
+    # The program makes no BLAS call, so OpenBLAS gets one thread before numpy loads;
+    # OpenBLAS reads an empty value as unset, and any other value is the caller's.
+    seen = probed_child(tmp_path, stub_main_child("pass"), value)
+    assert (seen["blas"], seen["numpy"]) == (expected, False)
+
+
+@pytest.mark.parametrize("args", [
+    stub_main_child("import numpy"),
+    ["-m", "psfair.cli", "audit", "{m2}", "--bootstrap-n", "5"],
+], ids=["stub", "module"])
+def test_program_starts_no_openblas_pool(study_files, tmp_path, args):
+    seen = probed_child(tmp_path, [arg.format(**study_files) for arg in args])
+    assert (seen["blas"], seen["numpy"]) == ("1", True)
+    if "threads" in seen:  # Linux
+        assert seen["threads"] == 1
+
+
+REPORT_COMMANDS = [
+    ["audit", "{m2}"],
+    ["compare", "--conservative-ci", "--bootstrap-n", "20", "--baseline", "{baseline}",
+     "--candidate", "{m2}"],
+]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS, ids=["audit", "compare"])
+def test_in_process_run_leaves_the_environment_alone(study_files, capsys, monkeypatch,
+                                                    command):
+    # Unset, as a program would find it; only the entry point sets it.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    main([arg.format(**study_files) for arg in command])
+    capsys.readouterr()
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS, ids=["audit", "compare"])
+def test_report_does_not_depend_on_blas_threads(study_files, command):
+    argv = [sys.executable, "-m", "psfair.cli", *(arg.format(**study_files) for arg in command)]
+    unset, two = (subprocess.run(argv, env=blas_env(value), capture_output=True)
+                  for value in (None, "2"))
+    assert unset.returncode in (0, 1), unset.stderr
+    assert (two.returncode, two.stdout, two.stderr) == \
+        (unset.returncode, unset.stdout, unset.stderr)
