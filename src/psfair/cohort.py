@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse, islice
+from itertools import chain, count, islice
 from numbers import Real
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -116,15 +117,18 @@ class _Columns:
     one encoder of ``ingest`` and of the ``PredictionSet`` constructor.
 
     Each id column becomes integer codes into a running vocabulary, in the
-    order ids are first seen; ``labels`` holds the two values read as 0 and
-    1, and the first row with any other label is remembered, not raised at
-    once, so that an error found later in reading still comes first. Only
-    numbers are kept per row; strings are kept once per distinct id.
+    order ids are first seen. Each id costs one lookup: the vocabulary is a
+    ``defaultdict`` that gives an unseen id the next code. ``labels`` holds
+    the two values read as 0 and 1, and the first row with any other label
+    is remembered, not raised at once, so that an error found later in
+    reading still comes first. Only numbers are kept per row; strings are
+    kept once per distinct id.
     """
 
     def __init__(self, labels: tuple):
         self.labels = labels
-        self.vocabs: tuple[dict, ...] = ({}, {}, {})  # example, finding, group: id -> code
+        # example, finding, group: id -> code
+        self.vocabs = tuple(defaultdict(count().__next__) for _ in range(3))
         self.codes: tuple[list[np.ndarray], ...] = ([], [], [])
         self.label: list[np.ndarray] = []
         self.score: list[np.ndarray] = []
@@ -138,8 +142,6 @@ class _Columns:
         """Append one chunk of rows, its columns of equal length."""
         n = len(score)
         for vocab, codes, ids in zip(self.vocabs, self.codes, (example_id, finding_id, group_id)):
-            vocab.update(zip([*filterfalse(vocab.__contains__, dict.fromkeys(ids))],
-                             count(len(vocab))))
             codes.append(np.fromiter(map(vocab.__getitem__, ids), np.intp, n))
         try:
             self.label.append(np.fromiter(map(self.labels.index, label), np.int8, n))

@@ -5,8 +5,10 @@ score pairs ranked correctly, ties counted half. It is counted, not ranked:
 a cell's negatives are sorted once and every positive is bracketed among them,
 so the point estimate and each bootstrap resample reduce to integer counts
 read off a prefix sum of negatives per level, one flattened prefix sum per
-block of resamples. ``2U`` (twice the number of correct pairs, ties once) is
-exact, so every AUROC agrees bit for bit with exhaustive pair counting.
+block of resamples. A bootstrap call allocates its index scratch once, sized
+to one block, and every block and model writes into it. ``2U`` (twice the
+number of correct pairs, ties once) is exact, so every AUROC agrees bit for
+bit with exhaustive pair counting.
 ``_FindingPass`` scores a finding for audit and compare alike: it brackets
 each cell once per model, and ``_resample`` draws every resample, of audit
 and of paired delta CIs, on those brackets.
@@ -92,6 +94,8 @@ class FairnessSummary:
 # Most draw indices one block of a cell's resamples holds; the kernel's flat
 # prefix sum (``count * (n_levels + 1)`` slots) and every other temporary are
 # small multiples of it. A resample larger than this gets a block of its own.
+# ``_resample`` sizes its scratch to one block, once per call, so the blocks
+# reuse one set of buffers instead of each allocating and freeing its own.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -117,23 +121,38 @@ class _Brackets:
         np.cumsum(np.bincount(self.neg_level, minlength=self.n_levels), out=cum[1:])
         return float((cum[self.lo].sum() + cum[self.hi].sum()) / 2.0 / self.n_pairs)
 
-    def aurocs(self, pos_draws: np.ndarray, neg_draws: np.ndarray) -> np.ndarray:
-        """AUROC of each resample, given as rows of positive and negative indices.
+    def aurocs(self, pos_draws: np.ndarray, neg_draws: np.ndarray, out: np.ndarray,
+               scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        """Write into ``out`` the AUROC of each resample, given as rows of
+        positive and negative indices.
 
         Row r's negative levels are shifted by ``r * width + 1`` (``width =
         n_levels + 1``), and one ``bincount`` and 1-D ``cumsum`` of the flat
         block give ``total``. Every earlier row drew ``n_neg`` negatives, so
         row r's ``cum[j]`` is ``total[r * width + j] - r * n_neg``.
+
+        ``scratch`` is a ``(negatives, positives)`` pair of intp arrays that
+        ``_resample`` allocates once per call, with as many rows as its
+        largest block; the block's levels, then its ``lo`` and its ``hi``
+        bounds, are gathered into their first rows (``mode="clip"``, since
+        ``take`` with the default mode buffers ``out``; every index is in
+        range). ``2U / (2 * n_pairs)`` has the bits of ``2U / 2 / n_pairs``,
+        since halving is exact.
         """
         (rows, n_pos), (_, n_neg) = pos_draws.shape, neg_draws.shape
+        level, bound = scratch[0][:rows], scratch[1][:rows]
         width = self.n_levels + 1
-        shift = np.arange(rows) * width
-        flat = (self.neg_level[neg_draws] + (shift + 1)[:, None]).ravel()
-        total = np.bincount(flat, minlength=rows * width).cumsum()
-        two_u = (total[self.lo[pos_draws] + shift[:, None]].sum(axis=1)
-                 + total[self.hi[pos_draws] + shift[:, None]].sum(axis=1)
-                 - 2 * n_pos * n_neg * np.arange(rows))
-        return two_u.astype(np.float64) / 2.0 / self.n_pairs
+        shift = np.arange(rows)[:, None] * width
+        np.take(self.neg_level, neg_draws, out=level, mode="clip")
+        level += shift + 1
+        total = np.bincount(level.ravel(), minlength=rows * width)
+        total.cumsum(out=total)
+        two_u = -2 * n_pos * n_neg * np.arange(rows)
+        for side in (self.lo, self.hi):
+            np.take(side, pos_draws, out=bound, mode="clip")
+            bound += shift
+            two_u += total[bound].sum(axis=1)
+        np.divide(two_u, 2.0 * self.n_pairs, out=out)
 
 
 def _resample(brackets: Sequence[_Brackets], n_resamples: int,
@@ -160,12 +179,14 @@ def _resample(brackets: Sequence[_Brackets], n_resamples: int,
     n_pos, n_neg = len(brackets[0].lo), len(brackets[0].neg_level)
     stats = np.empty((len(brackets), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
+    rows = min(step, n_resamples)
+    scratch = np.empty((rows, n_neg), np.intp), np.empty((rows, n_pos), np.intp)
     for start in range(0, n_resamples, step):
         count = min(step, n_resamples - start)
         pos_draws = pos_rng.integers(0, n_pos, (count, n_pos))
         neg_draws = neg_rng.integers(0, n_neg, (count, n_neg))
         for row, b in zip(stats, brackets):
-            row[start:start + count] = b.aurocs(pos_draws, neg_draws)
+            b.aurocs(pos_draws, neg_draws, row[start:start + count], scratch)
     return stats
 
 

@@ -1,5 +1,6 @@
 """Golden report hashes: every report and generated file of the four presets,
-and the files ``gen`` writes for a custom scenario file.
+the files ``gen`` writes for a custom scenario file, and one conservative
+compare of that scenario's three models.
 
 ``gen`` writes each preset at seed 0, then ``audit`` and ``compare`` read it
 back, all through ``cli.main``. Each output file's sha256 and each exit code
@@ -122,3 +123,26 @@ def test_scenario_file_gen_matches_golden_hashes(tmp_path, capsys):
         hashes[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in sorted(out.iterdir())}
     assert hashes == SCENARIO_GOLDEN
+
+
+# The scenario's baseline and both candidates in one conservative compare:
+# three models share each cell's draws, "tuned" has other score levels than
+# the baseline, and 700 resamples leave every cell several blocks and a
+# ragged last one (a cell's block holds 32768 // its row count resamples).
+# "tuned" loses on group c, so the gate rejects it and compare exits 1.
+SCENARIO_COMPARE_GOLDEN = ("227540d3d8578d23aeb06a8faa2bf8cb84a363d947485516d42a48d60b34a1fb", 1)
+
+
+def test_scenario_three_model_conservative_compare_matches_golden_hash(tmp_path, monkeypatch,
+                                                                       capsys):
+    for name in [n for n in os.environ if n.startswith("PSFAIR_")]:
+        monkeypatch.delenv(name)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SCENARIO))
+    assert main(["gen", str(path), "--out-dir", str(tmp_path)]) == 0
+    report = tmp_path / "conservative.json"
+    code = main(["compare", "--baseline", str(tmp_path / "baseline.csv"),
+                 "--candidate", str(tmp_path / "tuned.csv"),
+                 "--candidate", str(tmp_path / "same.csv"),
+                 "--conservative-ci", "--bootstrap-n", "700", "--out", str(report)])
+    assert (hashlib.sha256(report.read_bytes()).hexdigest(), code) == SCENARIO_COMPARE_GOLDEN

@@ -10,6 +10,7 @@ one-model ``summarize``. Examples are
 derandomized, so every run checks the same cases.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -260,9 +261,9 @@ def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
     blocks = []
     aurocs = metrics._Brackets.aurocs
 
-    def record(self, pos, neg):
-        blocks.append((pos, neg))
-        return aurocs(self, pos, neg)
+    def record(self, pos, neg, out, scratch):
+        blocks.append((pos, neg, scratch))
+        aurocs(self, pos, neg, out, scratch)
 
     with (mock.patch.object(metrics, "_BLOCK_ELEMS", cap),
           mock.patch.object(metrics._Brackets, "aurocs", record)):
@@ -273,9 +274,36 @@ def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
     assert len(blocks) == len(draws) * n_models
     assert all(got[0] is want[0] and got[1] is want[1]
                for got, want in zip(blocks, [d for d in draws for _ in range(n_models)]))
-    assert sum(len(pos) for pos, _ in draws) == n
-    for pos, neg in draws:
+    assert sum(len(pos) for pos, _, _ in draws) == n
+    for pos, neg, _ in draws:
         count = len(pos)
         assert count == 1 or count * (n_pos + n_neg) <= cap
         assert pos.shape == (count, n_pos) and neg.shape == (count, n_neg)
         assert 0 <= pos.min() and pos.max() < n_pos and 0 <= neg.min() and neg.max() < n_neg
+    # One set of scratch arrays serves every block and model of the call,
+    # and it holds no more rows than one block.
+    neg_buf, pos_buf = blocks[0][2]
+    assert all(got[0] is neg_buf and got[1] is pos_buf for _, _, got in blocks)
+    rows = max(len(pos) for pos, _, _ in draws)
+    assert neg_buf.shape == (rows, n_neg) and pos_buf.shape == (rows, n_pos)
+
+
+def test_memory_does_not_grow_with_resamples():
+    # Scratch holds one block, so the peak of a multi-block cell grows with
+    # n_resamples only by the result array.
+    rng = np.random.default_rng(9)
+    brackets = [metrics._Brackets(np.round(rng.normal(0.5, 1, 900), 2),
+                                  np.round(rng.normal(0, 1, 1100), 2)) for _ in range(3)]
+    assert metrics._BLOCK_ELEMS // 2000 < 60  # several blocks even at 60 resamples
+
+    def peak(n):
+        metrics._resample(brackets, n, substream(3, "peak"))  # warm every code path first
+        tracemalloc.start()
+        try:
+            metrics._resample(brackets, n, substream(3, "peak"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The 1 KiB allows for the int objects (above 256) that bound the later blocks.
+    assert peak(600) - peak(60) <= 3 * (600 - 60) * np.dtype(np.float64).itemsize + 1024
