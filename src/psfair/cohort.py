@@ -377,8 +377,8 @@ class _Rows(_Columns):
     hands itself and the rest of the source to ``csv.reader``. A chunk longer
     than ``csv.field_size_limit()`` characters, which might hold a field past
     the limit, and a chunk that fails a check are read by ``csv.reader`` on
-    their own, so the first bad row is reported as a row-by-row reader would
-    report it.
+    their own. Rows read by ``csv.reader`` are checked one at a time, so the
+    first bad row raises as it is read.
     """
 
     def __init__(self, delimiter: str, width: int, col: list[int]):
@@ -434,56 +434,41 @@ class _Rows(_Columns):
         return True
 
     def read_csv(self, lines: Iterable[str], line: int) -> None:
-        """Read ``lines``, the first being line ``line + 1``, with ``csv.reader``."""
-        rows, numbers = [], []  # the chunk being read, and each row's line number
+        """Read ``lines``, the first being line ``line + 1``, with ``csv.reader``,
+        one row at a time: a blank row is skipped, and the first row with a bad
+        field count or score raises as it is read. Checked rows are appended
+        ``_CHUNK_ROWS`` at a time, their fields stripped."""
+        width, at = self.width, self.col[3]  # at: the score's field index
+        rows, scores, numbers = [], [], []  # checked rows not yet appended
+
+        def append() -> None:
+            fields = list(zip(*rows))
+            self.add(*(scores if i == at else [*map(str.strip, fields[i])] for i in self.col),
+                     np.array(numbers))
+            del rows[:], scores[:], numbers[:]
+
         reader = csv.reader(lines, delimiter=self.delimiter)
         try:
             for row in reader:
-                if row:
-                    rows.append(row)
-                    numbers.append(line + reader.line_num)  # a quoted field may span lines
-                    if len(rows) == _CHUNK_ROWS:
-                        self.extend(rows, numbers)
-                        rows, numbers = [], []
-        except (csv.Error, OSError, UnicodeError) as exc:
-            if rows:  # a bad row read before the failure is the error to report
-                self.extend(rows, numbers)
-            if isinstance(exc, csv.Error):
-                raise IngestError(f"line {line + reader.line_num}: {exc}") from None
-            raise
+                if len(row) != width:
+                    error = f"expected {width} fields, got {len(row)}"
+                else:
+                    try:
+                        scores.append(float(row[at]))  # float() ignores whitespace
+                    except ValueError:
+                        error = f"score not a number: {row[at].strip()!r}"
+                    else:
+                        rows.append(row)
+                        numbers.append(line + reader.line_num)  # a quoted field may span lines
+                        if len(rows) == _CHUNK_ROWS:
+                            append()
+                        continue
+                if any(map(str.strip, row)):  # else a blank row, skipped
+                    raise IngestError(f"line {line + reader.line_num}: {error}")
+        except csv.Error as exc:
+            raise IngestError(f"line {line + reader.line_num}: {exc}") from None
         if rows:
-            self.extend(rows, numbers)
-
-    def extend(self, rows: list[list[str]], numbers: list[int]) -> None:
-        """Append one chunk of non-empty rows, skipping blank rows.
-
-        Fields are stripped and scores parsed. A row is looked at on its own
-        only when the chunk fails its field-count or score check: a blank row
-        always fails one of them, so it is found that way too. The first bad
-        row in file order raises, as a row-by-row scan would.
-        """
-        width, col = self.width, self.col
-        if set(map(len, rows)) == {width}:
-            fields = list(zip(*rows))
-            example_id, finding, label, score, group = ([*map(str.strip, fields[i])] for i in col)
-            try:
-                score = np.fromiter(map(float, score), np.float64, len(rows))
-            except ValueError:
-                pass
-            else:
-                self.add(example_id, finding, label, score, group, np.array(numbers))
-                return
-        kept = [i for i, row in enumerate(rows) if any(map(str.strip, row))]
-        for i in kept:
-            if len(rows[i]) != width:
-                raise IngestError(f"line {numbers[i]}: expected {width} fields, got {len(rows[i])}")
-            score = rows[i][col[3]].strip()
-            try:
-                float(score)
-            except ValueError:
-                raise IngestError(f"line {numbers[i]}: score not a number: {score!r}") from None
-        if kept:  # only blank rows failed the checks, so the rest pass them now
-            self.extend([rows[i] for i in kept], [numbers[i] for i in kept])
+            append()
 
 
 def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:

@@ -211,15 +211,14 @@ def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:
     values = [d.delta for d in included]
     n_up = sum(1 for s in signs.values() if s == 1)
     n_down = sum(1 for s in signs.values() if s == -1)
-    n_flat = len(signs) - n_up - n_down
 
     if n_up == 0 and n_down == 0:
         kind = NarrativeKind.NO_CHANGE
-    elif n_up == 1 and n_down == 0 and n_flat == len(signs) - 1:
+    elif n_up == 1 and n_down == 0:
         kind = NarrativeKind.ADVANTAGED_IMPROVED
     elif n_up == len(signs) and (max(values) - min(values)) > eps:
         kind = NarrativeKind.ALL_IMPROVED_UNEVENLY
-    elif n_down == 1 and n_up == 0 and n_flat == len(signs) - 1:
+    elif n_down == 1 and n_up == 0:
         kind = NarrativeKind.WORST_GROUP_DECLINED
     elif n_down == len(signs):
         kind = NarrativeKind.ALL_DECLINED_UNEVENLY

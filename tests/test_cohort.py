@@ -105,6 +105,17 @@ def test_ingest_header_may_repeat_extra_columns():
 def test_ingest_empty():
     with pytest.raises(IngestError, match="empty input"):
         ingest(io.StringIO("example_id,finding,label,score,group\n"), "m")
+    with pytest.raises(IngestError, match=r"^empty input: no data rows for 'm'$"):
+        ingest([], "m")
+
+
+def test_ingest_header_past_the_field_limit():
+    limit = csv.field_size_limit(10)
+    try:
+        with pytest.raises(IngestError, match=r"^line 1: field larger than field limit \(10\)$"):
+            ingest(io.StringIO("example_id,finding,label,score,group,model_version\n"), "m")
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_ingest_blank_lines_ignored():
@@ -255,6 +266,8 @@ MORE = CLEAN.replace("e", "x")
 @example((HEADER + CLEAN.replace("e1,f,1", "e1,f,2") + MORE.replace("x4,f,0", "x4,f,3"), ",",
           10_000, "", None))
 @example((HEADER + CLEAN + 'e6,f,"2",0.6,g\n' + MORE, ",", 10_000, "", None))
+# A bad field count read by csv.reader beats a csv error later in its chunk.
+@example((HEADER + 'e1,f,1,0.5,"g"\ne2,f,0\ne4,f,0,"0.4,g\n' + CLEAN, ",", 60, "", None))
 def test_ingest_matches_rowwise_reference(case):
     text, delimiter, field_limit, newline, fail_after = case
     limit = csv.field_size_limit(field_limit)
@@ -277,6 +290,10 @@ def test_ingest_reads_a_path_an_open_file_and_lines_alike(tmp_path):
         from_lines = ingest((line for line in text.splitlines(keepends=True)), "m")
         assert ingest(path, "m") == from_file == from_lines
     assert "black, hispanic" in from_file.groups
+    # An item of an iterable source is one line; csv.reader rejects one that holds two.
+    header, *rows = text.splitlines(keepends=True)
+    with pytest.raises(IngestError, match=r"^line 2: new-line character seen in unquoted field"):
+        ingest([header, "".join(rows)], "m")
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
@@ -411,6 +428,8 @@ def test_align_missing_key():
     cand = make_set("m2", group_rows("f", "g", [0.9] * 5, [0.1] * 4))
     with pytest.raises(AlignmentError, match="missing 1 baseline key"):
         align(base, [cand])
+    with pytest.raises(AlignmentError, match="has 1 keys absent from baseline"):
+        align(cand, [base])
 
 
 def test_align_flipped_label():
@@ -449,6 +468,8 @@ def test_eligible_zero_policy_includes_all():
     # negatives, so it stays out.
     assert included_groups(pset, "f", InclusionPolicy(0, 0)) == {"a", "c"}
     assert InclusionPolicy(0, 0).admits(1, 1) and not InclusionPolicy(0, 0).admits(1, 0)
+    with pytest.raises(ValueError, match=r"^inclusion thresholds must be >= 0$"):
+        InclusionPolicy(-1, 5)
 
 
 @pytest.mark.parametrize("value", [2.5, True, "5", None])

@@ -164,8 +164,9 @@ class TestPresets:
             preset("m9_like")
 
 
-# One wrongly typed value per scenario field, an empty group list, empty ids
-# and ids with surrounding whitespace: (path in the file, value, error).
+# One wrongly typed value per scenario field, an empty group list, empty ids,
+# ids with surrounding whitespace and values out of range: (path in the file,
+# value, error).
 WRONG_TYPES = [
     (("seed",), 1.5, "seed must be an integer, got 1.5"),
     (("seed",), True, "seed must be an integer, got True"),
@@ -195,6 +196,10 @@ WRONG_TYPES = [
      "model_id must not start or end with whitespace, got 'm2\\t'"),
     (("finding",), "lung_lesion\n",
      "finding must not start or end with whitespace, got 'lung_lesion\\n'"),
+    (("groups", 0, "n_pos"), 0, "group 'group_a': n_pos and n_neg must be >= 1"),
+    (("groups", 1, "target_auc"), 1.0, "group 'group_b': target_auc must be in (0, 1)"),
+    (("candidates", 0, "overrides", "group_a"), 1.5,
+     "candidate 'm2', group 'group_a': target_auc must be in (0, 1)"),
 ]
 
 
