@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import os
 import resource
@@ -432,6 +434,26 @@ class TestGen:
         assert rc == 0
         assert (tmp_path / "out" / "m3.csv").exists()
 
+    def test_out_dir_named_after_the_preset_is_not_read_as_a_scenario(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        # The second run finds the first run's m2_like directory in its working directory.
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for _ in range(2):
+            assert main(["gen", "m2_like", "--out-dir", "m2_like"]) == 0
+            runs.append({p.name: p.read_bytes() for p in Path("m2_like").iterdir()})
+        assert sorted(runs[0]) == ["baseline.csv", "m2.csv"]
+        assert runs[1] == runs[0]
+
+    def test_scenario_read_from_stdin(self, tmp_path):
+        # /dev/stdin is a pipe here: a scenario file that is neither regular nor a directory.
+        spec = json.dumps(scenario_to_dict(preset("m3_like", seed=5)))
+        out = subprocess.run([sys.executable, "-m", "psfair.cli", "gen", "/dev/stdin",
+                              "--out-dir", str(tmp_path)], input=spec, env=child_env(),
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "m3.csv").exists()
+
     def test_ids_holding_a_line_break_survive_gen_then_audit(self, tmp_path, capsys):
         raw = scenario_to_dict(preset("m2_like"))
         raw["groups"][0]["group_id"] = "a\rb"
@@ -612,10 +634,11 @@ def test_out_of_memory_exits_2(study_files, command):
 
 # Imported at start-up from PYTHONPATH; records what the child saw when it exits.
 EXIT_PROBE = """
-import atexit, json, os, sys
+import atexit, gc, json, os, sys
 
 def record():
-    seen = {"blas": os.environ.get("OPENBLAS_NUM_THREADS"), "numpy": "numpy" in sys.modules}
+    seen = {"blas": os.environ.get("OPENBLAS_NUM_THREADS"), "numpy": "numpy" in sys.modules,
+            "gc": [gc.isenabled(), gc.get_freeze_count()]}
     if os.path.isfile("/proc/self/status"):
         with open("/proc/self/status") as status:
             seen["threads"] = next(int(line.split()[1]) for line in status
@@ -673,6 +696,53 @@ def test_program_starts_no_openblas_pool(study_files, tmp_path, args):
         assert seen["threads"] == 1
 
 
+def test_program_runs_without_the_cycle_collector(study_files, tmp_path):
+    seen = probed_child(tmp_path, ["-m", "psfair.cli", "audit", str(study_files["m2"]),
+                                   "--bootstrap-n", "5"])
+    enabled, frozen = seen["gc"]
+    assert not enabled and frozen > 0
+
+
+@pytest.mark.parametrize("code", [1, 2])
+def test_program_exits_with_the_code_main_returns(code):
+    # entrypoint holds main's code across the freeze.
+    out = subprocess.run([sys.executable, *stub_main_child(f"return {code}")],
+                         env=child_env(), capture_output=True, text=True)
+    assert out.returncode == code, out.stderr
+
+
+# Run in a child: cyclic garbage that `psfair audit` of each file leaves, after a
+# warm-up run has made every lazy import and cache.
+AUDIT_GARBAGE = """
+import gc, sys
+from psfair import cli
+
+def garbage(path):
+    gc.collect()
+    assert cli.main(["audit", path, "--bootstrap-n", "5", "--out", sys.argv[3]]) == 0
+    return gc.collect()
+
+gc.disable()
+garbage(sys.argv[1])
+print(garbage(sys.argv[1]), garbage(sys.argv[2]))
+"""
+
+
+def test_cyclic_garbage_does_not_grow_with_rows(study_files, tmp_path):
+    # Why the program may run without the collector: a run leaves the same
+    # garbage at desk scale and at ten times as many rows.
+    spec = preset("m2_like")
+    big = dataclasses.replace(spec, baseline_recipes=tuple(
+        dataclasses.replace(r, n_pos=10 * r.n_pos, n_neg=10 * r.n_neg)
+        for r in spec.baseline_recipes))
+    emit(build_study(big).baseline, tmp_path / "big.csv")
+    out = subprocess.run([sys.executable, "-c", AUDIT_GARBAGE, str(study_files["baseline"]),
+                          str(tmp_path / "big.csv"), str(tmp_path / "audit.json")],
+                         env=child_env(), capture_output=True, text=True, check=True)
+    desk, ten_times = map(int, out.stdout.split())
+    assert desk == ten_times
+
+
 REPORT_COMMANDS = [
     ["audit", "{m2}"],
     ["compare", "--conservative-ci", "--bootstrap-n", "20", "--baseline", "{baseline}",
@@ -685,10 +755,10 @@ def test_in_process_run_leaves_the_environment_alone(study_files, capsys, monkey
                                                     command):
     # Unset, as a program would find it; only the entry point sets it.
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    before = dict(os.environ)
+    before = dict(os.environ), gc.isenabled(), gc.get_freeze_count()
     main([arg.format(**study_files) for arg in command])
     capsys.readouterr()
-    assert dict(os.environ) == before
+    assert (dict(os.environ), gc.isenabled(), gc.get_freeze_count()) == before
 
 
 @pytest.mark.parametrize("command", REPORT_COMMANDS, ids=["audit", "compare"])
