@@ -1,4 +1,4 @@
-"""Prediction-set ingestion, validation, alignment, and subgroup bucketing.
+"""Prediction-set ingestion, validation and alignment.
 
 Input files are UTF-8 delimited text with a header row naming the columns
 ``example_id, finding, label, score, group`` in any order; a leading
@@ -11,11 +11,12 @@ which reads them exactly as ``csv.reader`` does; from the first chunk of lines
 that holds one, ``csv.reader`` reads the rest. ``emit`` writes the same
 grammar and quotes an id that holds the delimiter, a quote, CR or LF.
 
-In memory a set is one column table: ``score`` (float64), ``label`` (int8)
-and integer codes into sorted vocabularies of example, finding and group ids.
-Rows are sorted by (finding, example_id), so nothing computed from a set
-depends on the row order of its input, and sets over the same keys have
-equal vocabularies and the same row layout.
+In memory a set is its column table and nothing more: ``score`` (float64),
+``label`` (int8) and integer codes into sorted vocabularies of example,
+finding and group ids. Rows are sorted by (finding, example_id), so nothing
+computed from a set depends on the row order of its input, sets over the
+same keys have equal vocabularies and the same row layout, and each
+finding's rows are one contiguous run.
 
 Ingest encodes each chunk of lines as soon as it is read, so it never holds
 a whole file's strings: per chunk it holds the chunk's fields, and per row
@@ -92,19 +93,6 @@ class InclusionPolicy:
         """The inclusion rule. A zero threshold still needs one case per side,
         since AUROC is undefined without it."""
         return n_pos >= max(self.min_positives, 1) and n_neg >= max(self.min_negatives, 1)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Row indices of one bucket's positives and negatives, each in example_id order.
-
-    Aligned sets share their row layout, so a baseline cell picks the same
-    examples out of every candidate's ``score`` column.
-    """
-
-    group_id: str | None  # None for all of a finding's rows
-    pos: np.ndarray
-    neg: np.ndarray
 
 
 def _check_model_id(model_id) -> None:
@@ -196,9 +184,9 @@ class PredictionSet:
         self._build(model_id, columns)
 
     def _build(self, model_id: str, columns: _Columns) -> None:
-        """Check, sort and bucket the rows of ``columns``, freeing each of
-        its chunks once they are joined. The checks run in the order of the
-        class docstring, after every row is read."""
+        """Check and sort the rows of ``columns``, freeing each of its chunks
+        once they are joined. The checks run in the order of the class
+        docstring, after every row is read."""
         def where(i) -> str:
             return f"line {np.concatenate(columns.lines)[i]}" if columns.lines else f"row {i}"
 
@@ -236,40 +224,6 @@ class PredictionSet:
         self.examples, self.findings, self.groups = examples, findings, groups
         self.example_code, self.finding_code, self.group_code = ex, fi, gr
         self.label, self.score = labels, scores[order]
-        pooled = self._bucket(np.zeros_like(self.group_code), (None,))
-        by_group = self._bucket(self.group_code, groups)
-        self._cells = {f: (p[0], tuple(g)) for f, p, g in zip(findings, pooled, by_group)}
-
-    def _bucket(self, group_code: np.ndarray, groups: Sequence[str | None]) -> list[list[Cell]]:
-        """Split rows by (finding, group, label) into one list of cells per finding.
-
-        The stable sort keeps each cell's rows in example_id order, which
-        fixes the order bootstrap resamples draw from.
-        """
-        key = (self.finding_code * len(groups) + group_code) * 2 + (self.label == 0)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        runs = dict(zip(key[starts].tolist(), np.split(order, starts[1:])))
-        none = order[:0]
-        cells: list[list[Cell]] = [[] for _ in self.findings]
-        for c in sorted({k // 2 for k in runs}):
-            f, g = divmod(c, len(groups))
-            cells[f].append(Cell(groups[g], runs.get(2 * c, none), runs.get(2 * c + 1, none)))
-        return cells
-
-    def _finding(self, finding: str) -> tuple[Cell, tuple[Cell, ...]]:
-        if finding not in self._cells:
-            raise CohortError(f"unknown finding {finding!r} in {self.model_id!r}")
-        return self._cells[finding]
-
-    def pooled(self, finding: str) -> Cell:
-        """All rows of a finding, regardless of group."""
-        return self._finding(finding)[0]
-
-    def cells(self, finding: str) -> tuple[Cell, ...]:
-        """One cell per group present in the finding, in group_id order."""
-        return self._finding(finding)[1]
 
     def _ids(self) -> tuple[list[str], list[str], list[str]]:
         """Every row's example, finding and group id, in row order."""
@@ -332,8 +286,10 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
     text file yields them. Raises IngestError with a line number for
     malformed rows and malformed CSV, a named key for duplicates, and
     outright for empty input. Read from a path, each IngestError names the
-    path, also the one for a file not in UTF-8.
+    path, also the one for a file not in UTF-8. A bad ``model_id`` raises
+    CohortError before ``source`` is read.
     """
+    _check_model_id(model_id)
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
@@ -362,7 +318,6 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
         raise IngestError(f"line {reader.line_num}: header repeats columns {repeated}")
     rows = _Rows(delimiter, len(header), [header.index(c) for c in REQUIRED_COLUMNS])
     rows.read(lines, reader.line_num)
-    _check_model_id(model_id)
     pset = PredictionSet.__new__(PredictionSet)
     pset._build(model_id, rows)
     return pset

@@ -9,9 +9,10 @@ block of resamples. A bootstrap call allocates its index scratch once, sized
 to one block, and every block and model writes into it. ``2U`` (twice the
 number of correct pairs, ties once) is exact, so every AUROC agrees bit for
 bit with exhaustive pair counting.
-``_FindingPass`` scores a finding for audit and compare alike: it brackets
-each cell once per model, and ``_resample`` draws every resample, of audit
-and of paired delta CIs, on those brackets.
+``_FindingPass`` scores a finding for audit and compare alike: it buckets
+the finding it scores into cells, brackets each cell once per model, and
+``_resample`` draws every resample, of audit and of paired delta CIs, on
+those brackets.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import InclusionPolicy, PredictionSet, _check_types
+from .cohort import CohortError, InclusionPolicy, PredictionSet, _check_types
 from .seeding import check_seed, substream
 
 
@@ -190,20 +191,54 @@ def _resample(brackets: Sequence[_Brackets], n_resamples: int,
     return stats
 
 
+@dataclass(frozen=True)
+class Cell:
+    """Row indices of one bucket's positives and negatives, each in example_id order.
+
+    Aligned sets share their row layout, so a baseline cell picks the same
+    examples out of every candidate's ``score`` column.
+    """
+
+    group_id: str | None  # None for all of a finding's rows
+    pos: np.ndarray
+    neg: np.ndarray
+
+
+def _bucket(pset: PredictionSet, finding: str) -> list[Cell]:
+    """The cells of one finding: the pooled cell, then one cell per group
+    present in the finding, in group_id order.
+
+    Rows are sorted by (finding, example_id), so the finding's rows are one
+    run. Each cell is a stable pick from that run, so its rows stay in
+    example_id order, which fixes the rows that bootstrap resamples draw.
+    """
+    if finding not in pset.findings:
+        raise CohortError(f"unknown finding {finding!r} in {pset.model_id!r}")
+    f = pset.findings.index(finding)
+    lo, hi = np.searchsorted(pset.finding_code, (f, f + 1)).tolist()
+    negative = pset.label[lo:hi] == 0
+    key = pset.group_code[lo:hi] * 2 + negative  # (group, label) cells, positives first
+    sizes = np.bincount(key, minlength=2 * len(pset.groups)).reshape(-1, 2)
+    present = np.flatnonzero(sizes.any(axis=1))
+    sides = np.split(lo + np.argsort(key, kind="stable"), np.cumsum(sizes[present])[:-1])
+    return [Cell(None, lo + np.flatnonzero(~negative), lo + np.flatnonzero(negative)),
+            *map(Cell, [pset.groups[g] for g in present.tolist()], sides[::2], sides[1::2])]
+
+
 class _FindingPass:
     """One finding scored for one or more aligned models, in one pass.
 
     Each cell with both sides, the pooled cell first, is bracketed once per
     model; ``points[c][m]`` is model m's AUROC of cell c, else None.
     ``included`` holds the inclusion policy's verdict on each group cell, and
-    ``kept`` the index of each included cell. Aligned sets share their cells,
-    so the first model's cells serve every model.
+    ``kept`` the index of each included cell. Aligned sets share their row
+    layout, so the first model's cells, from ``_bucket``, serve every model.
     """
 
     def __init__(self, models: Sequence[PredictionSet], finding: str, policy: InclusionPolicy):
         self.finding, self.policy = finding, policy
         self.model_ids = [m.model_id for m in models]
-        self.cells = [models[0].pooled(finding), *models[0].cells(finding)]
+        self.cells = _bucket(models[0], finding)
         self.brackets = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in models]
                          if len(cell.pos) and len(cell.neg) else None for cell in self.cells]
         self.points = [[None] * len(models) if row is None else [b.point() for b in row]

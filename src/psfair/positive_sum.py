@@ -119,24 +119,25 @@ class _FindingDeltas(_FindingPass):
     the pooled cell and each included cell, on the key ``("delta-bootstrap",)``.
     A cell's stream is keyed by the finding and the cell alone, so every model
     is scored on the same draws and a candidate's CIs do not depend on the
-    other candidates in the pass.
+    other candidates in the pass. Inclusion is shared by aligned models, so
+    when no group is kept no candidate is compared, and ``no_group`` says why.
     """
 
     def __init__(self, models: Sequence[PredictionSet], finding: str,
                  policy: InclusionPolicy, boot: BootstrapConfig | None):
         super().__init__(models, finding, policy)
         self.boot = boot
+        self.no_group = f"no jointly included group for finding {finding!r} under policy {policy}"
         self.draws = (None if boot is None or not self.kept
                       else self.resample(boot, ("delta-bootstrap",), [0, *self.kept]))
 
     def comparison(self, k: int, epsilon: float) -> PositiveSumComparison:
         """Model k against the baseline, with delta CIs if the pass drew resamples."""
+        if not self.kept:
+            raise ValueError(self.no_group)
         deltas = [GroupDelta(cell.group_id, p[0], p[k], None if p[0] is None else p[k] - p[0], keep)
                   for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
         included = [d for d in deltas if d.jointly_included]
-        if not included:
-            raise ValueError(f"no jointly included group for finding {self.finding!r} "
-                             f"under policy {self.policy}")
         worst = min(included, key=lambda d: (d.delta, d.group_id))
         overall_delta = self.points[0][k] - self.points[0][0]
 
@@ -286,10 +287,10 @@ def compare_study(study: AlignedStudy, policy: InclusionPolicy = InclusionPolicy
     cmps, unevaluated = [], []
     for k, cand in enumerate(study.candidates, 1):
         for p in passes:
-            try:
+            if p.kept:
                 cmps.append(p.comparison(k, gate_policy.epsilon))
-            except ValueError as exc:  # no jointly included group
-                unevaluated.append((cand.model_id, p.finding, str(exc)))
+            else:
+                unevaluated.append((cand.model_id, p.finding, p.no_group))
     verdicts = tuple(gate(c, gate_policy) for c in cmps)
     by_finding = {f: [c for c in cmps if c.finding_id == f] for f in study.findings}
     by_cand = {m.model_id: [c for c in cmps if c.candidate_id == m.model_id]

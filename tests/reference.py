@@ -9,6 +9,11 @@ into a positive and a negative stream; every resample draws one index array
 from each, on its own, and is re-ranked with ``scipy.stats.rankdata``. The
 counting kernel must agree with them bit for bit.
 
+``rowwise_cells`` is the plain form of ``psfair.metrics._bucket``: it puts
+one row at a time into its cells, sorted by example id, where ``_bucket``
+splits the finding's run of rows with one sort. The delta CIs' reference
+takes its cells from it, so it shares no bucketing with the code it checks.
+
 ``rowwise_ingest`` is the plain form of ``psfair.cohort.ingest``: it checks
 and converts one row at a time, where ``ingest`` works a chunk of columns at
 a time. Both must return equal sets and raise the same messages.
@@ -75,17 +80,32 @@ def rank_bootstrap_auroc_ci(scores_pos, scores_neg, boot, rng) -> tuple[float, f
     return max(0.0, low), min(1.0, high)
 
 
-def rank_delta_bootstrap_cis(baseline, candidate, finding, included, boot):
-    """Paired CIs for (overall delta, min group delta); one stream per cell,
+def rowwise_cells(pset, finding):
+    """A finding's cells as (group_id, positive rows, negative rows): the pooled
+    cell (group_id None) first, then each group present in the finding, in
+    group_id order. Rows are taken one at a time, in example id order."""
+    rows = [i for i in range(len(pset)) if pset.findings[pset.finding_code[i]] == finding]
+    cells = {None: ([], [])}
+    for i in sorted(rows, key=lambda i: pset.examples[pset.example_code[i]]):
+        side = 0 if pset.label[i] == 1 else 1
+        for group in (None, pset.groups[pset.group_code[i]]):
+            cells.setdefault(group, ([], []))[side].append(i)
+    return [(g, *cells[g]) for g in [None, *sorted(g for g in cells if g is not None)]]
+
+
+def rank_delta_bootstrap_cis(baseline, candidate, finding, groups, boot):
+    """Paired CIs for (overall delta, min group delta) over the pooled cell and
+    the cells of ``groups``, from ``rowwise_cells``; one stream per cell,
     keyed by the finding and the cell alone, so every candidate shares it."""
     b, c = baseline.score, candidate.score
+    cells = {g: (np.array(pos, np.intp), np.array(neg, np.intp))
+             for g, pos, neg in rowwise_cells(baseline, finding)}
     stats = []
-    for token, cell in [("", baseline.pooled(finding)),
-                        *[(cell.group_id, cell) for cell in included]]:
+    for token, (pos, neg) in [("", cells[None]), *[(g, cells[g]) for g in groups]]:
         rng = substream(boot.seed, "delta-bootstrap", finding, token)
-        draws = _resamples(len(cell.pos), len(cell.neg), boot.n_resamples, rng)
-        stats.append([rank_auroc(c[cell.pos[pi]], c[cell.neg[ni]])
-                      - rank_auroc(b[cell.pos[pi]], b[cell.neg[ni]]) for pi, ni in draws])
+        draws = _resamples(len(pos), len(neg), boot.n_resamples, rng)
+        stats.append([rank_auroc(c[pos[pi]], c[neg[ni]]) - rank_auroc(b[pos[pi]], b[neg[ni]])
+                      for pi, ni in draws])
     stats = np.array(stats)
     return _interval(stats[0], boot), _interval(stats[1:].min(axis=0), boot)
 

@@ -19,6 +19,7 @@ from psfair.cohort import (
     emit,
     ingest,
 )
+from psfair.metrics import _bucket
 from conftest import group_rows, make_set, set_rows
 from reference import rowwise_ingest
 
@@ -43,8 +44,8 @@ def by_key(pset):
 
 
 def included_groups(pset, finding, policy=InclusionPolicy()):
-    """Groups the one inclusion rule admits, over the set's own bucketing."""
-    return {c.group_id for c in pset.cells(finding) if policy.admits(len(c.pos), len(c.neg))}
+    """Groups the one inclusion rule admits, over the one bucketing routine."""
+    return {c.group_id for c in _bucket(pset, finding)[1:] if policy.admits(len(c.pos), len(c.neg))}
 
 
 def test_ingest_well_formed():
@@ -368,6 +369,17 @@ def test_set_requires_a_non_empty_string_model_id(model_id):
     # Both report schemas hold model ids as strings.
     with pytest.raises(CohortError, match="^model_id must be a non-empty string, got "):
         PredictionSet(model_id, *COLUMNS)
+
+
+@pytest.mark.parametrize("model_id", [5, None, ""])
+def test_ingest_rejects_a_bad_model_id_before_reading(model_id):
+    # The id was checked only after the whole source was read and encoded.
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("source was read")
+
+    with pytest.raises(CohortError, match="^model_id must be a non-empty string, got "):
+        ingest(Unread(), model_id)
 
 
 def test_set_from_columns_names_a_bad_row_by_index():

@@ -19,9 +19,10 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from psfair import metrics
+from psfair import metrics, positive_sum
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
@@ -29,6 +30,7 @@ from psfair.positive_sum import (
     GatePolicy, _FindingDeltas, compare, compare_study, decompose_disparity_change, gate,
     pareto_select,
 )
+from psfair.synth import build_study, preset
 from conftest import group_rows, make_set
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -150,6 +152,14 @@ def test_compare_study_lists_an_unevaluated_pair_and_rejects():
     assert [(c.candidate_id, c.finding_id) for c in result.comparisons] == [("cand", "h")]
     assert [v.promote for v in result.verdicts] == [True]
     assert result.all_promoted is False
+
+
+def test_compare_study_raises_what_is_not_a_skip():
+    # A pair is unevaluated only when its finding keeps no group. Any other
+    # ValueError, here from classify, is a fault and must not read as a skip.
+    with (mock.patch.object(positive_sum, "classify", side_effect=ValueError("boom")),
+          pytest.raises(ValueError, match="^boom$")):
+        compare_study(build_study(preset("m2_like")))
 
 
 def write_study(folder):

@@ -6,8 +6,9 @@ side's stream, under heavy ties, sides of one score, a single resample,
 ragged last blocks and blocks of one resample each. CIs must not depend on
 the block cap or on the cells around them, and no block may exceed the cap.
 ``compare`` brackets each cell once per model and must agree with the
-one-model ``summarize``. Examples are
-derandomized, so every run checks the same cases.
+one-model ``summarize``. The cells that every resample draws from must be
+``reference.rowwise_cells``, index for index. Examples are derandomized, so
+every run checks the same cases.
 """
 
 import tracemalloc
@@ -22,7 +23,7 @@ from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import compare
 from psfair.seeding import substream
 from conftest import auroc, bootstrap_ci, make_set
-from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis
+from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis, rowwise_cells
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -81,6 +82,32 @@ def paired_study(draw, min_side=1):
     return align(make_set("base", rows[0]), [make_set("cand", rows[1])])
 
 
+@st.composite
+def bucketed_set(draw):
+    """One model's rows over 1-3 findings of up to 4 groups each. A group may
+    be absent from a finding or lack one side there, and example ids are
+    shuffled across groups and labels, so no cell is a run of rows."""
+    rows = []
+    for f in draw(st.lists(st.sampled_from(["f1", "f2", "f3"]), min_size=1, max_size=3,
+                           unique=True)):
+        cells = [(g, label) for g in draw(st.lists(st.sampled_from("abcd"), min_size=1,
+                                                   max_size=4, unique=True))
+                 for label in (1, 0) for _ in range(draw(st.integers(0, 4)))]
+        assume({label for _, label in cells} == {0, 1})
+        ids = draw(st.permutations(range(len(cells))))  # "x10" sorts before "x2"
+        rows += [(f"x{k}", f, label, 0.5, g) for k, (g, label) in zip(ids, cells)]
+    return make_set("m", rows)
+
+
+@PROPERTY
+@given(bucketed_set())
+def test_bucket_matches_rowwise_cells(pset):
+    for finding in pset.findings:
+        cells = [(c.group_id, c.pos.tolist(), c.neg.tolist())
+                 for c in metrics._bucket(pset, finding)]
+        assert cells == rowwise_cells(pset, finding)
+
+
 @PROPERTY
 @given(paired_study(), resample_counts, block_caps, seeds)
 def test_audit_cis_match_reference(study, n, cap, seed):
@@ -88,7 +115,7 @@ def test_audit_cis_match_reference(study, n, cap, seed):
     boot = BootstrapConfig(n_resamples=n, seed=seed)
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
         perf = summarize(pset, "f", InclusionPolicy(1, 1), boot).per_group
-    for cell, g in zip(pset.cells("f"), perf):
+    for cell, g in zip(metrics._bucket(pset, "f")[1:], perf):
         pos, neg = pset.score[cell.pos], pset.score[cell.neg]
         assert g.auroc == rank_auroc(pos, neg)
         low, high = rank_bootstrap_auroc_ci(
@@ -101,10 +128,10 @@ def test_audit_cis_match_reference(study, n, cap, seed):
 def test_delta_cis_match_reference(study, n, cap, seed):
     boot = BootstrapConfig(n_resamples=n, seed=seed)
     baseline, candidate = study.baseline, study.candidates[0]
-    cells = list(baseline.cells("f"))
+    cells = metrics._bucket(baseline, "f")[1:]
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
         cmp = compare(study, "f", "cand", InclusionPolicy(1, 1), boot, conservative=True)
-    expected = rank_delta_bootstrap_cis(baseline, candidate, "f", cells, boot)
+    expected = rank_delta_bootstrap_cis(baseline, candidate, "f", baseline.groups, boot)
     assert (cmp.overall_delta_ci, cmp.min_group_delta_ci) == expected
     for cell, d in zip(cells, cmp.group_deltas):
         b, c = baseline.score, candidate.score
@@ -139,7 +166,7 @@ def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, s
     # Excluded cells with both sides are bracketed too (their AUROCs are
     # reported); the resamples reuse the brackets of the included ones.
     policy = InclusionPolicy(min_pos, min_neg)
-    cells = [study.baseline.pooled("f"), *study.baseline.cells("f")]
+    cells = metrics._bucket(study.baseline, "f")
     assume(any(policy.admits(len(cell.pos), len(cell.neg)) for cell in cells[1:]))
     built = []
     init = metrics._Brackets.__init__
@@ -181,7 +208,7 @@ def test_audit_rows_follow_their_cells(pset, n, cap, seed):
     boot = BootstrapConfig(n_resamples=n, seed=seed)
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
         perf = summarize(pset, "f", policy, boot).per_group
-    cells = list(pset.cells("f"))
+    cells = metrics._bucket(pset, "f")[1:]
     assert len(perf) == len(cells)
     for cell, g in zip(cells, perf):
         pos, neg = pset.score[cell.pos], pset.score[cell.neg]

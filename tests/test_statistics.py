@@ -4,7 +4,9 @@ Under the unit-variance binormal model the true AUC is Phi(mu / sqrt(2)), so
 the coverage of the percentile intervals can be counted directly. The
 bootstrap's spread is cross-checked against the DeLong standard error
 (DeLong, DeLong & Clarke-Pearson, Biometrics 1988), computed from the same
-``_Brackets`` the kernel counts with, as in Sun & Xu (IEEE SPL 2014).
+``_Brackets`` the kernel counts with, as in Sun & Xu (IEEE SPL 2014). The
+paired DeLong SE of a candidate-minus-baseline delta checks that every
+model of a cell is scored on the same resamples.
 """
 
 import math
@@ -25,7 +27,7 @@ def binormal_cells(n_cells, n_per_side, target_auc, seed):
     recipes = tuple(GroupRecipe(f"g{k}", n_per_side, n_per_side, target_auc)
                     for k in range(n_cells))
     pset = build_study(ScenarioSpec("cells", recipes, (), seed)).baseline
-    return [(pset.score[c.pos], pset.score[c.neg]) for c in pset.cells("finding")]
+    return [(pset.score[c.pos], pset.score[c.neg]) for c in metrics._bucket(pset, "finding")[1:]]
 
 
 def delong(pos, neg):
@@ -87,3 +89,20 @@ def test_bootstrap_sd_matches_delong_se(name):
     rng = substream(0, "delong", name)
     stats = metrics._resample([metrics._Brackets(pos, neg)], 2000, rng)[0]
     assert 1 / 1.1 <= stats.std(ddof=1) / se <= 1.1
+
+
+@pytest.mark.parametrize("n_per_side, rho", [(200, 0.8), (200, 0.95), (30, 0.8)])
+def test_paired_delta_sd_matches_paired_delong_se(n_per_side, rho):
+    # A baseline and a candidate of equal true AUC 0.75 whose scores correlate
+    # by rho. The delta's paired DeLong SE comes from the differences of the
+    # two models' placements. Drawn on streams of its own, the candidate's
+    # delta SD would be 1.8-4 times that SE, so the band also checks pairing.
+    rng = np.random.default_rng(n_per_side + int(100 * rho))
+    shift = np.array([[mu_for_auc(0.75)], [0.0]])  # positives, then negatives
+    z, e = rng.standard_normal((2, 2, n_per_side))
+    base, cand = z + shift, rho * z + math.sqrt(1 - rho**2) * e + shift
+    (b10, b01, _), (c10, c01, _) = delong(*base), delong(*cand)
+    se = math.sqrt((c10 - b10).var(ddof=1) / n_per_side + (c01 - b01).var(ddof=1) / n_per_side)
+    rows = metrics._resample([metrics._Brackets(*base), metrics._Brackets(*cand)], 2000,
+                             substream(0, "paired-delong", str(n_per_side), str(rho)))
+    assert 1 / 1.1 <= (rows[1] - rows[0]).std(ddof=1) / se <= 1.1
