@@ -13,7 +13,8 @@ left to the OS instead of being torn down one by one. `main` and the library
 never change the environment or the collector.
 
 These flags take their default from a PSFAIR_<NAME> variable (e.g.
-PSFAIR_BOOTSTRAP_N=500); explicit flags win and a malformed value exits 2:
+PSFAIR_BOOTSTRAP_N=500); an explicit flag wins, and a malformed value exits 2
+from a command that reads it:
 --min-pos, --min-neg, --bootstrap-n, --confidence, --seed, --format, --out
 and --tab of audit and compare; --baseline, --candidate (one file),
 --epsilon and --conservative-ci of compare; --out-dir and --tab of gen.
@@ -55,14 +56,15 @@ def _report_format(raw: str) -> str:
 
 
 def _env(name: str, convert=str, default=None):
-    """A flag's default from PSFAIR_<name>; a malformed value is an input error."""
+    """A flag's default from PSFAIR_<name>, or a malformed value's ValueError, which
+    argparse keeps as is (it converts only string defaults) and `main` raises."""
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
         return default
     try:
         return convert(raw)
     except ValueError as exc:
-        raise ValueError(f"{_ENV_PREFIX}{name}={raw!r}: {exc}") from None
+        return ValueError(f"{_ENV_PREFIX}{name}={raw!r}: {exc}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -294,6 +296,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {"audit": cmd_audit, "compare": cmd_compare, "gen": cmd_gen}
     try:
         args = build_parser().parse_args(argv)  # reads PSFAIR_* defaults
+        for value in vars(args).values():
+            if isinstance(value, ValueError):
+                raise value
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"psfair: error: {exc}", file=sys.stderr)

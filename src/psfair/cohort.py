@@ -287,9 +287,8 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
     malformed rows and malformed CSV, a named key for duplicates, and
     outright for empty input. Read from a path, each IngestError names the
     path, also the one for a file not in UTF-8. A bad ``model_id`` raises
-    CohortError before ``source`` is read.
+    CohortError before a line of ``source`` is read; a path is opened first.
     """
-    _check_model_id(model_id)
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
@@ -301,6 +300,7 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
                 # The codec's byte position counts from its read buffer, not the file.
                 raise IngestError(f"{source}: not UTF-8 text") from None
 
+    _check_model_id(model_id)
     lines = iter(source)
     reader = csv.reader(lines, delimiter=delimiter)
     try:

@@ -10,9 +10,8 @@ to one block, and every block and model writes into it. ``2U`` (twice the
 number of correct pairs, ties once) is exact, so every AUROC agrees bit for
 bit with exhaustive pair counting.
 ``_FindingPass`` scores a finding for audit and compare alike: it buckets
-the finding it scores into cells, brackets each cell once per model, and
-``_resample`` draws every resample, of audit and of paired delta CIs, on
-those brackets.
+the finding into cells, brackets each cell once per model, and draws every
+resample, of audit and of paired delta CIs, on streams whose keys it owns.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -233,10 +232,15 @@ class _FindingPass:
     ``included`` holds the inclusion policy's verdict on each group cell, and
     ``kept`` the index of each included cell. Aligned sets share their row
     layout, so the first model's cells, from ``_bucket``, serve every model.
+
+    Given ``paired``, ``draws`` holds every model's resampled AUROCs of the
+    pooled cell and each kept cell on the key ``("delta-bootstrap",)``, else
+    None; every model is scored on the same draws, as ``resample`` keys them.
     """
 
-    def __init__(self, models: Sequence[PredictionSet], finding: str, policy: InclusionPolicy):
-        self.finding, self.policy = finding, policy
+    def __init__(self, models: Sequence[PredictionSet], finding: str, policy: InclusionPolicy,
+                 paired: BootstrapConfig | None = None):
+        self.finding, self.policy, self.paired = finding, policy, paired
         self.model_ids = [m.model_id for m in models]
         self.cells = _bucket(models[0], finding)
         self.brackets = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in models]
@@ -245,6 +249,8 @@ class _FindingPass:
                        for row in self.brackets]
         self.included = [policy.admits(len(cell.pos), len(cell.neg)) for cell in self.cells[1:]]
         self.kept = [c for c, keep in enumerate(self.included, 1) if keep]
+        self.draws = (None if paired is None or not self.kept
+                      else self.resample(paired, ("delta-bootstrap",), [0, *self.kept]))
 
     def resample(self, boot: BootstrapConfig, key: tuple[str, ...],
                  cells: Sequence[int]) -> list[np.ndarray]:
@@ -272,7 +278,6 @@ class _FindingPass:
             bounds = zip(*boot.interval(np.array([d[m] for d in draws])))
             for c, (low, high) in zip(self.kept, bounds):
                 g = per_group[c - 1]
-                low, high = max(0.0, low), min(1.0, high)
                 per_group[c - 1] = replace(g, ci_low=min(low, g.auroc), ci_high=max(high, g.auroc),
                                            low_confidence=not low <= g.auroc <= high)
         evaluable = [per_group[c - 1] for c in self.kept]

@@ -4,6 +4,7 @@ A candidate is compared to the baseline on two axes: the change in overall
 AUROC, and the change for the least-improved subgroup. A disparity increase is
 non-harmful when neither axis drops; it is harmful when the overall
 performance falls or any subgroup pays for the improvement.
+The math is here; ``metrics._FindingPass`` scores and resamples each finding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import AlignedStudy, InclusionPolicy, PredictionSet, _check_types
+from .cohort import AlignedStudy, InclusionPolicy, _check_types
 from .metrics import BootstrapConfig, FairnessSummary, _FindingPass
 
 
@@ -111,49 +112,34 @@ def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0)
     return Classification.HARMFUL_BOTH
 
 
-class _FindingDeltas(_FindingPass):
-    """A finding's pass over aligned models, the baseline first, that compares
-    each candidate with the baseline.
+def _no_group(p: _FindingPass) -> str:
+    """Why no candidate of pass p is compared: inclusion is shared by aligned models."""
+    return f"no jointly included group for finding {p.finding!r} under policy {p.policy}"
 
-    Given a bootstrap config, ``draws`` holds every model's resampled AUROCs of
-    the pooled cell and each included cell, on the key ``("delta-bootstrap",)``.
-    A cell's stream is keyed by the finding and the cell alone, so every model
-    is scored on the same draws and a candidate's CIs do not depend on the
-    other candidates in the pass. Inclusion is shared by aligned models, so
-    when no group is kept no candidate is compared, and ``no_group`` says why.
-    """
 
-    def __init__(self, models: Sequence[PredictionSet], finding: str,
-                 policy: InclusionPolicy, boot: BootstrapConfig | None):
-        super().__init__(models, finding, policy)
-        self.boot = boot
-        self.no_group = f"no jointly included group for finding {finding!r} under policy {policy}"
-        self.draws = (None if boot is None or not self.kept
-                      else self.resample(boot, ("delta-bootstrap",), [0, *self.kept]))
+def _comparison(p: _FindingPass, k: int, epsilon: float) -> PositiveSumComparison:
+    """Model k of pass p against model 0, the baseline, with CIs if p drew paired resamples."""
+    if not p.kept:
+        raise ValueError(_no_group(p))
+    deltas = [GroupDelta(cell.group_id, q[0], q[k], None if q[0] is None else q[k] - q[0], keep)
+              for cell, q, keep in zip(p.cells[1:], p.points[1:], p.included)]
+    included = [d for d in deltas if d.jointly_included]
+    worst = min(included, key=lambda d: (d.delta, d.group_id))
+    overall_delta = p.points[0][k] - p.points[0][0]
 
-    def comparison(self, k: int, epsilon: float) -> PositiveSumComparison:
-        """Model k against the baseline, with delta CIs if the pass drew resamples."""
-        if not self.kept:
-            raise ValueError(self.no_group)
-        deltas = [GroupDelta(cell.group_id, p[0], p[k], None if p[0] is None else p[k] - p[0], keep)
-                  for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
-        included = [d for d in deltas if d.jointly_included]
-        worst = min(included, key=lambda d: (d.delta, d.group_id))
-        overall_delta = self.points[0][k] - self.points[0][0]
+    b_aucs, c_aucs = [d.baseline_auroc for d in included], [d.candidate_auroc for d in included]
+    disparity_change = ((max(c_aucs) - min(c_aucs)) - (max(b_aucs) - min(b_aucs))
+                        if len(included) >= 2 else None)
 
-        b_aucs, c_aucs = [d.baseline_auroc for d in included], [d.candidate_auroc for d in included]
-        disparity_change = ((max(c_aucs) - min(c_aucs)) - (max(b_aucs) - min(b_aucs))
-                            if len(included) >= 2 else None)
+    cis = (None, None)  # of the overall delta and of the minimum group delta
+    if p.draws is not None:
+        stats = [rows[k] - rows[0] for rows in p.draws]
+        cis = p.paired.interval(stats[0]), p.paired.interval(np.min(stats[1:], axis=0))
 
-        cis = (None, None)  # of the overall delta and of the minimum group delta
-        if self.draws is not None:
-            stats = [rows[k] - rows[0] for rows in self.draws]
-            cis = self.boot.interval(stats[0]), self.boot.interval(np.min(stats[1:], axis=0))
-
-        return PositiveSumComparison(
-            self.finding, self.model_ids[k], overall_delta, tuple(deltas), worst.delta,
-            worst.group_id, classify(overall_delta, worst.delta, epsilon), disparity_change,
-            epsilon, *cis)
+    return PositiveSumComparison(
+        p.finding, p.model_ids[k], overall_delta, tuple(deltas), worst.delta,
+        worst.group_id, classify(overall_delta, worst.delta, epsilon), disparity_change,
+        epsilon, *cis)
 
 
 def compare(
@@ -171,11 +157,11 @@ def compare(
     (the shared key set makes inclusion identical for both models) and its
     AUROC is defined on both sides. With conservative=True, paired stratified
     bootstrap CIs of the overall and minimum-group deltas are attached; each
-    cell's resamples are drawn as in ``_FindingDeltas``.
+    cell's resamples are drawn as in ``metrics._FindingPass``.
     """
-    scores = _FindingDeltas([study.baseline, study.candidate(candidate_id)], finding, policy,
-                            boot if conservative else None)
-    return scores.comparison(1, epsilon)
+    p = _FindingPass([study.baseline, study.candidate(candidate_id)], finding, policy,
+                     boot if conservative else None)
+    return _comparison(p, 1, epsilon)
 
 
 def gate(cmp: PositiveSumComparison, policy: GatePolicy = GatePolicy()) -> GateVerdict:
@@ -282,15 +268,15 @@ def compare_study(study: AlignedStudy, policy: InclusionPolicy = InclusionPolicy
     ``all_promoted`` holds only if every pair was evaluated and promotes.
     """
     models = (study.baseline, *study.candidates)
-    passes = [_FindingDeltas(models, f, policy, boot if gate_policy.conservative_ci else None)
+    passes = [_FindingPass(models, f, policy, boot if gate_policy.conservative_ci else None)
               for f in study.findings]
     cmps, unevaluated = [], []
     for k, cand in enumerate(study.candidates, 1):
         for p in passes:
             if p.kept:
-                cmps.append(p.comparison(k, gate_policy.epsilon))
+                cmps.append(_comparison(p, k, gate_policy.epsilon))
             else:
-                unevaluated.append((cand.model_id, p.finding, p.no_group))
+                unevaluated.append((cand.model_id, p.finding, _no_group(p)))
     verdicts = tuple(gate(c, gate_policy) for c in cmps)
     by_finding = {f: [c for c in cmps if c.finding_id == f] for f in study.findings}
     by_cand = {m.model_id: [c for c in cmps if c.candidate_id == m.model_id]

@@ -129,6 +129,15 @@ class TestAudit:
         assert rc == 2
         assert capsys.readouterr().err == f"psfair: error: {bad}{message}\n"
 
+    @pytest.mark.parametrize("path, message", [
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("/", "[Errno 21] Is a directory: '/'"),
+    ], ids=["empty", "directory"])
+    def test_unreadable_path_is_named_not_its_model_id(self, capsys, path, message):
+        # Its stem is empty, and the id made from it used to be reported instead.
+        assert main(["audit", path]) == 2
+        assert capsys.readouterr().err == f"psfair: error: {message}\n"
+
     def test_error_line_counts_quoted_newlines(self, tmp_path, capsys):
         # The quoted id spans lines 2-3, so the bad label sits on physical line 5.
         path = tmp_path / "bad.csv"
@@ -268,6 +277,11 @@ class TestCompare:
         assert rc == 2
         assert "model ids must be unique" in capsys.readouterr().err
 
+    def test_unreadable_candidate_is_named_not_its_model_id(self, study_files, capsys):
+        assert main(["compare", "--baseline", str(study_files["baseline"]),
+                     "--candidate", "/"]) == 2
+        assert capsys.readouterr().err == "psfair: error: [Errno 21] Is a directory: '/'\n"
+
     def test_candidate_with_baseline_id_exits_2(self, study_files, tmp_path, capsys):
         copy = tmp_path / "other" / "baseline.csv"
         copy.parent.mkdir()
@@ -384,6 +398,69 @@ class TestEnvironment:
         monkeypatch.setenv(name, value)
         assert main(["audit", str(path)]) == 2
         assert f"psfair: error: {name}={value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,value", [
+        ("PSFAIR_EPSILON", "abc"),
+        ("PSFAIR_CONSERVATIVE_CI", "maybe"),
+    ])
+    def test_malformed_compare_variable_exits_2(self, study_files, capsys, monkeypatch, name,
+                                                value):
+        monkeypatch.setenv(name, value)
+        assert main(["compare", "--baseline", str(study_files["baseline"]),
+                     "--candidate", str(study_files["m2"])]) == 2
+        assert capsys.readouterr().err.startswith(f"psfair: error: {name}={value!r}: ")
+
+    @pytest.mark.parametrize("name,value,argv", [
+        ("PSFAIR_BOOTSTRAP_N", "abc", ["gen", "m2_like"]),
+        ("PSFAIR_FORMAT", "xml", ["gen", "m2_like"]),
+        ("PSFAIR_EPSILON", "abc", ["audit", "m.csv"]),
+        ("PSFAIR_BOOTSTRAP_N", "abc", ["audit", "m.csv", "--bootstrap-n", "10"]),
+    ], ids=["gen-bootstrap-n", "gen-format", "audit-epsilon", "audit-given-flag"])
+    def test_malformed_variable_fails_only_commands_that_read_it(self, tmp_path, capsys,
+                                                                 monkeypatch, name, value,
+                                                                 argv):
+        # gen and audit read no such variable, and an explicit flag needs none.
+        (tmp_path / "m.csv").write_text(
+            "example_id,finding,label,score,group\ne1,f,1,0.5,g\ne2,f,0,0.1,g\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(name, value)
+        assert main(argv) == 0
+        assert name not in capsys.readouterr().err
+
+    def test_malformed_variable_leaves_help_alone(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSFAIR_CONSERVATIVE_CI", "maybe")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: psfair ")
+
+    def test_format_variable_writes_csv(self, study_files, capsys, monkeypatch):
+        monkeypatch.setenv("PSFAIR_FORMAT", "csv")
+        assert main(["audit", str(study_files["m2"]), "--bootstrap-n", "10"]) == 0
+        assert capsys.readouterr().out.startswith("finding,group,n_pos,n_neg,")
+
+    def test_tab_variable_reads_tab_separated(self, study_files, tmp_path, capsys, monkeypatch):
+        tsv = tmp_path / "tsv" / "m2.csv"
+        tsv.parent.mkdir()
+        tsv.write_text(study_files["m2"].read_text().replace(",", "\t"))
+        _, expected, _ = run_json(capsys, ["audit", str(study_files["m2"]), "--bootstrap-n", "10"])
+        monkeypatch.setenv("PSFAIR_TAB", "1")
+        rc, doc, _ = run_json(capsys, ["audit", str(tsv), "--bootstrap-n", "10"])
+        assert rc == 0 and doc == expected
+
+    def test_candidate_variable_is_read_only_without_the_flag(self, study_files, tmp_path,
+                                                               capsys, monkeypatch):
+        argv = ["compare", "--baseline", str(study_files["baseline"]), "--bootstrap-n", "10"]
+        expected = run_json(capsys, [*argv, "--candidate", str(study_files["m2"])])
+        monkeypatch.setenv("PSFAIR_CANDIDATE", str(study_files["m2"]))
+        assert run_json(capsys, argv) == expected
+        monkeypatch.setenv("PSFAIR_CANDIDATE", str(tmp_path / "missing.csv"))
+        assert run_json(capsys, [*argv, "--candidate", str(study_files["m2"])]) == expected
+
+    def test_empty_candidate_variable_is_unset(self, study_files, capsys, monkeypatch):
+        monkeypatch.setenv("PSFAIR_CANDIDATE", "")
+        assert main(["compare", "--baseline", str(study_files["baseline"])]) == 2
+        assert capsys.readouterr().err == "psfair: error: compare needs at least one --candidate\n"
 
     def test_empty_out_writes_stdout(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "m.csv"

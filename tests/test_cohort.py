@@ -297,6 +297,26 @@ def test_ingest_reads_a_path_an_open_file_and_lines_alike(tmp_path):
         ingest([header, "".join(rows)], "m")
 
 
+def test_quote_free_item_of_two_lines_is_rejected():
+    # With no quote, str.split reads the chunk; its line count must catch the item's
+    # second line, which would otherwise be read as the first line's label field.
+    header = "example_id,finding,label,score,group\n"
+    with pytest.raises(IngestError, match=r"^line 2: new-line character seen in unquoted field"):
+        ingest([header, "e1,f,1\n0.5,g\n"], "m")
+
+
+def test_ingest_opens_a_path_before_checking_the_model_id(tmp_path):
+    # So an unreadable path is reported as such, not as a bad id.
+    with pytest.raises(FileNotFoundError):
+        ingest(tmp_path / "missing.csv", "")
+    with pytest.raises(IsADirectoryError):
+        ingest(tmp_path, "")
+    path = tmp_path / "m.csv"
+    path.write_text(WELL_FORMED, encoding="utf-8")
+    with pytest.raises(CohortError, match="^model_id must be a non-empty string, got ''$"):
+        ingest(path, "")
+
+
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 def test_earlier_field_count_beats_later_bad_score(chunk):
     # With chunks of 1 or 2 the bad field count (line 3) and the bad score (line 5) fall

@@ -27,7 +27,7 @@ from psfair.cli import main
 from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import (
-    GatePolicy, _FindingDeltas, compare, compare_study, decompose_disparity_change, gate,
+    GatePolicy, compare, compare_study, decompose_disparity_change, gate,
     pareto_select,
 )
 from psfair.synth import build_study, preset
@@ -87,14 +87,14 @@ def test_candidate_cis_do_not_depend_on_the_others(study, min_pos, min_neg, n, s
     policy, boot = InclusionPolicy(min_pos, min_neg), BootstrapConfig(n, seed=seed)
     models = (study.baseline, *study.candidates)
     for finding in study.findings:
-        scores = _FindingDeltas(models, finding, policy, boot)
+        scores = metrics._FindingPass(models, finding, policy, boot)
         for k, cand in enumerate(study.candidates, 1):
             try:
                 alone = compare(study, finding, cand.model_id, policy, boot, conservative=True)
             except ValueError:
                 assert not any(scores.included)
                 continue
-            assert scores.comparison(k, 0.0) == alone
+            assert positive_sum._comparison(scores, k, 0.0) == alone
 
 
 @PROPERTY

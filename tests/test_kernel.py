@@ -251,6 +251,26 @@ def test_interval_is_numpys_linear_quantile(rows, n, level, decimals, signed, se
     assert repr(BootstrapConfig(confidence_level=level).interval(stats)) == repr(expected)
 
 
+# AUROC-like values, ties at the ends and values next to them, and subnormals.
+interval_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, np.nextafter(1.0, 0.0), 5e-324, 2.2e-308]),
+    st.floats(0, 1), st.integers(0, 20).map(lambda i: i / 20))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 59).flatmap(
+           lambda n: st.lists(st.lists(interval_values, min_size=n, max_size=n),
+                              min_size=rows, max_size=rows))),
+       st.one_of(st.sampled_from([0.5, 0.95, 0.999]), st.floats(0.5, 0.999)))
+def test_interval_stays_within_each_rows_range(stats, level):
+    # Interpolating between two sorted resamples never leaves them, so an AUROC CI
+    # needs no clamp to [0, 1].
+    stats = np.array(stats)
+    low, high = BootstrapConfig(confidence_level=level).interval(stats)
+    for row, a, b in zip(stats, low, high):
+        assert row.min() <= a <= b <= row.max()
+
+
 def test_cell_larger_than_block_cap():
     # With the real cap: one resample per block, then a ragged last block.
     rng = np.random.default_rng(5)
