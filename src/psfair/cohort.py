@@ -7,9 +7,10 @@ format: one row per (example, finding).
 
 Both readers share one grammar, ``csv.reader``'s default dialect with the
 given delimiter. Lines with no quote, CR or NUL are split with ``str.split``,
-which reads them exactly as ``csv.reader`` does; from the first chunk of lines
-that holds one, ``csv.reader`` reads the rest. ``emit`` writes the same
-grammar and quotes an id that holds the delimiter, a quote, CR or LF.
+which reads them exactly as ``csv.reader`` does. From the first chunk of lines
+that holds a quote, CR or NUL, is longer than the field size limit, or that
+``str.split``'s checks refuse, ``csv.reader`` reads the rest. ``emit`` writes
+the same grammar and quotes an id that holds the delimiter, a quote, CR or LF.
 
 In memory a set is its column table and nothing more: ``score`` (float64),
 ``label`` (int8) and integer codes into sorted vocabularies of example,
@@ -241,12 +242,8 @@ class PredictionSet:
         # Rows are canonically ordered, so input order never affects identity.
         if not isinstance(other, PredictionSet):
             return NotImplemented
-        return (self.model_id == other.model_id
-                and (self.examples, self.findings, self.groups)
-                == (other.examples, other.findings, other.groups)
-                and all(np.array_equal(getattr(self, col), getattr(other, col))
-                        for col in ("example_code", "finding_code", "group_code", "label",
-                                    "score")))
+        return (self.model_id == other.model_id and _same_rows(self, other)
+                and np.array_equal(self.score, other.score))
 
     def __repr__(self) -> str:
         return (
@@ -328,11 +325,10 @@ class _Rows(_Columns):
     encoded as each chunk is read; the labels are "0" and "1".
 
     A chunk with no quote, CR or NUL is split with ``str.split``, which reads
-    such lines exactly as ``csv.reader`` does. The first chunk that holds one
-    hands itself and the rest of the source to ``csv.reader``. A chunk longer
-    than ``csv.field_size_limit()`` characters, which might hold a field past
-    the limit, and a chunk that fails a check are read by ``csv.reader`` on
-    their own. Rows read by ``csv.reader`` are checked one at a time, so the
+    such lines exactly as ``csv.reader`` does. From the first chunk that holds
+    one, is longer than ``csv.field_size_limit()`` characters (so it might
+    hold a field past the limit) or that ``split`` refuses (a blank or bad
+    row), ``csv.reader`` reads the rest. It checks rows one at a time, so the
     first bad row raises as it is read.
     """
 
@@ -346,22 +342,21 @@ class _Rows(_Columns):
     def read(self, lines: Iterator[str], line: int) -> None:
         """Read every remaining line of ``lines``, the first being line ``line + 1``."""
         limit = csv.field_size_limit()
-        chunk: list[str] = []
         while True:
+            chunk: list[str] = []
             try:
                 chunk.extend(islice(lines, _CHUNK_ROWS))
             except (OSError, UnicodeError) as exc:
-                self.read_csv(_then_raise(chunk, exc), line)  # a bad row's error, else exc
+                lines = _raising(exc)  # read after the chunk, so a bad row in it raises first
+                break
             if not chunk:
                 return
             text = "".join(chunk)
-            if '"' in text or "\r" in text or "\0" in text:
-                self.read_csv(chain(chunk, lines), line)
-                return
-            if len(text) > limit or not self.split(text, len(chunk), line):
-                self.read_csv(chunk, line)
+            if ('"' in text or "\r" in text or "\0" in text or len(text) > limit
+                    or not self.split(text, len(chunk), line)):
+                break
             line += len(chunk)
-            chunk = []
+        self.read_csv(chain(chunk, lines), line)
 
     def split(self, text: str, n: int, line: int) -> bool:
         """Append ``text``, n lines with no quote, CR or NUL; False, appending
@@ -426,10 +421,10 @@ class _Rows(_Columns):
             append()
 
 
-def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:
-    """The lines read before a read failure, then the failure."""
-    yield from lines
+def _raising(exc: Exception) -> Iterator[str]:
+    """A source of lines whose first read raises ``exc``, a read failure."""
     raise exc
+    yield  # unreached: it makes this a generator, which raises when read
 
 
 def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str = ",") -> None:
@@ -473,29 +468,28 @@ def align(baseline: PredictionSet, candidates: list[PredictionSet] | tuple[Predi
     if repeated:
         raise AlignmentError(f"model ids must be unique, repeated: {repeated}")
     for cand in candidates:
-        if not (cand.examples == baseline.examples and cand.findings == baseline.findings
-                and np.array_equal(cand.example_code, baseline.example_code)
-                and np.array_equal(cand.finding_code, baseline.finding_code)):
-            base_keys = set(zip(*baseline._ids()[:2]))
-            cand_keys = set(zip(*cand._ids()[:2]))
-            missing = sorted(base_keys - cand_keys)
-            extra = sorted(cand_keys - base_keys)
-            parts = []
-            if missing:
-                parts.append(f"missing {len(missing)} baseline keys, e.g. {missing[:10]}")
-            if extra:
-                parts.append(f"has {len(extra)} keys absent from baseline, e.g. {extra[:10]}")
+        if _same_rows(cand, baseline):
+            continue
+        base_rows, cand_rows = ({(e, f): (y, g) for e, f, g, y in zip(*p._ids(), p.label.tolist())}
+                                for p in (baseline, cand))  # in row order
+        missing = sorted(base_rows.keys() - cand_rows.keys())
+        extra = sorted(cand_rows.keys() - base_rows.keys())
+        parts = []
+        if missing:
+            parts.append(f"missing {len(missing)} baseline keys, e.g. {missing[:10]}")
+        if extra:
+            parts.append(f"has {len(extra)} keys absent from baseline, e.g. {extra[:10]}")
+        if parts:
             raise AlignmentError(f"candidate {cand.model_id!r}: " + "; ".join(parts))
-        if not (cand.groups == baseline.groups
-                and np.array_equal(cand.label, baseline.label)
-                and np.array_equal(cand.group_code, baseline.group_code)):
-            example_id, finding_id, base_groups = baseline._ids()
-            cand_groups = cand._ids()[2]
-            labels_differ = (baseline.label != cand.label).tolist()
-            mismatched = [(example_id[i], finding_id[i]) for i in range(len(baseline))
-                          if labels_differ[i] or base_groups[i] != cand_groups[i]]
-            raise AlignmentError(
-                f"candidate {cand.model_id!r} disagrees on label/group for keys "
-                f"{mismatched[:10]}"
-            )
+        mismatched = [key for key, row in base_rows.items() if cand_rows[key] != row]
+        raise AlignmentError(f"candidate {cand.model_id!r} disagrees on label/group for keys "
+                             f"{mismatched[:10]}")
     return AlignedStudy(baseline=baseline, candidates=tuple(candidates))
+
+
+def _same_rows(a: PredictionSet, b: PredictionSet) -> bool:
+    """Whether two sets hold the same keys with the same label and group, row for row."""
+    return ((a.examples, a.findings, a.groups) == (b.examples, b.findings, b.groups)
+            and all(np.array_equal(getattr(a, col), getattr(b, col))
+                    for col in ("example_code", "finding_code", "group_code", "label")))
+

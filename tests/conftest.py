@@ -54,12 +54,11 @@ def auroc(scores_pos, scores_neg):
 
 
 def bootstrap_ci(scores_pos, scores_neg, boot, rng):
-    """Percentile CI of one cell's resampled AUROCs, clamped to [0, 1], as the
-    kernel computes it: the counterpart of ``reference.rank_bootstrap_auroc_ci``."""
+    """Percentile CI of one cell's resampled AUROCs, as the kernel computes it:
+    the counterpart of ``reference.rank_bootstrap_auroc_ci``."""
     cell = metrics._Brackets(np.asarray(scores_pos, np.float64),
                              np.asarray(scores_neg, np.float64))
-    low, high = boot.interval(metrics._resample([cell], boot.n_resamples, rng)[0])
-    return max(0.0, low), min(1.0, high)
+    return boot.interval(metrics._resample([cell], boot.n_resamples, rng)[0])
 
 
 @pytest.fixture

@@ -76,8 +76,7 @@ def _resamples(n_pos, n_neg, n_resamples, rng):
 def rank_bootstrap_auroc_ci(scores_pos, scores_neg, boot, rng) -> tuple[float, float]:
     draws = _resamples(len(scores_pos), len(scores_neg), boot.n_resamples, rng)
     stats = [rank_auroc(scores_pos[pi], scores_neg[ni]) for pi, ni in draws]
-    low, high = _interval(stats, boot)
-    return max(0.0, low), min(1.0, high)
+    return _interval(stats, boot)
 
 
 def rowwise_cells(pset, finding):

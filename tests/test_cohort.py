@@ -252,6 +252,12 @@ MORE = CLEAN.replace("e", "x")
 @example((HEADER + CLEAN.removesuffix("\n"), ",", 10_000, "", None))
 @example((HEADER + CLEAN.replace("e2", "\n e2").replace("e4", " ,\n\t\ne4"), ",", 10_000, "",
           None))
+# csv.reader reads on from a quote-free chunk that split refuses for its blank row:
+# to an unquoted field past the limit, and to a bad field count, chunks later.
+@example((HEADER + "\n" + CLEAN + MORE + f"x6,f,0,0.6,{'g' * 70}\n" + CLEAN.replace("e", "y"),
+          ",", 60, "", None))
+@example((HEADER + CLEAN.replace("e1", " \ne1") + MORE + "x9,f,0\n" + CLEAN.replace("e", "y"),
+          ",", 10_000, "", None))
 # A read failure in the middle of a chunk, after a bad row and after none.
 @example((HEADER + CLEAN.replace("e3,f,1,0.3", "e3,f,1,x"), ",", 10_000, "", 5))
 @example((HEADER + CLEAN, ",", 10_000, "", 5))
@@ -478,6 +484,32 @@ def test_align_group_mismatch():
     cand = make_set("m2", [("e1", "f", 1, 0.9, "g2"), ("e2", "f", 0, 0.1, "g1")])
     with pytest.raises(AlignmentError, match="disagrees on label/group"):
         align(base, [cand])
+
+
+def test_align_names_the_first_10_disagreeing_keys_in_row_order():
+    # Rows run by (finding, example_id), so the first 10 of the 12 keys that disagree
+    # are all six of finding a and four of b, not the sorted keys' e0-e4 of each.
+    rows = [(f"e{i}", f, i % 2, 0.5, "g") for f in "ab" for i in range(8)]
+    base = make_set("m1", rows)
+    # e0-e5 move to group h in finding a and flip their label in finding b.
+    cand = make_set("m2", [(e, f, 1 - y if f == "b" else y, s, "h" if f == "a" else g)
+                           if int(e[1]) < 6 else (e, f, y, s, g) for e, f, y, s, g in rows])
+    with pytest.raises(AlignmentError) as info:
+        align(base, [cand])
+    keys = [(f"e{i}", "a") for i in range(6)] + [(f"e{i}", "b") for i in range(4)]
+    assert str(info.value) == f"candidate 'm2' disagrees on label/group for keys {keys}"
+
+
+def test_align_names_missing_and_extra_keys():
+    shared = [(f"s{i}", f, i % 2, 0.5, "g") for f in "ab" for i in range(2)]
+    base = make_set("m1", shared + [(f"x{i:02}", "ab"[i % 2], 0, 0.5, "g") for i in range(12)])
+    cand = make_set("m2", shared + [(f"c{i:02}", "ab"[i % 2], 1, 0.5, "g") for i in range(11)])
+    with pytest.raises(AlignmentError) as info:
+        align(base, [cand])
+    missing = [(f"x{i:02}", "ab"[i % 2]) for i in range(10)]
+    extra = [(f"c{i:02}", "ab"[i % 2]) for i in range(10)]
+    assert str(info.value) == (f"candidate 'm2': missing 12 baseline keys, e.g. {missing}; "
+                               f"has 11 keys absent from baseline, e.g. {extra}")
 
 
 def test_eligible_4_positives_excluded():
