@@ -13,8 +13,8 @@ import importlib
 _EXPORTS = {
     "cohort": ("AlignedStudy", "AlignmentError", "CohortError", "InclusionPolicy",
                "IngestError", "PredictionSet", "align", "emit", "ingest"),
-    "metrics": ("BootstrapConfig", "FairnessSummary", "SubgroupPerformance", "macro_average",
-                "summarize"),
+    "metrics": ("BootstrapConfig", "FairnessSummary", "StudyAudit", "SubgroupPerformance",
+                "audit_study", "macro_average", "summarize"),
     "positive_sum": ("ChangeNarrative", "Classification", "GatePolicy", "GateVerdict",
                      "GroupDelta", "NarrativeKind", "PositiveSumComparison", "classify",
                      "compare", "compare_study", "decompose_disparity_change", "gate",

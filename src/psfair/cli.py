@@ -164,14 +164,53 @@ _COMPARISON_KEYS = (
 )
 
 
-def _report(args: argparse.Namespace, doc: dict, columns: tuple, rows: list) -> None:
-    """Print the report's warnings to stderr, then write `doc` as JSON or
-    `rows` as CSV to --out or stdout."""
+def _audit_report(result, config: dict) -> dict:
+    """The audit report of an ``audit_study`` result."""
+    return {"report_type": "audit", "model_id": result.model_id, "config": config,
+            "findings": [_summary_dict(s) for s in result.summaries],
+            "macro_average_auroc": result.macro_average_auroc,
+            "warnings": [f"finding {f!r}: fairness score undefined "
+                         "(fewer than 2 included subgroups)" for f in result.fairness_undefined]}
+
+
+def _compare_report(result, config: dict) -> dict:
+    """The compare report of a ``compare_study`` result; its first model is the baseline."""
+    comparisons = [{**_plain(c), "narrative": _plain(n), "gate": _plain(v)}
+                   for c, n, v in zip(result.comparisons, result.narratives, result.verdicts)]
+    return {"report_type": "compare", "baseline_id": next(iter(result.summaries)), "config": config,
+            "models": [{"model_id": mid,
+                        "findings": [_summary_dict(s, with_groups=False) for s in sums]}
+                       for mid, sums in result.summaries.items()],
+            "comparisons": [{key: c[key] for key in _COMPARISON_KEYS} for c in comparisons],
+            "pareto": [{"finding_id": f, "front": front} for f, front in result.pareto.items()],
+            "macro_deltas": [{"candidate_id": cid, "mean_overall_delta": overall,
+                              "mean_min_group_delta": worst}
+                             for cid, (overall, worst) in result.macro_deltas.items()],
+            "all_promoted": result.all_promoted,
+            "warnings": [f"{cid}/{fid}: skipped ({reason})"
+                         for cid, fid, reason in result.unevaluated]}
+
+
+def _csv(doc: dict) -> tuple[tuple, list[dict]]:
+    """A report's CSV columns and rows, a row per group of each finding or comparison."""
+    if doc["report_type"] == "audit":
+        return AUDIT_CSV_COLUMNS, [{**f, **g, "finding": f["finding_id"], "group": g["group_id"]}
+                                   for f in doc["findings"] for g in f["groups"]]
+    return COMPARE_CSV_COLUMNS, [
+        {**c, **d, **c["gate"], "candidate": c["candidate_id"], "finding": c["finding_id"],
+         "group": d["group_id"], "narrative": c["narrative"] and c["narrative"]["kind"],
+         "reasons": "; ".join(c["gate"]["reasons"])}
+        for c in doc["comparisons"] for d in c["group_deltas"]]
+
+
+def _report(args: argparse.Namespace, doc: dict) -> None:
+    """Print the warnings to stderr, then write the report as JSON or CSV to --out or stdout."""
     for w in doc["warnings"]:
         print(f"psfair: warning: {w}", file=sys.stderr)
     if args.format == "json":
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
+        columns, rows = _csv(doc)
         buf = io.StringIO()
         # Rows may carry keys beyond the columns; None is written as an empty field.
         writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
@@ -186,29 +225,14 @@ def _report(args: argparse.Namespace, doc: dict, columns: tuple, rows: list) -> 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from .cohort import InclusionPolicy, ingest
-    from .metrics import BootstrapConfig, macro_average, summarize
+    from .metrics import BootstrapConfig, audit_study
 
     policy = InclusionPolicy(args.min_pos, args.min_neg)
     boot = BootstrapConfig(args.bootstrap_n, args.confidence, args.seed)
-    delimiter = "\t" if args.tab else ","
-    model_id = args.model_id or Path(args.model_file).stem
-    pset = ingest(args.model_file, model_id, delimiter=delimiter)
-
-    summaries = [summarize(pset, f, policy, boot) for f in pset.findings]
-    findings = [_summary_dict(s) for s in summaries]
-    doc = {
-        "report_type": "audit",
-        "model_id": model_id,
-        "config": {**_plain(policy), **_plain(boot)},
-        "findings": findings,
-        "macro_average_auroc": macro_average(summaries),
-        "warnings": [f"finding {s.finding_id!r}: fairness score undefined "
-                     f"(fewer than 2 included subgroups)"
-                     for s in summaries if s.fairness_score is None],
-    }
-    rows = [{**f, **g, "finding": f["finding_id"], "group": g["group_id"]}
-            for f in findings for g in f["groups"]]
-    _report(args, doc, AUDIT_CSV_COLUMNS, rows)
+    model_id = Path(args.model_file).stem if args.model_id is None else args.model_id
+    pset = ingest(args.model_file, model_id, delimiter="\t" if args.tab else ",")
+    _report(args, _audit_report(audit_study(pset, policy, boot),
+                                {**_plain(policy), **_plain(boot)}))
     return 0
 
 
@@ -217,45 +241,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .metrics import BootstrapConfig
     from .positive_sum import GatePolicy, compare_study
 
-    if not args.candidate:
-        env_cand = _env("CANDIDATE")
-        if env_cand:
-            args.candidate = [env_cand]
-        else:
-            raise CohortError("compare needs at least one --candidate")
+    candidates = args.candidate or [path for path in [_env("CANDIDATE")] if path]
+    if not candidates:
+        raise CohortError("compare needs at least one --candidate")
     policy = InclusionPolicy(args.min_pos, args.min_neg)
     boot = BootstrapConfig(args.bootstrap_n, args.confidence, args.seed)
     gate_policy = GatePolicy(epsilon=args.epsilon, conservative_ci=args.conservative_ci)
-    delimiter = "\t" if args.tab else ","
-
-    baseline = ingest(args.baseline, Path(args.baseline).stem, delimiter=delimiter)
-    candidates = [ingest(p, Path(p).stem, delimiter=delimiter) for p in args.candidate]
+    baseline, *candidates = [ingest(p, Path(p).stem, delimiter="\t" if args.tab else ",")
+                             for p in [args.baseline, *candidates]]
     result = compare_study(align(baseline, candidates), policy, boot, gate_policy)
-    reports = [{**_plain(c), "narrative": _plain(n), "gate": _plain(v)}
-               for c, n, v in zip(result.comparisons, result.narratives, result.verdicts)]
-    reports = [{key: doc[key] for key in _COMPARISON_KEYS} for doc in reports]
-    doc = {
-        "report_type": "compare",
-        "baseline_id": baseline.model_id,
-        "config": {**_plain(policy), **_plain(boot), **_plain(gate_policy)},
-        "models": [{"model_id": mid,
-                    "findings": [_summary_dict(s, with_groups=False) for s in sums]}
-                   for mid, sums in result.summaries.items()],
-        "comparisons": reports,
-        "pareto": [{"finding_id": f, "front": front} for f, front in result.pareto.items()],
-        "macro_deltas": [{"candidate_id": cid, "mean_overall_delta": overall,
-                          "mean_min_group_delta": worst}
-                         for cid, (overall, worst) in result.macro_deltas.items()],
-        "all_promoted": result.all_promoted,
-        "warnings": [f"{cid}/{fid}: skipped ({reason})" for cid, fid, reason in result.unevaluated],
-    }
-    rows = [
-        {**c, **d, **c["gate"], "candidate": c["candidate_id"], "finding": c["finding_id"],
-         "group": d["group_id"], "narrative": c["narrative"] and c["narrative"]["kind"],
-         "reasons": "; ".join(c["gate"]["reasons"])}
-        for c in reports for d in c["group_deltas"]
-    ]
-    _report(args, doc, COMPARE_CSV_COLUMNS, rows)
+    _report(args, _compare_report(result, {**_plain(policy), **_plain(boot),
+                                           **_plain(gate_policy)}))
     return 0 if result.all_promoted else 1
 
 

@@ -314,10 +314,23 @@ def macro_average(summaries: Sequence[FairnessSummary]) -> float:
     return float(sum(s.overall_auroc for s in summaries) / len(summaries))
 
 
-__all__ = [
-    "BootstrapConfig",
-    "SubgroupPerformance",
-    "FairnessSummary",
-    "summarize",
-    "macro_average",
-]
+@dataclass(frozen=True)
+class StudyAudit:
+    """``audit_study``'s result, with one summary per finding in the set's finding order."""
+
+    model_id: str
+    summaries: tuple[FairnessSummary, ...]
+    macro_average_auroc: float
+    fairness_undefined: tuple[str, ...]  # the findings whose fairness_score is None
+
+
+def audit_study(pset: PredictionSet, policy: InclusionPolicy = InclusionPolicy(),
+                boot: BootstrapConfig = BootstrapConfig()) -> StudyAudit:
+    """Every finding of one model, as ``psfair audit`` reports it."""
+    summaries = tuple(summarize(pset, f, policy, boot) for f in pset.findings)
+    return StudyAudit(pset.model_id, summaries, macro_average(summaries),
+                      tuple(s.finding_id for s in summaries if s.fairness_score is None))
+
+
+__all__ = ["BootstrapConfig", "SubgroupPerformance", "FairnessSummary", "StudyAudit", "summarize",
+           "macro_average", "audit_study"]

@@ -12,10 +12,12 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from psfair.cli import COMPARE_CSV_COLUMNS, main
-from psfair.cohort import emit, ingest
+from psfair.cohort import InclusionPolicy, emit, ingest
+from psfair.metrics import BootstrapConfig, audit_study
 from psfair.synth import build_study, preset
 from conftest import child_env, group_rows
 from reference import scenario_to_dict
+from test_golden import write_multi_finding_study
 from test_synth import MALFORMED, WRONG_TYPES, set_field
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +94,40 @@ class TestAudit:
             doc = json.loads(captured.out)
             assert doc["findings"][0]["fairness_score"] is None
             validate(doc, "audit_report.schema.json")
+
+    def test_report_comes_from_audit_study(self, tmp_path, capsys, monkeypatch):
+        from psfair import metrics
+
+        calls = []
+        summarize = metrics.summarize
+        monkeypatch.setattr(metrics, "summarize",
+                            lambda *args: calls.append(args[1]) or summarize(*args))
+        write_multi_finding_study(tmp_path)
+        path = tmp_path / "slip.csv"
+        rc, doc, err = run_json(capsys, ["audit", str(path), "--bootstrap-n", "40",
+                                         "--min-pos", "4", "--min-neg", "4", "--seed", "9"])
+        assert rc == 0
+        assert calls == ["alpha", "beta", "gamma"]  # one summarize call per finding
+
+        result = audit_study(ingest(path, "slip"), InclusionPolicy(4, 4),
+                             BootstrapConfig(40, seed=9))
+        findings = [json.loads(json.dumps(dataclasses.asdict(s))) for s in result.summaries]
+        for f in findings:
+            f["groups"] = f.pop("per_group")
+        warnings = [f"finding {f!r}: fairness score undefined (fewer than 2 included subgroups)"
+                    for f in result.fairness_undefined]
+        assert (doc["model_id"], doc["findings"]) == ("slip", findings)
+        assert doc["macro_average_auroc"] == result.macro_average_auroc
+        assert result.fairness_undefined == ("beta",)  # gamma's groups pass at 4 / 4
+        assert doc["warnings"] == warnings
+        assert err == "".join(f"psfair: warning: {w}\n" for w in warnings)
+        validate(doc, "audit_report.schema.json")
+
+    def test_empty_model_id_is_taken_as_given(self, study_files, capsys):
+        # An explicit "" is not replaced by the file stem; it fails as an id.
+        assert main(["audit", str(study_files["m2"]), "--model-id", ""]) == 2
+        assert capsys.readouterr() == (
+            "", "psfair: error: model_id must be a non-empty string, got ''\n")
 
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

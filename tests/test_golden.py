@@ -1,6 +1,7 @@
 """Golden report hashes: every report and generated file of the four presets,
-the files ``gen`` writes for a custom scenario file, and one conservative
-compare of that scenario's three models.
+the files ``gen`` writes for a custom scenario file, one conservative
+compare of that scenario's three models, and every report of a study of
+three findings, as stdout and stderr.
 
 ``gen`` writes each preset at seed 0, then ``audit`` and ``compare`` read it
 back, all through ``cli.main``. Each output file's sha256 and each exit code
@@ -146,3 +147,78 @@ def test_scenario_three_model_conservative_compare_matches_golden_hash(tmp_path,
                  "--candidate", str(tmp_path / "same.csv"),
                  "--conservative-ci", "--bootstrap-n", "700", "--out", str(report)])
     assert (hashlib.sha256(report.read_bytes()).hexdigest(), code) == SCENARIO_COMPARE_GOLDEN
+
+
+# A study of three findings that no preset reaches. "alpha" includes every
+# group; "beta" includes only group a, so its fairness score and every
+# narrative are undefined; "gamma" includes no group (no group has 5
+# positives and 5 negatives), so each candidate's (candidate, "gamma") pair is
+# skipped with a warning, compare exits 1, and the audit's macro average
+# spans all three findings. "lift" gains on group a; "slip" jitters alpha's
+# group b, a point loss that the conservative gate lets through.
+MULTI_FINDING = {  # finding -> ((group, n_pos, n_neg), ...)
+    "alpha": (("a", 6, 7), ("b", 8, 6), ("c", 5, 9)),
+    "beta": (("a", 7, 6), ("b", 3, 8)),
+    "gamma": (("a", 4, 6), ("b", 6, 4)),
+}
+MULTI_SHIFT = {  # model -> score shift of (finding, group, row index, label)
+    "baseline": lambda finding, group, i, label: 0.0,
+    "lift": lambda finding, group, i, label: 0.15 * label * (group == "a"),
+    "slip": lambda finding, group, i, label: ((i * 5) % 7 - 3) / 20 * ((finding, group)
+                                                                        == ("alpha", "b")),
+}
+
+
+def write_multi_finding_study(folder):
+    """Write baseline.csv, lift.csv and slip.csv of MULTI_FINDING to ``folder``."""
+    for model, shift in MULTI_SHIFT.items():
+        lines = ["example_id,finding,label,score,group"]
+        for f, (finding, groups) in enumerate(MULTI_FINDING.items()):
+            for g, (group, n_pos, n_neg) in enumerate(groups):
+                for i in range(n_pos + n_neg):
+                    label = int(i < n_pos)
+                    score = ((i * 7 + f * 3 + g * 5) % 13) / 13 + 0.3 * label
+                    score += shift(finding, group, i, label)
+                    lines.append(f"{finding}-{group}-{i},{finding},{label},{score:.4f},{group}")
+        (folder / f"{model}.csv").write_text("\n".join(lines) + "\n")
+
+
+# run -> (sha256 of stdout, sha256 of stderr, exit code)
+MULTI_FINDING_GOLDEN = {
+    "audit.json": ("042b669376d4dc7909cae6138cc6c2806b6e14f0e61f6e0217ddf2d8d02d9108",
+        "2b51c06c9659907a6de64ea3571e51ab07f4bb2b55a4ecde2c42bcf298dba38b", 0),
+    "audit.csv": ("80b6d9a31c5c9d34cff9fdd4886acac3a802191a65da2dc4feb8bec993340eb9",
+        "2b51c06c9659907a6de64ea3571e51ab07f4bb2b55a4ecde2c42bcf298dba38b", 0),
+    "compare.json": ("8aa6981c6300518b33cdfb5359e62a9bb9f895d9df108ee6c48c8ec27064aaa5",
+        "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
+    "compare.csv": ("a4fd16288a71483c746901288374e916a6e1608668eb3cf102a815d735d5eb42",
+        "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
+    "conservative.json": ("436215c9d0d0757a8b0640e6d74b03a573a606c86917fd2bc20d500d5870f6f3",
+        "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
+    "conservative.csv": ("1e95471ec4ccc716a83e6fc098ca705b04b78773644a82c5fd8e498518709c22",
+        "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
+}
+
+
+def test_multi_finding_reports_match_golden_hashes(tmp_path, monkeypatch, capsys):
+    for name in [n for n in os.environ if n.startswith("PSFAIR_")]:
+        monkeypatch.delenv(name)
+    write_multi_finding_study(tmp_path)
+    base, lift, slip = (str(tmp_path / f"{model}.csv") for model in MULTI_SHIFT)
+    compare = ["compare", "--baseline", base, "--candidate", lift, "--candidate", slip]
+    conservative = [*compare, "--conservative-ci", "--bootstrap-n", "80"]
+    runs = {
+        "audit.json": ["audit", lift, "--bootstrap-n", "80"],
+        "audit.csv": ["audit", lift, "--bootstrap-n", "80", "--format", "csv"],
+        "compare.json": compare,
+        "compare.csv": [*compare, "--format", "csv"],
+        "conservative.json": conservative,
+        "conservative.csv": [*conservative, "--format", "csv"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        got[name] = (hashlib.sha256(out.encode()).hexdigest(),
+                     hashlib.sha256(err.encode()).hexdigest(), code)
+    assert got == MULTI_FINDING_GOLDEN

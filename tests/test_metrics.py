@@ -7,6 +7,7 @@ import pytest
 from psfair.cohort import InclusionPolicy, IngestError
 from psfair.metrics import (
     BootstrapConfig,
+    audit_study,
     macro_average,
     summarize,
 )
@@ -177,6 +178,19 @@ class TestMacroAverage:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             macro_average([])
+
+
+def test_audit_study_summarizes_every_finding_in_order():
+    rows = [*group_rows("f2", "a", [0.9] * 6, [0.1] * 6),
+            *group_rows("f2", "b", [0.9] * 6, [0.5] * 6),
+            *group_rows("f1", "a", [0.7, 0.2] * 3, [0.4] * 6, prefix="x")]
+    pset, policy, boot = make_set("m", rows), InclusionPolicy(), BootstrapConfig(40, 0.9, 3)
+    result = audit_study(pset, policy, boot)
+    summaries = tuple(summarize(pset, f, policy, boot) for f in ("f1", "f2"))
+    assert result.model_id == "m"
+    assert result.summaries == summaries
+    assert result.macro_average_auroc == macro_average(summaries)
+    assert result.fairness_undefined == ("f1",)  # one included group
 
 
 def test_overall_auroc_matches_direct():

@@ -26,10 +26,10 @@ PUBLIC_NAMES = (
     "AlignedStudy", "AlignmentError", "BootstrapConfig", "CandidateSpec", "ChangeNarrative",
     "Classification", "CohortError", "FairnessSummary", "GatePolicy", "GateVerdict",
     "GroupDelta", "GroupRecipe", "InclusionPolicy", "IngestError", "NarrativeKind",
-    "PositiveSumComparison", "PredictionSet", "ScenarioSpec", "SubgroupPerformance", "align",
-    "build_study", "classify", "compare", "compare_study", "decompose_disparity_change", "emit",
-    "gate", "ingest", "load_scenario", "macro_average", "pareto_select", "preset",
-    "summarize",
+    "PositiveSumComparison", "PredictionSet", "ScenarioSpec", "StudyAudit", "SubgroupPerformance",
+    "align", "audit_study", "build_study", "classify", "compare", "compare_study",
+    "decompose_disparity_change", "emit", "gate", "ingest", "load_scenario", "macro_average",
+    "pareto_select", "preset", "summarize",
 )
 
 
