@@ -8,9 +8,9 @@ Each command imports the psfair modules it runs, and no others.
 The `psfair` program (`entrypoint`, also run by `python -m psfair.cli`) sets
 OPENBLAS_NUM_THREADS=1 unless the caller set it, because psfair makes no BLAS
 call. It also runs without Python's cycle collector, whose garbage here does not
-grow with the input, and freezes its objects before it exits, so that they are
-left to the OS instead of being torn down one by one. `main` and the library
-never change the environment or the collector.
+grow with the input, and freezes its objects before it exits, so that the last
+collection does not scan them; module teardown still frees them. `main` and the
+library never change the environment or the collector.
 
 These flags take their default from a PSFAIR_<NAME> variable (e.g.
 PSFAIR_BOOTSTRAP_N=500); an explicit flag wins, and a malformed value exits 2
@@ -295,6 +295,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         for value in vars(args).values():
             if isinstance(value, ValueError):
                 raise value
+        out = getattr(args, "out", None)  # audit's and compare's, checked before any input is read
+        if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            os.open(Path(out), os.O_WRONLY)  # raises what the report's write would, creating nothing
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"psfair: error: {exc}", file=sys.stderr)
@@ -312,7 +315,7 @@ def entrypoint() -> None:
     # A run leaves a fixed amount of cyclic garbage, whatever its input size, so
     # the collector would only rescan live objects: numpy's import alone sets off
     # ~29 collections. Freezing before exit keeps shutdown's last collection off
-    # every live object; the OS reclaims their memory.
+    # every live object; module teardown still frees them.
     gc.disable()
     code = main()
     gc.freeze()

@@ -6,11 +6,12 @@ byte-order mark is ignored. One file holds one model's scored test set, long
 format: one row per (example, finding).
 
 Both readers share one grammar, ``csv.reader``'s default dialect with the
-given delimiter. Lines with no quote, CR or NUL are split with ``str.split``,
-which reads them exactly as ``csv.reader`` does. From the first chunk of lines
-that holds a quote, CR or NUL, is longer than the field size limit, or that
-``str.split``'s checks refuse, ``csv.reader`` reads the rest. ``emit`` writes
-the same grammar and quotes an id that holds the delimiter, a quote, CR or LF.
+given delimiter. A chunk of lines, each ending in LF or CRLF, is split with
+``str.split``, which reads it as ``csv.reader`` does, unless it holds a quote,
+a NUL, any other CR, a blank or bad row, a bad score or a field past the field
+size limit. From the first such chunk ``csv.reader`` reads the rest. ``emit``
+writes the same grammar and quotes an id that holds the delimiter, a quote,
+CR or LF.
 
 In memory a set is its column table and nothing more: ``score`` (float64),
 ``label`` (int8) and integer codes into sorted vocabularies of example,
@@ -324,12 +325,10 @@ class _Rows(_Columns):
     """The data rows of one source, read a chunk of whole lines at a time and
     encoded as each chunk is read; the labels are "0" and "1".
 
-    A chunk with no quote, CR or NUL is split with ``str.split``, which reads
-    such lines exactly as ``csv.reader`` does. From the first chunk that holds
-    one, is longer than ``csv.field_size_limit()`` characters (so it might
-    hold a field past the limit) or that ``split`` refuses (a blank or bad
-    row), ``csv.reader`` reads the rest. It checks rows one at a time, so the
-    first bad row raises as it is read.
+    ``split`` alone decides each chunk's route: it takes a chunk that
+    ``csv.reader`` would read the same and accept, and from the first chunk
+    it refuses, ``read_csv`` reads the rest. That checks rows one at a time,
+    so the first bad row raises as it is read.
     """
 
     def __init__(self, delimiter: str, width: int, col: list[int]):
@@ -341,7 +340,6 @@ class _Rows(_Columns):
 
     def read(self, lines: Iterator[str], line: int) -> None:
         """Read every remaining line of ``lines``, the first being line ``line + 1``."""
-        limit = csv.field_size_limit()
         while True:
             chunk: list[str] = []
             try:
@@ -351,25 +349,29 @@ class _Rows(_Columns):
                 break
             if not chunk:
                 return
-            text = "".join(chunk)
-            if ('"' in text or "\r" in text or "\0" in text or len(text) > limit
-                    or not self.split(text, len(chunk), line)):
+            if not self.split(chunk, line):
                 break
             line += len(chunk)
         self.read_csv(chain(chunk, lines), line)
 
-    def split(self, text: str, n: int, line: int) -> bool:
-        """Append ``text``, n lines with no quote, CR or NUL; False, appending
-        nothing, if a line is blank or fails the field-count or score check."""
-        width, d = self.width, self.delimiter
+    def split(self, chunk: list[str], line: int) -> bool:
+        """Append the rows of ``chunk``, lines ``line + 1`` on, split with
+        ``str.split``; False, appending nothing, unless ``csv.reader`` reads
+        each the same and accepts it. A CRLF reads as an LF. A quote, a NUL or
+        other CR, a blank or bad row, a bad score, or a field longer than
+        ``csv.field_size_limit()`` (measured only if the chunk is) refuses."""
+        width, d, n, limit = self.width, self.delimiter, len(chunk), csv.field_size_limit()
+        text = "".join(chunk).replace("\r\n", "\n")
         if not text.endswith("\n"):  # a last line with no line end
             text += "\n"
-        if text.count("\n") != n:  # an item of the source that is not one line
+        # An item of the source that is not one line is refused too.
+        if text.count("\n") != n or any(map(text.__contains__, '"\r\0')):
             return False
         # Each newline ends a field, so the rows are the lines only if the
-        # last column holds all n of them.
+        # last column holds all n of them. A last field is measured with its LF.
         fields = text.replace("\n", "\n" + d).split(d)
-        if len(fields) != n * width + 1 or "".join(fields[width - 1::width]).count("\n") != n:
+        if (len(fields) != n * width + 1 or "".join(fields[width - 1::width]).count("\n") != n
+                or len(text) > limit and max(map(len, fields)) > limit):
             return False
         fields.pop()
         strip = not text.isascii() or any(map(text.__contains__, self.spaces))

@@ -167,15 +167,9 @@ def _resample(brackets: Sequence[_Brackets], n_resamples: int,
     is one ``integers`` call on its own stream. Philox yields the same indices
     for one large draw as for consecutive smaller ones, so the result depends
     on neither ``_BLOCK_ELEMS`` nor on other cells. Every model is scored on
-    the same draws, so model differences are paired. ``rng`` must be
-    spawnable, as one from ``np.random.default_rng(seed)`` or
-    ``seeding.substream`` is; any other raises ValueError.
+    the same draws, so model differences are paired.
     """
-    try:
-        pos_rng, neg_rng = rng.spawn(2)
-    except TypeError:  # its bit generator carries no SeedSequence to spawn from
-        raise ValueError("rng must be spawnable, e.g. np.random.default_rng(seed) "
-                         "or seeding.substream") from None
+    pos_rng, neg_rng = rng.spawn(2)
     n_pos, n_neg = len(brackets[0].lo), len(brackets[0].neg_level)
     stats = np.empty((len(brackets), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))

@@ -206,6 +206,41 @@ class TestAudit:
         assert not doc["findings"][0]["groups"][0]["included"]
 
 
+class TestUnwritableOut:
+    @pytest.fixture
+    def never_read(self, monkeypatch):
+        """ingest and audit_study replaced by functions that fail if called."""
+        from psfair import cohort, metrics
+
+        def boom(*args, **kwargs):
+            raise AssertionError("input read before --out was checked")
+        monkeypatch.setattr(cohort, "ingest", boom)
+        monkeypatch.setattr(metrics, "audit_study", boom)
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["audit", "compare"])
+    def test_fails_before_any_input_is_read(self, study_files, tmp_path, capsys, monkeypatch,
+                                            never_read, command, via):
+        argv = {"audit": ["audit", str(study_files["m2"])],
+                "compare": ["compare", "--baseline", str(study_files["baseline"]),
+                            "--candidate", str(study_files["m2"])]}[command]
+        for out, error in ((tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'"),
+                           (tmp_path / "missing" / "r.json",
+                            f"[Errno 2] No such file or directory: '{tmp_path}/missing/r.json'")):
+            if via == "env":
+                monkeypatch.setenv("PSFAIR_OUT", str(out))
+            assert main(argv + (["--out", str(out)] if via == "flag" else [])) == 2
+            assert capsys.readouterr() == ("", f"psfair: error: {error}\n")
+        assert not (tmp_path / "missing").exists()
+
+    def test_bad_input_leaves_no_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.csv").write_text("example_id,finding,label,score,group\ne1,f,7,0.5,g\n")
+        assert main(["audit", "bad.csv", "--out", "new.json"]) == 2
+        assert capsys.readouterr().err == "psfair: error: bad.csv: line 2: label not binary: '7'\n"
+        assert sorted(os.listdir()) == ["bad.csv"]
+
+
 class TestCompare:
     def test_m2_like_promotes(self, study_files, capsys):
         rc, doc, _ = run_json(

@@ -153,8 +153,9 @@ FAULTS = [("label", "2"), ("label", "1.0"), ("label", ""), ("label", " 1 "),
           ("group", "a\rb"), ("group", "b\x0c"), ("drop", None), ("extra", None),
           ("unclosed", None)]
 BLANK_ROWS = [[], [""], ["  "], ["", "", "", "", ""], [" ", "\t"], ["", ""] * 4, ["\x0c "]]
-# Notes csv.writer leaves plain, and notes it quotes.
-PLAIN_NOTES = ["", "x", "y" * 40, "y" * 70]
+# Notes csv.writer leaves plain, and notes it quotes. At a limit of 60, a row
+# with 59 or 60 y's is longer than the limit while no field is past it.
+PLAIN_NOTES = ["", "x", "y" * 40, "y" * 59, "y" * 60, "y" * 70]
 QUOTED_NOTES = ["two\nlines", "a,b"]
 
 
@@ -248,6 +249,13 @@ MORE = CLEAN.replace("e", "x")
 @example((HEADER + CLEAN + f"e6,f,0,0.6,{'g' * 50}\n" + MORE, ",", 60, "", None))
 @example((HEADER + CLEAN + "e6,f,0,0.6,g\rh\n", ",", 10_000, "\n", None))
 @example((HEADER + CLEAN + "e6,f,0,0.6,g\0\n", ",", 10_000, "", None))
+# Read by str.split: a clean CRLF file; quote-free chunks longer than the limit,
+# their last field short of it or just at it.
+@example((HEADER.replace("\n", "\r\n") + CLEAN.replace("\n", "\r\n"), ",", 10_000, "", None))
+@example((HEADER.replace("\n", ",note\n") + CLEAN.replace("\n", f",{'n' * 40}\n"), ",", 60, "",
+          None))
+@example((HEADER.replace("\n", ",note\n") + CLEAN.replace("\n", f",{'n' * 60}\n"), ",", 60, "",
+          None))
 # No trailing newline; blank and whitespace-only lines at chunk boundaries.
 @example((HEADER + CLEAN.removesuffix("\n"), ",", 10_000, "", None))
 @example((HEADER + CLEAN.replace("e2", "\n e2").replace("e4", " ,\n\t\ne4"), ",", 10_000, "",
@@ -285,6 +293,37 @@ def test_ingest_matches_rowwise_reference(case):
                 assert parsed(ingest, text, delimiter, newline, fail_after) == expected, chunk
     finally:
         csv.field_size_limit(limit)
+
+
+def test_split_alone_routes_each_chunk_to_csv_reader():
+    # csv.writer ends rows in CRLF, and a long extra column makes every chunk longer
+    # than the field size limit; str.split reads both. A lone CR inside a line and a
+    # field past the limit go to csv.reader, which rejects them.
+    rows = [[f"e{i}", "f", str(i % 2), f"0.{i}", "g"] for i in range(3 * cohort._CHUNK_ROWS)]
+    written = io.StringIO(newline="")
+    csv.writer(written).writerows([cohort.REQUIRED_COLUMNS, *rows])
+    plain = "".join(",".join(row) + "\n" for row in [cohort.REQUIRED_COLUMNS, *rows])
+    long = "".join(",".join([*row, "p" * 120]) + "\n" for row in [cohort.REQUIRED_COLUMNS, *rows])
+    assert len(long) // len(rows) > 128 and "\r\n" in written.getvalue()
+
+    def ingested(text):
+        """The set ingest makes of text, or its error, and whether csv.reader read any of it."""
+        with mock.patch.object(cohort._Rows, "read_csv", autospec=True,
+                               side_effect=cohort._Rows.read_csv) as spy:
+            try:
+                result = ingest(io.StringIO(text, newline="\n"), "m")  # lines end at LF
+            except IngestError as exc:
+                result = str(exc)
+        return result, spy.called
+
+    expected = ingest(io.StringIO(plain), "m")
+    assert ingested(plain) == ingested(written.getvalue()) == ingested(long) == (expected, False)
+    lone_cr = plain.replace("e7,f,1,0.7,g\n", "e7,f,1,0.7,g\rh\n")
+    assert ingested(lone_cr) == ("line 9: new-line character seen in unquoted field - do you "
+                                 "need to open the file in universal-newline mode?", True)
+    past = plain.replace("e7,f,1,0.7,g\n", f"e7,f,1,0.7,{'g' * (csv.field_size_limit() + 1)}\n")
+    assert ingested(past) == (f"line 9: field larger than field limit ({csv.field_size_limit()})",
+                              True)
 
 
 def test_ingest_reads_a_path_an_open_file_and_lines_alike(tmp_path):

@@ -12,7 +12,7 @@ from psfair.metrics import (
     summarize,
 )
 from psfair.seeding import substream
-from conftest import auroc, bootstrap_ci, group_rows, make_set, random_instance, set_rows
+from conftest import auroc, group_rows, make_set, random_instance, set_rows
 from reference import oracle_auroc
 
 
@@ -98,12 +98,6 @@ class TestGroupPerformance:
         a = summarize(pset, "f", boot=BootstrapConfig(seed=1)).per_group
         b = summarize(pset, "f", boot=BootstrapConfig(seed=2)).per_group
         assert (a[0].ci_low, a[0].ci_high) != (b[0].ci_low, b[0].ci_high)
-
-    def test_unspawnable_generator_is_a_value_error(self):
-        # A Philox generator built from a bare key has no SeedSequence to spawn the side streams.
-        rng = np.random.Generator(np.random.Philox(key=1))
-        with pytest.raises(ValueError, match="rng must be spawnable"):
-            bootstrap_ci(np.array([0.9, 0.4]), np.array([0.8, 0.2]), BootstrapConfig(), rng)
 
     def test_ci_brackets_point_estimate(self, rng):
         for _ in range(20):
