@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for compare, every candidate promoted), 1 at least
 one candidate rejected by the gate, 2 input or validation error or out of
 memory. This makes `psfair compare` usable directly as a CI promotion gate.
-Each command imports the psfair modules it runs, and no others.
+Building the parser imports only what parsing runs; each command imports its
+own modules, psfair's and the standard library's.
 
 The `psfair` program (`entrypoint`, also run by `python -m psfair.cli`) sets
 OPENBLAS_NUM_THREADS=1 unless the caller set it, because psfair makes no BLAS
@@ -25,12 +26,9 @@ and every --seed in [0, 2**64).
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import enum
 import gc
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -132,13 +130,15 @@ AUDIT_CSV_COLUMNS = (
 COMPARE_CSV_COLUMNS = (
     "candidate", "finding", "group", "jointly_included", "baseline_auroc", "candidate_auroc",
     "delta", "overall_delta", "min_group_delta", "min_group", "classification", "narrative",
-    "disparity_change", "promote", "reasons",
+    "disparity_change", "promote", "reasons", "overall_delta_ci_low", "overall_delta_ci_high",
+    "min_group_delta_ci_low", "min_group_delta_ci_high",
 )
 
 
 def _plain(obj):
     """A result object as JSON values: dataclasses become dicts in field order,
     enums their value, tuples and lists lists; dict values are converted too."""
+    import dataclasses
     if dataclasses.is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, enum.Enum):
@@ -199,7 +199,9 @@ def _csv(doc: dict) -> tuple[tuple, list[dict]]:
     return COMPARE_CSV_COLUMNS, [
         {**c, **d, **c["gate"], "candidate": c["candidate_id"], "finding": c["finding_id"],
          "group": d["group_id"], "narrative": c["narrative"] and c["narrative"]["kind"],
-         "reasons": "; ".join(c["gate"]["reasons"])}
+         "reasons": "; ".join(c["gate"]["reasons"]),
+         **{f"{ci}_{end}": v for ci in ("overall_delta_ci", "min_group_delta_ci")
+            for end, v in zip(("low", "high"), c[ci] or ())}}  # empty when point-gated
         for c in doc["comparisons"] for d in c["group_deltas"]]
 
 
@@ -208,8 +210,10 @@ def _report(args: argparse.Namespace, doc: dict) -> None:
     for w in doc["warnings"]:
         print(f"psfair: warning: {w}", file=sys.stderr)
     if args.format == "json":
+        import json
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
+        import csv
         columns, rows = _csv(doc)
         buf = io.StringIO()
         # Rows may carry keys beyond the columns; None is written as an empty field.
@@ -271,13 +275,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
             f"{sorted(PRESET_NAMES)}"
         )
     if args.seed is not None:
+        import dataclasses
         spec = dataclasses.replace(spec, seed=args.seed)
     study = build_study(spec)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    delimiter = "\t" if args.tab else ","
-    ext = "tsv" if args.tab else "csv"
+    delimiter, ext = ("\t", "tsv") if args.tab else (",", "csv")
     written = []
     for pset in (study.baseline, *study.candidates):
         path = out_dir / f"{pset.model_id}.{ext}"

@@ -30,8 +30,12 @@ class Classification(enum.Enum):
 
 class NarrativeKind(enum.Enum):
     ADVANTAGED_IMPROVED = "advantaged_improved"
+    OTHER_GROUP_IMPROVED = "other_group_improved"
+    ALL_IMPROVED_EVENLY = "all_improved_evenly"
     ALL_IMPROVED_UNEVENLY = "all_improved_unevenly"
     WORST_GROUP_DECLINED = "worst_group_declined"
+    OTHER_GROUP_DECLINED = "other_group_declined"
+    ALL_DECLINED_EVENLY = "all_declined_evenly"
     ALL_DECLINED_UNEVENLY = "all_declined_unevenly"
     MIXED = "mixed"
     NO_CHANGE = "no_change"
@@ -186,7 +190,11 @@ def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:
     """Name the sign pattern behind a disparity change.
 
     The comparison's epsilon is the zero band: deltas within +/-epsilon count
-    as "stayed the same".
+    as "stayed the same". A lone mover is the advantaged group if it rose from
+    the highest baseline AUROC, the worst group if it fell from the lowest (ties
+    count), another group otherwise. When every group moved one way, the kind
+    says whether their spread is within epsilon. Anything else is mixed: some
+    groups rose and some fell, or several moved one way while others stayed.
     """
     eps = cmp.epsilon
     included = [d for d in cmp.group_deltas if d.jointly_included]
@@ -195,20 +203,28 @@ def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:
     signs = {
         d.group_id: (1 if d.delta > eps else -1 if d.delta < -eps else 0) for d in included
     }
-    values = [d.delta for d in included]
-    n_up = sum(1 for s in signs.values() if s == 1)
-    n_down = sum(1 for s in signs.values() if s == -1)
-
-    if n_up == 0 and n_down == 0:
+    moved = [d for d in included if signs[d.group_id]]
+    ways = {signs[d.group_id] for d in moved}
+    if not moved:
         kind = NarrativeKind.NO_CHANGE
-    elif n_up == 1 and n_down == 0:
-        kind = NarrativeKind.ADVANTAGED_IMPROVED
-    elif n_up == len(signs) and (max(values) - min(values)) > eps:
-        kind = NarrativeKind.ALL_IMPROVED_UNEVENLY
-    elif n_down == 1 and n_up == 0:
-        kind = NarrativeKind.WORST_GROUP_DECLINED
-    elif n_down == len(signs):
-        kind = NarrativeKind.ALL_DECLINED_UNEVENLY
+    elif len(moved) == 1:
+        (lone,) = moved
+        base = [d.baseline_auroc for d in included]
+        if ways == {1}:
+            kind = (NarrativeKind.ADVANTAGED_IMPROVED if lone.baseline_auroc >= max(base)
+                    else NarrativeKind.OTHER_GROUP_IMPROVED)
+        else:
+            kind = (NarrativeKind.WORST_GROUP_DECLINED if lone.baseline_auroc <= min(base)
+                    else NarrativeKind.OTHER_GROUP_DECLINED)
+    elif len(moved) == len(included) and len(ways) == 1:
+        values = [d.delta for d in included]
+        even = max(values) - min(values) <= eps
+        if ways == {1}:
+            kind = (NarrativeKind.ALL_IMPROVED_EVENLY if even
+                    else NarrativeKind.ALL_IMPROVED_UNEVENLY)
+        else:
+            kind = (NarrativeKind.ALL_DECLINED_EVENLY if even
+                    else NarrativeKind.ALL_DECLINED_UNEVENLY)
     else:
         kind = NarrativeKind.MIXED
     return ChangeNarrative(kind=kind, signs=signs)

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gc
+import io
 import json
 import os
 import resource
@@ -334,6 +336,33 @@ class TestCompare:
         assert out.splitlines()[0].startswith("candidate,finding,group")
         assert len(out.splitlines()) == 4  # header + 3 groups
 
+    def test_conservative_csv_carries_the_delta_ci_ends_it_gated_on(self, tmp_path, capsys):
+        # "slip" loses on alpha's group b at the point, yet promotes: the gate
+        # classified the upper ends of the delta CIs, and the CSV row shows them.
+        write_multi_finding_study(tmp_path)
+        compare = ["compare", "--baseline", str(tmp_path / "baseline.csv"),
+                   *(f"--candidate={tmp_path / m}.csv" for m in ("lift", "slip")),
+                   "--conservative-ci", "--bootstrap-n", "80"]
+        rows = {}
+        for fmt in ("json", "csv", "point-csv"):
+            argv = [a for a in compare if fmt != "point-csv" or a != "--conservative-ci"]
+            assert main([*argv, "--format", fmt.removeprefix("point-")]) == 1  # gamma skipped
+            rows[fmt] = capsys.readouterr().out
+        (cmp,) = [c for c in json.loads(rows["json"])["comparisons"]
+                  if (c["candidate_id"], c["finding_id"]) == ("slip", "alpha")]
+        ends = [f"{ci}_{end}" for ci in ("overall_delta_ci", "min_group_delta_ci")
+                for end in ("low", "high")]
+        assert list(COMPARE_CSV_COLUMNS[-4:]) == ends
+        slip = [r for r in csv.DictReader(io.StringIO(rows["csv"]))
+                if (r["candidate"], r["finding"]) == ("slip", "alpha")]
+        assert len(slip) == 3  # a row per group
+        for row in slip:
+            assert (row["classification"], row["promote"]) == ("harmful_both", "True")
+            got = [float(row[e]) for e in ends]
+            assert got == [*cmp["overall_delta_ci"], *cmp["min_group_delta_ci"]]
+            assert got[1] >= 0 and got[3] >= 0  # the upper ends that promoted it
+        for row in csv.DictReader(io.StringIO(rows["point-csv"])):
+            assert [row[e] for e in ends] == ["", "", "", ""]  # no CIs on a point-gated run
 
     def test_duplicate_candidate_stem_exits_2(self, tmp_path, capsys):
         # An m4-like (harmful) file saved under the stem of a promotable one.
@@ -722,27 +751,50 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 LOADED_MODULES = """
-import json, sys
+import sys
+before = set(sys.modules)  # whatever site or the interpreter loaded first
 from psfair import cli
 if sys.argv[1:]:
-    assert cli.main(sys.argv[1:]) == 0
+    code = cli.main(sys.argv[1:])
 else:
     cli.build_parser()
-print(json.dumps(sorted(sys.modules)))
+    code = 0
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([code, added]))
 """
 
 
-def loaded_modules(*argv: str) -> set[str]:
-    """The modules a fresh interpreter holds after running `psfair *argv`,
-    or after building the parser when argv is empty."""
-    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=child_env(),
-                         capture_output=True, text=True, check=True)
-    return set(json.loads(out.stdout.splitlines()[-1]))
+def loaded_modules(*argv: str, code: int = 0, **env: str) -> set[str]:
+    """The modules that a fresh interpreter adds by importing psfair.cli and
+    running `psfair *argv` with env set, or building the parser when argv is
+    empty; the run must exit with code."""
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                         env={**child_env(), **env}, capture_output=True, text=True, check=True)
+    got, added = json.loads(out.stdout.splitlines()[-1])
+    assert got == code, out.stderr
+    return set(added)
+
+
+# What only a command's report or numpy work needs.
+REPORT_MODULES = {"csv", "dataclasses", "inspect", "json", "numpy"}
 
 
 def test_parser_loads_no_numpy_and_no_other_psfair_module():
     loaded = loaded_modules()
-    assert "numpy" not in loaded
+    assert loaded & REPORT_MODULES == set()
+    assert sorted(m for m in loaded if m.startswith("psfair.")) == ["psfair.cli"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["audit", "x.csv"], {"PSFAIR_BOOTSTRAP_N": "abc"}),
+    (["audit", "x.csv", "--out", "/"], {}),
+    (["compare", "--baseline", "b.csv", "--candidate", "c.csv", "--out", "/"], {}),
+], ids=["malformed-env", "audit-out-dir", "compare-out-dir"])
+def test_exit_2_before_input_loads_nothing_for_reports(argv, env):
+    # Configuration errors exit on the parser's path, before any report module loads.
+    loaded = loaded_modules(*argv, code=2, **env)
+    assert loaded & REPORT_MODULES == set()
     assert sorted(m for m in loaded if m.startswith("psfair.")) == ["psfair.cli"]
 
 

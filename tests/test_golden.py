@@ -26,7 +26,7 @@ GOLDEN = {
          "audit.json": "c7579048f35add594ec5ba0e7646b86592618951dd2a5d3013565960e28e8f16",
          "audit.csv": "58e87359b96e4be850bb501f4f3eb77655703b249677d7820a2c0558249eb422",
          "compare.json": "c7428ad6cb528e7f658900b81549b0806d0c34aa35cbf44d3f87e7059376ec39",
-         "compare.csv": "a00bc0e143179e702209ea0df58f5457013ad63ea484e1fce419a54158a5b763",
+         "compare.csv": "39d3e040ea06dd2d9a5b437b69043cc5421818b26dd2ba88923f981b0d9dd48b",
          "conservative.json": "f3d167b6c64ab808a9627edea1461afeecce2d31ef0fe03cfcad022b9943ab22"},
         (0, 0, 0, 0, 0, 0)),
     ("m3_like", "m3"): (
@@ -35,7 +35,7 @@ GOLDEN = {
          "audit.json": "713ce08635fdab7d5dcbb0a3fe5e2d411781612c2d782f22ff3474d2f569da78",
          "audit.csv": "77187e1c11b677818aafc4f01f62c0cd10471185356f9ecd49ec0a1fe604669b",
          "compare.json": "84ce29e888e7970f4bbcef4f8106dbd0e7afaea6a56d1481afc7463ffc8c6952",
-         "compare.csv": "11adb68fda5f151ccf36c99c8953151b232ad9da212cc65b15300aa2fee54ed9",
+         "compare.csv": "80f5e6e8f3c85a3a5bb68a5f045484ee00f2b6867a22e27df2602fcaa179e3fc",
          "conservative.json": "1a3e68cd83889fee1f5d0dcfde8a224747621a61f356554f8606cd28ffb70a23"},
         (0, 0, 0, 1, 1, 1)),
     ("m4_like", "m4"): (
@@ -44,7 +44,7 @@ GOLDEN = {
          "audit.json": "0507a32ae144e9f8940f9618438a8751a0f899677ba632a50dd466d85b848c32",
          "audit.csv": "d9d871242ac653e589c46108132b8208d2b29f35dfdf8fafa6bde26dcf9a2a71",
          "compare.json": "5beb294befd404a0683b08b190e88280a03d139c2f838d6a3686dd878a535c8e",
-         "compare.csv": "abdd7ac46dcee70739db68e1fad9ea58574c8960590534e097131b5c8627e856",
+         "compare.csv": "bb5c0e389be19bf078f26a805cc055030dd65a6f637b34a4ee33b018a3ccd22a",
          "conservative.json": "3facf339888e844a3d4464b9f1d53a3587d4a1136756443afbe623488003b35f"},
         (0, 0, 0, 1, 1, 1)),
     ("no_change", "m_same"): (
@@ -53,7 +53,7 @@ GOLDEN = {
          "audit.json": "8061ccc11467c89c2f8e7286a22386181d59d8bf090247e837e71005ca0d754f",
          "audit.csv": "631a06404b2940ea34c5771c2cdd0f8b455877108414cc1a55cfe531b1012629",
          "compare.json": "da0aa78f71b82113174c9c1279c008ddc435a720327292ffbd8b95f74a190e7f",
-         "compare.csv": "ae5b84ea5c9d352671b9ba189311a5f6ed90d3b288225ac3e6152ec2e224d688",
+         "compare.csv": "e262c41f262321b7d045cbda2167842b2480ae1a2cbd34423b7ba5370fa332c4",
          "conservative.json": "c24b925787e61919d6f911a6410c39f9b15d9c578c4dc8fcecf620bb0ca35207"},
         (0, 0, 0, 0, 0, 0)),
 }
@@ -154,8 +154,9 @@ def test_scenario_three_model_conservative_compare_matches_golden_hash(tmp_path,
 # narrative are undefined; "gamma" includes no group (no group has 5
 # positives and 5 negatives), so each candidate's (candidate, "gamma") pair is
 # skipped with a warning, compare exits 1, and the audit's macro average
-# spans all three findings. "lift" gains on group a; "slip" jitters alpha's
-# group b, a point loss that the conservative gate lets through.
+# spans all three findings. "lift" gains on group a, the lowest at baseline
+# (other_group_improved); "slip" jitters alpha's group b, a point loss that the
+# conservative gate lets through.
 MULTI_FINDING = {  # finding -> ((group, n_pos, n_neg), ...)
     "alpha": (("a", 6, 7), ("b", 8, 6), ("c", 5, 9)),
     "beta": (("a", 7, 6), ("b", 3, 8)),
@@ -189,13 +190,13 @@ MULTI_FINDING_GOLDEN = {
         "2b51c06c9659907a6de64ea3571e51ab07f4bb2b55a4ecde2c42bcf298dba38b", 0),
     "audit.csv": ("80b6d9a31c5c9d34cff9fdd4886acac3a802191a65da2dc4feb8bec993340eb9",
         "2b51c06c9659907a6de64ea3571e51ab07f4bb2b55a4ecde2c42bcf298dba38b", 0),
-    "compare.json": ("8aa6981c6300518b33cdfb5359e62a9bb9f895d9df108ee6c48c8ec27064aaa5",
+    "compare.json": ("f863a45865d980f47a667999fa700d87055b453a70713d74ed4470782575daba",
         "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
-    "compare.csv": ("a4fd16288a71483c746901288374e916a6e1608668eb3cf102a815d735d5eb42",
+    "compare.csv": ("a59ba45a08a43c6ef0b5015a3b19359478ede72e40e768a3ee9a4d1315080699",
         "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
-    "conservative.json": ("436215c9d0d0757a8b0640e6d74b03a573a606c86917fd2bc20d500d5870f6f3",
+    "conservative.json": ("7304f619a57256cc560e01150717a224c17a0dd8de57c4d1eb718cea38d67645",
         "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
-    "conservative.csv": ("1e95471ec4ccc716a83e6fc098ca705b04b78773644a82c5fd8e498518709c22",
+    "conservative.csv": ("dcf0accdb2f5514a1053bdf99dbeb62b6f7e758bc6325d5e9a0cbac2b3670534",
         "842bcc5655f7a27b94c13752ce99f00d56067f2439ecca662d2288a8664adafd", 1),
 }
 

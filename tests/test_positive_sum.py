@@ -196,11 +196,12 @@ class TestGate:
 
 
 class TestDecompose:
-    def _cmp_with_deltas(self, deltas, epsilon=0.0):
+    def _cmp_with_deltas(self, deltas, epsilon=0.0, baselines=None):
         from psfair.positive_sum import GroupDelta
 
         gds = [
-            GroupDelta(f"g{i}", 0.7, 0.7 + d, d, True) for i, d in enumerate(deltas)
+            GroupDelta(f"g{i}", b, b + d, d, True)
+            for i, (d, b) in enumerate(zip(deltas, baselines or [0.7] * len(deltas)))
         ]
         worst = min(deltas)
         return make_cmp(sum(deltas) / len(deltas), worst, epsilon=epsilon,
@@ -229,6 +230,30 @@ class TestDecompose:
     def test_mixed(self):
         cmp = self._cmp_with_deltas([0.05, -0.05, 0.0])
         assert decompose_disparity_change(cmp).kind is NarrativeKind.MIXED
+
+    def test_even_improvement_is_all_improved_evenly(self):
+        # Every group rose, within epsilon of each other: not "mixed".
+        cmp = self._cmp_with_deltas([0.030, 0.031, 0.032], epsilon=0.01)
+        assert decompose_disparity_change(cmp).kind is NarrativeKind.ALL_IMPROVED_EVENLY
+
+    def test_even_decline_is_all_declined_evenly(self):
+        cmp = self._cmp_with_deltas([-0.030, -0.031, -0.032], epsilon=0.01)
+        assert decompose_disparity_change(cmp).kind is NarrativeKind.ALL_DECLINED_EVENLY
+
+    def test_lone_improver_with_lowest_baseline_is_other_group_improved(self):
+        # The worst group at baseline alone gains: it was not the advantaged one.
+        cmp = self._cmp_with_deltas([0.0416, 0.0, 0.0], baselines=[0.6913, 0.7483, 0.7741])
+        assert decompose_disparity_change(cmp).kind is NarrativeKind.OTHER_GROUP_IMPROVED
+
+    def test_lone_decliner_above_lowest_baseline_is_other_group_declined(self):
+        cmp = self._cmp_with_deltas([0.0, -0.04, 0.0], baselines=[0.69, 0.75, 0.77])
+        assert decompose_disparity_change(cmp).kind is NarrativeKind.OTHER_GROUP_DECLINED
+
+    def test_lone_movers_at_the_baseline_extremes_keep_their_kinds(self):
+        up = self._cmp_with_deltas([0.0, 0.0, 0.05], baselines=[0.69, 0.75, 0.77])
+        down = self._cmp_with_deltas([-0.05, 0.0, 0.0], baselines=[0.69, 0.75, 0.77])
+        assert decompose_disparity_change(up).kind is NarrativeKind.ADVANTAGED_IMPROVED
+        assert decompose_disparity_change(down).kind is NarrativeKind.WORST_GROUP_DECLINED
 
     def test_epsilon_band_absorbs_noise(self):
         cmp = self._cmp_with_deltas([0.005, -0.005], epsilon=0.01)

@@ -13,7 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 from psfair.cli import main
 from psfair.cohort import InclusionPolicy, align, emit, ingest
 from psfair.metrics import BootstrapConfig, summarize
-from psfair.positive_sum import Classification, GatePolicy, compare, gate
+from psfair.positive_sum import (Classification, GatePolicy, GroupDelta, NarrativeKind,
+                                 PositiveSumComparison, compare, decompose_disparity_change,
+                                 gate)
 from psfair.synth import CandidateSpec, GroupRecipe, ScenarioSpec, build_study, load_scenario
 from conftest import make_set
 from reference import scenario_to_dict
@@ -150,6 +152,51 @@ def test_point_gate_agrees_with_classification(rows, epsilon):
         cmp = compare(study, finding, "cand", InclusionPolicy(1, 1), epsilon=epsilon)
         assert (gate(cmp, GatePolicy(epsilon=epsilon)).promote
                 == (cmp.classification is Classification.NON_HARMFUL))
+
+
+def narrative_kinds(deltas, baselines, eps):
+    """Every kind whose definition holds for these group deltas and baseline AUROCs."""
+    up, down = [d > eps for d in deltas], [d < -eps for d in deltas]
+    spread = max(deltas) - min(deltas)
+    lone_up, lone_down = sum(up) == 1 and not any(down), sum(down) == 1 and not any(up)
+    mover = baselines[(up if lone_up else down).index(True)] if lone_up or lone_down else None
+    holds = {
+        NarrativeKind.NO_CHANGE: not any(up) and not any(down),
+        NarrativeKind.ADVANTAGED_IMPROVED: lone_up and mover >= max(baselines),
+        NarrativeKind.OTHER_GROUP_IMPROVED: lone_up and mover < max(baselines),
+        NarrativeKind.WORST_GROUP_DECLINED: lone_down and mover <= min(baselines),
+        NarrativeKind.OTHER_GROUP_DECLINED: lone_down and mover > min(baselines),
+        NarrativeKind.ALL_IMPROVED_EVENLY: all(up) and spread <= eps,
+        NarrativeKind.ALL_IMPROVED_UNEVENLY: all(up) and spread > eps,
+        NarrativeKind.ALL_DECLINED_EVENLY: all(down) and spread <= eps,
+        NarrativeKind.ALL_DECLINED_UNEVENLY: all(down) and spread > eps,
+        NarrativeKind.MIXED: sum(up) + sum(down) >= 2 and not all(up) and not all(down),
+    }
+    return {kind for kind, holds_here in holds.items() if holds_here}
+
+
+@st.composite
+def group_moves(draw):
+    """(deltas, baseline AUROCs, epsilon) of 2-6 groups. Deltas cluster around a
+    shared shift so that even moves are common; levels repeat so ties are too."""
+    n = draw(st.integers(2, 6))
+    shift = draw(st.floats(-0.1, 0.1))
+    deltas = [draw(st.one_of(st.just(0.0), st.floats(-0.1, 0.1),
+                             st.floats(-0.02, 0.02).map(lambda d: shift + d)))
+              for _ in range(n)]
+    levels = st.one_of(st.sampled_from([0.6, 0.7, 0.8]), st.floats(0.5, 1.0))
+    return deltas, [draw(levels) for _ in range(n)], draw(st.floats(0, 0.05))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(group_moves())
+def test_exactly_one_narrative_kind_holds(moves):
+    deltas, baselines, eps = moves
+    cmp = PositiveSumComparison(
+        "f", "cand", 0.0, tuple(GroupDelta(f"g{i}", b, b + d, d, True)
+                                for i, (d, b) in enumerate(zip(deltas, baselines))),
+        min(deltas), "g0", Classification.NON_HARMFUL, 0.0, eps)
+    assert narrative_kinds(deltas, baselines, eps) == {decompose_disparity_change(cmp).kind}
 
 
 @st.composite
