@@ -184,22 +184,10 @@ def _resample(brackets: Sequence[_Brackets], n_resamples: int,
     return stats
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Row indices of one bucket's positives and negatives, each in example_id order.
-
-    Aligned sets share their row layout, so a baseline cell picks the same
-    examples out of every candidate's ``score`` column.
-    """
-
-    group_id: str | None  # None for all of a finding's rows
-    pos: np.ndarray
-    neg: np.ndarray
-
-
-def _bucket(pset: PredictionSet, finding: str) -> list[Cell]:
-    """The cells of one finding: the pooled cell, then one cell per group
-    present in the finding, in group_id order.
+def _bucket(pset: PredictionSet, finding: str) -> list[tuple[str | None, np.ndarray, np.ndarray]]:
+    """The cells of one finding as (group_id, positive rows, negative rows):
+    the pooled cell (group_id None), then one cell per group present in the
+    finding, in group_id order.
 
     Rows are sorted by (finding, example_id), so the finding's rows are one
     run. Each cell is a stable pick from that run, so its rows stay in
@@ -214,8 +202,8 @@ def _bucket(pset: PredictionSet, finding: str) -> list[Cell]:
     sizes = np.bincount(key, minlength=2 * len(pset.groups)).reshape(-1, 2)
     present = np.flatnonzero(sizes.any(axis=1))
     sides = np.split(lo + np.argsort(key, kind="stable"), np.cumsum(sizes[present])[:-1])
-    return [Cell(None, lo + np.flatnonzero(~negative), lo + np.flatnonzero(negative)),
-            *map(Cell, [pset.groups[g] for g in present.tolist()], sides[::2], sides[1::2])]
+    return [(None, lo + np.flatnonzero(~negative), lo + np.flatnonzero(negative)),
+            *zip([pset.groups[g] for g in present.tolist()], sides[::2], sides[1::2])]
 
 
 class _FindingPass:
@@ -237,11 +225,11 @@ class _FindingPass:
         self.finding, self.policy, self.paired = finding, policy, paired
         self.model_ids = [m.model_id for m in models]
         self.cells = _bucket(models[0], finding)
-        self.brackets = [[_Brackets(m.score[cell.pos], m.score[cell.neg]) for m in models]
-                         if len(cell.pos) and len(cell.neg) else None for cell in self.cells]
+        self.brackets = [[_Brackets(m.score[pos], m.score[neg]) for m in models]
+                         if len(pos) and len(neg) else None for _, pos, neg in self.cells]
         self.points = [[None] * len(models) if row is None else [b.point() for b in row]
                        for row in self.brackets]
-        self.included = [policy.admits(len(cell.pos), len(cell.neg)) for cell in self.cells[1:]]
+        self.included = [policy.admits(len(pos), len(neg)) for _, pos, neg in self.cells[1:]]
         self.kept = [c for c, keep in enumerate(self.included, 1) if keep]
         self.draws = (None if paired is None or not self.kept
                       else self.resample(paired, ("delta-bootstrap",), [0, *self.kept]))
@@ -254,8 +242,8 @@ class _FindingPass:
         so its resamples depend on neither the other cells nor the other models.
         """
         return [_resample(self.brackets[c], boot.n_resamples,
-                          substream(boot.seed, *key, self.finding, self.cells[c].group_id or ""))
-                for c in cells]
+                          substream(boot.seed, *key, self.finding, g or ""))
+                for c in cells for g, _, _ in [self.cells[c]]]
 
     def summary(self, m: int, boot: BootstrapConfig | None = None) -> FairnessSummary:
         """Model m's overall AUROC, per-group rows and fairness (see ``summarize``).
@@ -265,8 +253,9 @@ class _FindingPass:
         (possible at tiny n), the interval is widened to cover it and the group
         flagged low_confidence. One quantile call gives every CI of the finding.
         """
-        per_group = [SubgroupPerformance(cell.group_id, len(cell.pos), len(cell.neg), keep, p[m])
-                     for cell, p, keep in zip(self.cells[1:], self.points[1:], self.included)]
+        per_group = [SubgroupPerformance(g, len(pos), len(neg), keep, p[m])
+                     for (g, pos, neg), p, keep
+                     in zip(self.cells[1:], self.points[1:], self.included)]
         if boot is not None and self.kept:
             draws = self.resample(boot, ("bootstrap", self.model_ids[m]), self.kept)
             bounds = zip(*boot.interval(np.array([d[m] for d in draws])))

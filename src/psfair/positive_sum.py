@@ -102,18 +102,25 @@ class PositiveSumComparison:
         _check_epsilon(self.epsilon)
 
 
+# Each quadrant's class, by (overall_delta >= -eps, min_group_delta >= -eps).
+_QUADRANTS = {(True, True): Classification.NON_HARMFUL,
+              (True, False): Classification.HARMFUL_TO_SUBGROUP,
+              (False, True): Classification.HARMFUL_TO_OVERALL,
+              (False, False): Classification.HARMFUL_BOTH}
+_LONE = {(1, True): NarrativeKind.ADVANTAGED_IMPROVED,
+         (1, False): NarrativeKind.OTHER_GROUP_IMPROVED,
+         (-1, True): NarrativeKind.WORST_GROUP_DECLINED,
+         (-1, False): NarrativeKind.OTHER_GROUP_DECLINED}
+_EVERY = {(1, True): NarrativeKind.ALL_IMPROVED_EVENLY,
+          (1, False): NarrativeKind.ALL_IMPROVED_UNEVENLY,
+          (-1, True): NarrativeKind.ALL_DECLINED_EVENLY,
+          (-1, False): NarrativeKind.ALL_DECLINED_UNEVENLY}
+
+
 def classify(overall_delta: float, min_group_delta: float, epsilon: float = 0.0) -> Classification:
     """Four-way harm classification; total over the delta plane for any finite eps >= 0."""
     _check_epsilon(epsilon)
-    overall_ok = overall_delta >= -epsilon
-    groups_ok = min_group_delta >= -epsilon
-    if overall_ok and groups_ok:
-        return Classification.NON_HARMFUL
-    if overall_ok:
-        return Classification.HARMFUL_TO_SUBGROUP
-    if groups_ok:
-        return Classification.HARMFUL_TO_OVERALL
-    return Classification.HARMFUL_BOTH
+    return _QUADRANTS[overall_delta >= -epsilon, min_group_delta >= -epsilon]
 
 
 def _no_group(p: _FindingPass) -> str:
@@ -125,8 +132,8 @@ def _comparison(p: _FindingPass, k: int, epsilon: float) -> PositiveSumCompariso
     """Model k of pass p against model 0, the baseline, with CIs if p drew paired resamples."""
     if not p.kept:
         raise ValueError(_no_group(p))
-    deltas = [GroupDelta(cell.group_id, q[0], q[k], None if q[0] is None else q[k] - q[0], keep)
-              for cell, q, keep in zip(p.cells[1:], p.points[1:], p.included)]
+    deltas = [GroupDelta(g, q[0], q[k], None if q[0] is None else q[k] - q[0], keep)
+              for (g, _, _), q, keep in zip(p.cells[1:], p.points[1:], p.included)]
     included = [d for d in deltas if d.jointly_included]
     worst = min(included, key=lambda d: (d.delta, d.group_id))
     overall_delta = p.points[0][k] - p.points[0][0]
@@ -190,11 +197,11 @@ def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:
     """Name the sign pattern behind a disparity change.
 
     The comparison's epsilon is the zero band: deltas within +/-epsilon count
-    as "stayed the same". A lone mover is the advantaged group if it rose from
-    the highest baseline AUROC, the worst group if it fell from the lowest (ties
-    count), another group otherwise. When every group moved one way, the kind
-    says whether their spread is within epsilon. Anything else is mixed: some
-    groups rose and some fell, or several moved one way while others stayed.
+    as "stayed the same". A lone mover's kind is ``_LONE[direction, whether it
+    held the extreme baseline AUROC]``: the highest for a rise, the lowest for a
+    fall, ties count. When every group moved one way it is ``_EVERY[direction,
+    whether the deltas' spread is within epsilon]``. Anything else is mixed:
+    some groups rose and some fell, or several moved one way while others stayed.
     """
     eps = cmp.epsilon
     included = [d for d in cmp.group_deltas if d.jointly_included]
@@ -204,29 +211,17 @@ def decompose_disparity_change(cmp: PositiveSumComparison) -> ChangeNarrative:
         d.group_id: (1 if d.delta > eps else -1 if d.delta < -eps else 0) for d in included
     }
     moved = [d for d in included if signs[d.group_id]]
-    ways = {signs[d.group_id] for d in moved}
+    way = sum({signs[d.group_id] for d in moved})  # +1 or -1 if every mover went that way, else 0
     if not moved:
         kind = NarrativeKind.NO_CHANGE
-    elif len(moved) == 1:
-        (lone,) = moved
-        base = [d.baseline_auroc for d in included]
-        if ways == {1}:
-            kind = (NarrativeKind.ADVANTAGED_IMPROVED if lone.baseline_auroc >= max(base)
-                    else NarrativeKind.OTHER_GROUP_IMPROVED)
-        else:
-            kind = (NarrativeKind.WORST_GROUP_DECLINED if lone.baseline_auroc <= min(base)
-                    else NarrativeKind.OTHER_GROUP_DECLINED)
-    elif len(moved) == len(included) and len(ways) == 1:
-        values = [d.delta for d in included]
-        even = max(values) - min(values) <= eps
-        if ways == {1}:
-            kind = (NarrativeKind.ALL_IMPROVED_EVENLY if even
-                    else NarrativeKind.ALL_IMPROVED_UNEVENLY)
-        else:
-            kind = (NarrativeKind.ALL_DECLINED_EVENLY if even
-                    else NarrativeKind.ALL_DECLINED_UNEVENLY)
-    else:
+    elif not way or 1 < len(moved) < len(included):
         kind = NarrativeKind.MIXED
+    elif len(moved) == 1:
+        base = [d.baseline_auroc for d in included]
+        kind = _LONE[way, moved[0].baseline_auroc == (max(base) if way > 0 else min(base))]
+    else:
+        values = [d.delta for d in included]
+        kind = _EVERY[way, max(values) - min(values) <= eps]
     return ChangeNarrative(kind=kind, signs=signs)
 
 

@@ -45,7 +45,7 @@ def by_key(pset):
 
 def included_groups(pset, finding, policy=InclusionPolicy()):
     """Groups the one inclusion rule admits, over the one bucketing routine."""
-    return {c.group_id for c in _bucket(pset, finding)[1:] if policy.admits(len(c.pos), len(c.neg))}
+    return {g for g, pos, neg in _bucket(pset, finding)[1:] if policy.admits(len(pos), len(neg))}
 
 
 def test_ingest_well_formed():

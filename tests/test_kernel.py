@@ -103,8 +103,7 @@ def bucketed_set(draw):
 @given(bucketed_set())
 def test_bucket_matches_rowwise_cells(pset):
     for finding in pset.findings:
-        cells = [(c.group_id, c.pos.tolist(), c.neg.tolist())
-                 for c in metrics._bucket(pset, finding)]
+        cells = [(g, pos.tolist(), neg.tolist()) for g, pos, neg in metrics._bucket(pset, finding)]
         assert cells == rowwise_cells(pset, finding)
 
 
@@ -115,11 +114,11 @@ def test_audit_cis_match_reference(study, n, cap, seed):
     boot = BootstrapConfig(n_resamples=n, seed=seed)
     with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
         perf = summarize(pset, "f", InclusionPolicy(1, 1), boot).per_group
-    for cell, g in zip(metrics._bucket(pset, "f")[1:], perf):
-        pos, neg = pset.score[cell.pos], pset.score[cell.neg]
+    for (group_id, pos_rows, neg_rows), g in zip(metrics._bucket(pset, "f")[1:], perf):
+        pos, neg = pset.score[pos_rows], pset.score[neg_rows]
         assert g.auroc == rank_auroc(pos, neg)
         low, high = rank_bootstrap_auroc_ci(
-            pos, neg, boot, substream(seed, "bootstrap", "base", "f", cell.group_id))
+            pos, neg, boot, substream(seed, "bootstrap", "base", "f", group_id))
         assert (g.ci_low, g.ci_high) == (min(low, g.auroc), max(high, g.auroc))
 
 
@@ -133,10 +132,10 @@ def test_delta_cis_match_reference(study, n, cap, seed):
         cmp = compare(study, "f", "cand", InclusionPolicy(1, 1), boot, conservative=True)
     expected = rank_delta_bootstrap_cis(baseline, candidate, "f", baseline.groups, boot)
     assert (cmp.overall_delta_ci, cmp.min_group_delta_ci) == expected
-    for cell, d in zip(cells, cmp.group_deltas):
+    for (_, pos, neg), d in zip(cells, cmp.group_deltas):
         b, c = baseline.score, candidate.score
-        assert d.baseline_auroc == rank_auroc(b[cell.pos], b[cell.neg])
-        assert d.candidate_auroc == rank_auroc(c[cell.pos], c[cell.neg])
+        assert d.baseline_auroc == rank_auroc(b[pos], b[neg])
+        assert d.candidate_auroc == rank_auroc(c[pos], c[neg])
 
 
 @PROPERTY
@@ -167,7 +166,7 @@ def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, s
     # reported); the resamples reuse the brackets of the included ones.
     policy = InclusionPolicy(min_pos, min_neg)
     cells = metrics._bucket(study.baseline, "f")
-    assume(any(policy.admits(len(cell.pos), len(cell.neg)) for cell in cells[1:]))
+    assume(any(policy.admits(len(pos), len(neg)) for _, pos, neg in cells[1:]))
     built = []
     init = metrics._Brackets.__init__
 
@@ -177,7 +176,7 @@ def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, s
 
     with mock.patch.object(metrics._Brackets, "__init__", counting_init):
         compare(study, "f", "cand", policy, BootstrapConfig(n, seed=seed), conservative=True)
-    assert len(built) == 2 * sum(1 for cell in cells if len(cell.pos) and len(cell.neg))
+    assert len(built) == 2 * sum(1 for _, pos, neg in cells if len(pos) and len(neg))
 
 
 @st.composite
@@ -210,16 +209,16 @@ def test_audit_rows_follow_their_cells(pset, n, cap, seed):
         perf = summarize(pset, "f", policy, boot).per_group
     cells = metrics._bucket(pset, "f")[1:]
     assert len(perf) == len(cells)
-    for cell, g in zip(cells, perf):
-        pos, neg = pset.score[cell.pos], pset.score[cell.neg]
-        assert (g.group_id, g.n_pos, g.n_neg) == (cell.group_id, len(pos), len(neg))
+    for (group_id, pos_rows, neg_rows), g in zip(cells, perf):
+        pos, neg = pset.score[pos_rows], pset.score[neg_rows]
+        assert (g.group_id, g.n_pos, g.n_neg) == (group_id, len(pos), len(neg))
         assert g.included == policy.admits(len(pos), len(neg))
         assert g.auroc == (rank_auroc(pos, neg) if len(pos) and len(neg) else None)
         if not g.included:
             assert (g.ci_low, g.ci_high, g.low_confidence) == (None, None, False)
             continue
         low, high = rank_bootstrap_auroc_ci(
-            pos, neg, boot, substream(seed, "bootstrap", "m", "f", cell.group_id))
+            pos, neg, boot, substream(seed, "bootstrap", "m", "f", group_id))
         assert (g.ci_low, g.ci_high) == (min(low, g.auroc), max(high, g.auroc))
         assert g.low_confidence == (not low <= g.auroc <= high)
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from psfair.positive_sum import (
     pareto_select,
 )
 from conftest import group_rows, make_set, set_rows
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_cmp(overall_delta, min_group_delta, candidate_id="c", finding="f",
@@ -275,6 +280,18 @@ class TestDecompose:
             assert narrative.kind in NarrativeKind
             again = decompose_disparity_change(self._cmp_with_deltas(deltas))
             assert again.kind is narrative.kind
+
+
+def test_readme_and_schema_list_every_verdict():
+    # A compare report carries both verdicts; the README says what each value means.
+    readme = (REPO_ROOT / "README.md").read_text()
+    schema = json.loads((REPO_ROOT / "schemas" / "compare_report.schema.json").read_text())
+    fields = schema["$defs"]["comparison"]["properties"]
+    kinds = fields["narrative"]["oneOf"][1]["properties"]["kind"]["enum"]
+    for enum, listed in ((Classification, fields["classification"]["enum"]), (NarrativeKind, kinds)):
+        values = {member.value for member in enum}
+        assert set(listed) == values
+        assert sorted(v for v in values if f"`{v}`" not in readme) == []
 
 
 class TestPareto:

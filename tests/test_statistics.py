@@ -27,7 +27,7 @@ def binormal_cells(n_cells, n_per_side, target_auc, seed):
     recipes = tuple(GroupRecipe(f"g{k}", n_per_side, n_per_side, target_auc)
                     for k in range(n_cells))
     pset = build_study(ScenarioSpec("cells", recipes, (), seed)).baseline
-    return [(pset.score[c.pos], pset.score[c.neg]) for c in metrics._bucket(pset, "finding")[1:]]
+    return [(pset.score[pos], pset.score[neg]) for _, pos, neg in metrics._bucket(pset, "finding")[1:]]
 
 
 def delong(pos, neg):
