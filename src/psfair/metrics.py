@@ -2,16 +2,20 @@
 
 AUROC is the Mann-Whitney pair statistic: the fraction of (positive, negative)
 score pairs ranked correctly, ties counted half. It is counted, not ranked:
-a cell's negatives are sorted once and every positive is bracketed among them,
-so the point estimate and each bootstrap resample reduce to integer counts
-read off a prefix sum of negatives per level, one flattened prefix sum per
-block of resamples. A bootstrap call allocates its index scratch once, sized
-to one block, and every block and model writes into it. ``2U`` (twice the
-number of correct pairs, ties once) is exact, so every AUROC agrees bit for
-bit with exhaustive pair counting.
+a cell's negatives are sorted once, for all its models, into levels, and every
+positive is bracketed among them under each model, so the point estimate and
+each bootstrap resample reduce to integer counts read off a prefix sum of
+negatives per level. A block of resamples is counted once for every model:
+one tally of the drawn levels and one of the drawn positives serve them all,
+and only each model's flattened prefix sum and its gather are its own. A
+bootstrap call allocates its scratch once, sized to one block, and every
+block and model writes into it. ``2U`` (twice the number of correct pairs,
+ties once) is a sum of integer counts, so it is exact: every AUROC agrees bit
+for bit with exhaustive pair counting, whichever models share the cell.
 ``_FindingPass`` scores a finding for audit and compare alike: it buckets
-the finding into cells, brackets each cell once per model, and draws every
-resample, of audit and of paired delta CIs, on streams whose keys it owns.
+the finding into cells, brackets each cell once for every model, and draws
+every resample, of audit and of paired delta CIs, on streams whose keys it
+owns.
 
 The traditional group-fairness score is 1 minus the largest AUROC disparity
 across included subgroups.
@@ -91,8 +95,8 @@ class FairnessSummary:
     worst_group: str | None
 
 
-# Most draw indices one block of a cell's resamples holds; the kernel's flat
-# prefix sum (``count * (n_levels + 1)`` slots) and every other temporary are
+# Most draw indices one block of a cell's resamples holds; the kernel's
+# prefix sums (``count * (n_levels + 1)`` slots) and every other temporary are
 # small multiples of it. A resample larger than this gets a block of its own.
 # ``_resample`` sizes its scratch to one block, once per call, so the blocks
 # reuse one set of buffers instead of each allocating and freeing its own.
@@ -100,87 +104,138 @@ _BLOCK_ELEMS = 1 << 15
 
 
 class _Brackets:
-    """One cell's scores under one model, prepared for exact pair counting.
+    """One cell's scores under each of its models, prepared for exact pair counting.
 
-    The negatives are sorted once into distinct levels. Each positive is
-    bracketed by ``searchsorted``: ``lo`` levels lie strictly below it and
-    ``hi`` levels at or below it, so ``hi - lo`` is 1 on a tie and 0 otherwise.
-    With ``cum[j]`` the number of negatives on levels below ``j``, the exact
-    ``2U = cum[lo].sum() + cum[hi].sum()``, and AUROC is ``2U / 2 / n_pairs``.
+    ``pos`` and ``neg`` hold one score array per model, the baseline first. A
+    level is a distinct tuple of one negative's scores under every model;
+    ``level`` maps each negative to its level, and the levels are sorted by
+    model 0's score. Only where model 0 ties do the other models' scores
+    order the sort (``np.lexsort``, far slower than ``argsort``), so that
+    equal tuples are neighbours. A row of counts per level has column 0
+    empty and level j in column j + 1; ``orders[m]`` puts those columns in
+    the order of model m's scores (None for model 0, whose order they are
+    in). Each positive is bracketed by ``searchsorted`` into model m's
+    sorted levels: ``lo[m]`` levels lie strictly below it and ``hi[m]`` at
+    or below it. ``hi[m]`` is ``lo[m]`` itself when no positive ties a
+    level, and then one gather, doubled, stands for both.
+
+    With ``cum[j]`` the number of negatives on model m's first ``j`` levels,
+    the exact ``2U = cum[lo].sum() + cum[hi].sum()``, and AUROC is
+    ``2U / 2 / n_pairs``. Levels that tie under model m lie between two of its
+    brackets, never across one, so their order among themselves moves no
+    ``cum[lo]`` or ``cum[hi]``: model m's ``2U`` is the one it has alone,
+    whichever models share the cell.
     """
 
-    def __init__(self, pos: np.ndarray, neg: np.ndarray):
-        levels, self.neg_level = np.unique(neg, return_inverse=True)
-        self.n_levels = len(levels)
-        self.lo = np.searchsorted(levels, pos, "left")
-        self.hi = np.searchsorted(levels, pos, "right")
-        self.n_pairs = len(pos) * len(neg)
+    def __init__(self, pos: Sequence[np.ndarray], neg: Sequence[np.ndarray]):
+        order = neg[0].argsort()
+        if len(neg) > 1 and (np.diff(neg[0][order]) == 0).any():
+            order = np.lexsort(neg[::-1])
+        ranked = [scores[order] for scores in neg]
+        first = np.empty(len(order), bool)  # where a level starts in ``ranked``
+        first[0] = True
+        np.not_equal(ranked[0][1:], ranked[0][:-1], out=first[1:])
+        for scores in ranked[1:]:
+            first[1:] |= scores[1:] != scores[:-1]
+        ranked_level = np.add.accumulate(first, dtype=np.intp)
+        ranked_level -= 1
+        self.level = np.empty(len(order), np.intp)
+        self.level[order] = ranked_level
+        self.n_levels, self.n_pairs = int(ranked_level[-1]) + 1, len(pos[0]) * len(order)
+        self.orders, self.lo, self.hi = [], [], []
+        for m, scores in enumerate(ranked):
+            edges, columns = scores[first], None
+            if m:
+                by_score = edges.argsort()
+                edges, columns = edges[by_score], np.concatenate(([0], by_score + 1))
+            lo, hi = np.searchsorted(edges, pos[m], "left"), np.searchsorted(edges, pos[m], "right")
+            self.orders.append(columns)
+            self.lo.append(lo)
+            self.hi.append(lo if (lo == hi).all() else hi)
 
-    def point(self) -> float:
-        cum = np.zeros(self.n_levels + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.neg_level, minlength=self.n_levels), out=cum[1:])
-        return float((cum[self.lo].sum() + cum[self.hi].sum()) / 2.0 / self.n_pairs)
-
-    def aurocs(self, pos_draws: np.ndarray, neg_draws: np.ndarray, out: np.ndarray,
-               scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        """Write into ``out`` the AUROC of each resample, given as rows of
-        positive and negative indices.
-
-        Row r's negative levels are shifted by ``r * width + 1`` (``width =
-        n_levels + 1``), and one ``bincount`` and 1-D ``cumsum`` of the flat
-        block give ``total``. Every earlier row drew ``n_neg`` negatives, so
-        row r's ``cum[j]`` is ``total[r * width + j] - r * n_neg``.
-
-        ``scratch`` is a ``(negatives, positives)`` pair of intp arrays that
-        ``_resample`` allocates once per call, with as many rows as its
-        largest block; the block's levels, then its ``lo`` and its ``hi``
-        bounds, are gathered into their first rows (``mode="clip"``, since
-        ``take`` with the default mode buffers ``out``; every index is in
-        range). ``2U / (2 * n_pairs)`` has the bits of ``2U / 2 / n_pairs``,
-        since halving is exact.
-        """
-        (rows, n_pos), (_, n_neg) = pos_draws.shape, neg_draws.shape
-        level, bound = scratch[0][:rows], scratch[1][:rows]
-        width = self.n_levels + 1
-        shift = np.arange(rows)[:, None] * width
-        np.take(self.neg_level, neg_draws, out=level, mode="clip")
-        level += shift + 1
-        total = np.bincount(level.ravel(), minlength=rows * width)
-        total.cumsum(out=total)
-        two_u = -2 * n_pos * n_neg * np.arange(rows)
-        for side in (self.lo, self.hi):
-            np.take(side, pos_draws, out=bound, mode="clip")
-            bound += shift
-            two_u += total[bound].sum(axis=1)
-        np.divide(two_u, 2.0 * self.n_pairs, out=out)
+    def points(self) -> list[float]:
+        """Every model's point AUROC of the cell."""
+        counts = np.zeros(self.n_levels + 1, np.intp)
+        counts[1:] = np.bincount(self.level, minlength=self.n_levels)
+        points = []
+        for order, lo, hi in zip(self.orders, self.lo, self.hi):
+            cum = np.add.accumulate(counts if order is None else counts[order])
+            two_u = 2 * cum[lo].sum() if hi is lo else cum[lo].sum() + cum[hi].sum()
+            points.append(float(two_u / 2.0 / self.n_pairs))
+        return points
 
 
-def _resample(brackets: Sequence[_Brackets], n_resamples: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """AUROC of every model on each label-stratified resample of one cell.
+def _resample(cell: _Brackets, n_resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """AUROC of every model of ``cell`` on each label-stratified resample of it.
 
-    ``brackets`` holds one model's brackets of the cell each, over the same
-    examples; the result holds one row of ``n_resamples`` AUROCs per model.
-    Positives and negatives are resampled separately with replacement,
-    keeping their counts, so no resample is degenerate. ``rng`` is split into
-    a positive and a negative stream, and each side of a block of resamples
-    is one ``integers`` call on its own stream. Philox yields the same indices
-    for one large draw as for consecutive smaller ones, so the result depends
-    on neither ``_BLOCK_ELEMS`` nor on other cells. Every model is scored on
-    the same draws, so model differences are paired.
+    The result holds one row of ``n_resamples`` AUROCs per model. Positives
+    and negatives are resampled separately with replacement, keeping their
+    counts, so no resample is degenerate. ``rng`` is split into a positive
+    and a negative stream, and each side of a block of resamples is one
+    ``integers`` call on its own stream. Philox yields the same indices for
+    one large draw as for consecutive smaller ones, so the result depends on
+    neither ``_BLOCK_ELEMS`` nor on other cells. Every model is scored on the
+    same draws, so model differences are paired.
+
+    A block is counted once for every model. Row r's drawn levels, shifted
+    by ``r * width + 1`` (``width = n_levels + 1``), go through one
+    ``bincount``, so ``counts[r, j + 1]`` is how often row r drew level j; its
+    drawn positives, shifted by ``r * n_pos``, through another, so
+    ``weight[r, i]`` is how often row r drew positive i. Only a prefix sum and
+    a gather are each model's own: ``counts``, in model m's column order, is
+    summed by one flat ``np.add.accumulate`` into ``total``. Every earlier row
+    drew ``n_neg`` negatives, so row r's ``cum[j]`` is ``total[r, j] - r *
+    n_neg``, and ``2U_r = sum_i weight[r, i] * (cum[lo_i] + cum[hi_i])``, one
+    doubled gather when ``hi`` is ``lo``. Every term is an integer, so each
+    ``2U`` is exact, and each model's row is the one it has alone.
+    ``2U / (2 * n_pairs)`` has the bits of ``2U / 2 / n_pairs``, since halving
+    is exact.
+
+    The drawn levels, and then each model's prefix sums but model 0's, are
+    written into one scratch array allocated once per call, with as many
+    rows as the largest block (``take`` with ``mode="clip"``, since the
+    default mode buffers ``out``; every index is in range). Model 0's prefix
+    sums overwrite ``counts``, so it goes last, and the drawn positives, once
+    counted, hold the gathers; only the draws and the two ``bincount``
+    results, which take no ``out``, are allocated per block. The prefix sums
+    call ``np.add.accumulate``, not ``ndarray.cumsum``: ``cumsum`` looks
+    ``accumulate`` up by a new name string on each call, which CPython's
+    type attribute cache keeps alive, so a call's traced memory would depend
+    on what ran before it.
     """
     pos_rng, neg_rng = rng.spawn(2)
-    n_pos, n_neg = len(brackets[0].lo), len(brackets[0].neg_level)
-    stats = np.empty((len(brackets), n_resamples))
+    n_pos, n_neg, width = len(cell.lo[0]), len(cell.level), cell.n_levels + 1
+    stats = np.empty((len(cell.lo), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
     rows = min(step, n_resamples)
-    scratch = np.empty((rows, n_neg), np.intp), np.empty((rows, n_pos), np.intp)
+    levels = np.empty(rows * (n_neg + 1), np.intp)  # drawn levels, then a model's prefix sums
+    models = [*range(1, len(cell.lo)), 0]
     for start in range(0, n_resamples, step):
         count = min(step, n_resamples - start)
         pos_draws = pos_rng.integers(0, n_pos, (count, n_pos))
         neg_draws = neg_rng.integers(0, n_neg, (count, n_neg))
-        for row, b in zip(stats, brackets):
-            b.aurocs(pos_draws, neg_draws, row[start:start + count], scratch)
+        row = np.arange(count)
+        level = levels[:count * n_neg].reshape(count, n_neg)
+        np.take(cell.level, neg_draws, out=level, mode="clip")
+        level += row[:, None] * width + 1
+        counts = np.bincount(level.ravel(), minlength=count * width).reshape(count, width)
+        pos_draws += row[:, None] * n_pos
+        weight = np.bincount(pos_draws.ravel(), minlength=count * n_pos).reshape(count, n_pos)
+        offset = 2 * n_pos * n_neg * row
+        for m in models:
+            total = counts
+            if m:
+                total = levels[:count * width].reshape(count, width)
+                np.take(counts, cell.orders[m], axis=1, out=total, mode="clip")
+            np.add.accumulate(total.ravel(), out=total.ravel())
+            np.take(total, cell.lo[m], axis=1, out=pos_draws, mode="clip")
+            two_u = np.einsum("ij,ij->i", pos_draws, weight)
+            if cell.hi[m] is cell.lo[m]:
+                two_u *= 2
+            else:
+                np.take(total, cell.hi[m], axis=1, out=pos_draws, mode="clip")
+                two_u += np.einsum("ij,ij->i", pos_draws, weight)
+            np.divide(two_u - offset, 2.0 * cell.n_pairs, out=stats[m, start:start + count])
     return stats
 
 
@@ -209,8 +264,8 @@ def _bucket(pset: PredictionSet, finding: str) -> list[tuple[str | None, np.ndar
 class _FindingPass:
     """One finding scored for one or more aligned models, in one pass.
 
-    Each cell with both sides, the pooled cell first, is bracketed once per
-    model; ``points[c][m]`` is model m's AUROC of cell c, else None.
+    Each cell with both sides, the pooled cell first, is bracketed once for
+    every model; ``points[c][m]`` is model m's AUROC of cell c, else None.
     ``included`` holds the inclusion policy's verdict on each group cell, and
     ``kept`` the index of each included cell. Aligned sets share their row
     layout, so the first model's cells, from ``_bucket``, serve every model.
@@ -225,10 +280,9 @@ class _FindingPass:
         self.finding, self.policy, self.paired = finding, policy, paired
         self.model_ids = [m.model_id for m in models]
         self.cells = _bucket(models[0], finding)
-        self.brackets = [[_Brackets(m.score[pos], m.score[neg]) for m in models]
+        self.brackets = [_Brackets([m.score[pos] for m in models], [m.score[neg] for m in models])
                          if len(pos) and len(neg) else None for _, pos, neg in self.cells]
-        self.points = [[None] * len(models) if row is None else [b.point() for b in row]
-                       for row in self.brackets]
+        self.points = [[None] * len(models) if b is None else b.points() for b in self.brackets]
         self.included = [policy.admits(len(pos), len(neg)) for _, pos, neg in self.cells[1:]]
         self.kept = [c for c, keep in enumerate(self.included, 1) if keep]
         self.draws = (None if paired is None or not self.kept

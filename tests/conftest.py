@@ -47,18 +47,22 @@ def random_instance(rng, max_records=200, tie_prone=True):
     return list(pos), list(neg)
 
 
+def brackets(scores_pos, scores_neg):
+    """One model's cell, bracketed as audit and compare bracket it."""
+    return metrics._Brackets([np.asarray(scores_pos, np.float64)],
+                             [np.asarray(scores_neg, np.float64)])
+
+
 def auroc(scores_pos, scores_neg):
-    """Point AUROC of one cell, as audit and compare compute it: ``_Brackets.point``."""
-    return metrics._Brackets(np.asarray(scores_pos, np.float64),
-                             np.asarray(scores_neg, np.float64)).point()
+    """Point AUROC of one cell, as audit and compare compute it: ``_Brackets.points``."""
+    return brackets(scores_pos, scores_neg).points()[0]
 
 
 def bootstrap_ci(scores_pos, scores_neg, boot, rng):
     """Percentile CI of one cell's resampled AUROCs, as the kernel computes it:
     the counterpart of ``reference.rank_bootstrap_auroc_ci``."""
-    cell = metrics._Brackets(np.asarray(scores_pos, np.float64),
-                             np.asarray(scores_neg, np.float64))
-    return boot.interval(metrics._resample([cell], boot.n_resamples, rng)[0])
+    cell = brackets(scores_pos, scores_neg)
+    return boot.interval(metrics._resample(cell, boot.n_resamples, rng)[0])
 
 
 @pytest.fixture

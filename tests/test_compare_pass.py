@@ -1,7 +1,7 @@
 """audit and compare score each finding in one pass over every model.
 
-The pass brackets each cell once per model and resamples each resampled cell
-once for all models, on a stream keyed by the finding and the cell alone. So
+The pass brackets each cell, and resamples each resampled cell, once for all
+models, on a stream keyed by the finding and the cell alone. So
 the report's ``models`` block must equal the one-model ``summarize``, a
 candidate's delta CIs must not depend on the other candidates passed with
 it, and the library's ``compare`` must give the CLI's CIs. ``compare_study``
@@ -187,17 +187,17 @@ def run_compare(capsys, baseline, candidates, *flags):
 
 @contextlib.contextmanager
 def counting():
-    """Collect every ``_Brackets`` built and the model count of every ``_resample`` call."""
+    """Collect the model count of every ``_Brackets`` built and of every ``_resample`` call."""
     built, draws = [], []
     init, resample = metrics._Brackets.__init__, metrics._resample
 
     def counting_init(self, pos, neg):
-        built.append(self)
+        built.append(len(pos))
         init(self, pos, neg)
 
-    def counting_resample(brackets, n_resamples, rng):
-        draws.append(len(brackets))
-        return resample(brackets, n_resamples, rng)
+    def counting_resample(cell, n_resamples, rng):
+        draws.append(len(cell.lo))
+        return resample(cell, n_resamples, rng)
 
     with mock.patch.object(metrics._Brackets, "__init__", counting_init), \
             mock.patch.object(metrics, "_resample", counting_resample):
@@ -205,12 +205,12 @@ def counting():
 
 
 def test_study_brackets_each_cell_once_and_resamples_it_once(tmp_path, capsys):
-    # 3 models x 2 findings x (pooled + 5 groups): 36 brackets, and one
-    # resample call per finding's pooled and group cells: 12.
+    # 2 findings x (pooled + 5 groups): 12 cells, each bracketed once for its
+    # 3 models, and one resample call per finding's pooled and group cells.
     baseline, *candidates = write_study(tmp_path / "s")
     with counting() as (built, draws):
         run_compare(capsys, baseline, candidates, "--conservative-ci")
-    assert len(built) == 36
+    assert built == [3] * 12
     assert draws == [3] * 12
 
 
@@ -220,7 +220,7 @@ def test_point_gated_compare_study_never_resamples(tmp_path):
     study = align(baseline, candidates)
     with counting() as (built, draws):
         result = compare_study(study, boot=BootstrapConfig(30))
-    assert len(result.comparisons) == 4 and len(built) == 36
+    assert len(result.comparisons) == 4 and built == [3] * 12
     assert draws == []
     with counting() as (built, draws):
         compare_study(study, boot=BootstrapConfig(30), gate_policy=GatePolicy(conservative_ci=True))
@@ -230,8 +230,8 @@ def test_point_gated_compare_study_never_resamples(tmp_path):
 def test_audit_brackets_each_cell_once_and_resamples_each_included_cell(tmp_path, capsys):
     # Per finding: the pooled cell, 5 admitted groups, "g5" (3 positives, so
     # excluded, but bracketed for its reported AUROC) and "g6" (negatives
-    # only, so never bracketed). 2 findings x 7 brackets, and one one-model
-    # resample call per admitted cell: 2 x 5.
+    # only, so never bracketed). 2 findings x 7 one-model brackets, and one
+    # one-model resample call per admitted cell: 2 x 5.
     rng = np.random.default_rng(1)
     sizes = [(8, 12)] * 5 + [(3, 12), (0, 6)]
     rows = [(f"{f}-g{g}-{i}", f, int(i < n_pos), float(rng.normal()), f"g{g}")
@@ -243,7 +243,7 @@ def test_audit_brackets_each_cell_once_and_resamples_each_included_cell(tmp_path
         assert main(["audit", str(path), "--bootstrap-n", "30"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [g["included"] for f in doc["findings"] for g in f["groups"]] == ([True] * 5 + [False] * 2) * 2
-    assert len(built) == 14
+    assert built == [1] * 14
     assert draws == [1] * 10
 
 

@@ -5,10 +5,11 @@ against ``reference.py``, which draws one resample at a time from each cell
 side's stream, under heavy ties, sides of one score, a single resample,
 ragged last blocks and blocks of one resample each. CIs must not depend on
 the block cap or on the cells around them, and no block may exceed the cap.
-``compare`` brackets each cell once per model and must agree with the
-one-model ``summarize``. The cells that every resample draws from must be
-``reference.rowwise_cells``, index for index. Examples are derandomized, so
-every run checks the same cases.
+``compare`` brackets each cell once for both models and must agree with the
+one-model ``summarize``; a model's resamples and point of a cell shared with
+1-3 other models must be those it has alone. The cells that every resample
+draws from must be ``reference.rowwise_cells``, index for index. Examples are
+derandomized, so every run checks the same cases.
 """
 
 import tracemalloc
@@ -23,7 +24,8 @@ from psfair.metrics import BootstrapConfig, summarize
 from psfair.positive_sum import compare
 from psfair.seeding import substream
 from conftest import auroc, bootstrap_ci, make_set
-from reference import rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis, rowwise_cells
+from reference import (_resamples, rank_auroc, rank_bootstrap_auroc_ci, rank_delta_bootstrap_cis,
+                       rowwise_cells)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -162,8 +164,9 @@ def test_compare_matches_group_performance(study, min_pos, min_neg):
 @PROPERTY
 @given(paired_study(min_side=0), st.integers(0, 3), st.integers(0, 3), resample_counts, seeds)
 def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, seed):
-    # Excluded cells with both sides are bracketed too (their AUROCs are
-    # reported); the resamples reuse the brackets of the included ones.
+    # Each cell with both sides is bracketed once, for both models; excluded
+    # cells too (their AUROCs are reported). The resamples reuse the brackets
+    # of the included ones.
     policy = InclusionPolicy(min_pos, min_neg)
     cells = metrics._bucket(study.baseline, "f")
     assume(any(policy.admits(len(pos), len(neg)) for _, pos, neg in cells[1:]))
@@ -171,12 +174,42 @@ def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, s
     init = metrics._Brackets.__init__
 
     def counting_init(self, pos, neg):
-        built.append(self)
+        built.append(len(pos))
         init(self, pos, neg)
 
     with mock.patch.object(metrics._Brackets, "__init__", counting_init):
         compare(study, "f", "cand", policy, BootstrapConfig(n, seed=seed), conservative=True)
-    assert len(built) == 2 * sum(1 for _, pos, neg in cells if len(pos) and len(neg))
+    assert built == [2] * sum(1 for _, pos, neg in cells if len(pos) and len(neg))
+
+
+@st.composite
+def companion_cells(draw):
+    """One cell of 1-40 per side scored by 1-4 models, each with tie-prone or
+    continuous scores: a list of (positive, negative) scores per model."""
+    n_pos, n_neg = draw(side_size(40)), draw(side_size(40))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        score = draw(st.one_of(tied_score(), st.just(st.floats(-2, 2, allow_nan=False))))
+        cells.append(tuple(np.array(draw(st.lists(score, min_size=n, max_size=n)))
+                           for n in (n_pos, n_neg)))
+    return cells
+
+
+@PROPERTY
+@given(companion_cells(), resample_counts, block_caps, seeds)
+def test_a_models_resamples_do_not_depend_on_its_companions(cells, n, cap, seed):
+    # Levels are shared by every model of a cell, but each model's row and
+    # point must be those it has alone: each resample's rank-sum AUROC.
+    shared = metrics._Brackets(*zip(*cells))
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
+        rows = metrics._resample(shared, n, substream(seed, "companions"))
+        for (pos, neg), row, point in zip(cells, rows, shared.points()):
+            alone = metrics._Brackets([pos], [neg])
+            assert alone.points() == [point] == [rank_auroc(pos, neg)]
+            (own,) = metrics._resample(alone, n, substream(seed, "companions"))
+            assert row.tolist() == own.tolist()
+            draws = _resamples(len(pos), len(neg), n, substream(seed, "companions"))
+            assert row.tolist() == [rank_auroc(pos[pi], neg[ni]) for pi, ni in draws]
 
 
 @st.composite
@@ -301,52 +334,78 @@ def test_cis_ignore_block_cap_and_cell_order(study, n, seed):
             assert cis() == expected
 
 
+class RecordingStream:
+    """A cell's stream that keeps a copy of every index array drawn from each of
+    the two streams it spawns, positives' then negatives'."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, ([], [])
+
+    def spawn(self, n_children):
+        children = self.rng.spawn(n_children)
+        self.sides = [RecordingSide(child, log) for child, log in zip(children, self.draws)]
+        return self.sides
+
+
+class RecordingSide:
+    """One side's stream: ``log`` keeps a copy of each index array as drawn,
+    ``issued`` the array itself, which the kernel may then write into."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log, self.issued = rng, log, []
+
+    def integers(self, *args):
+        drawn = self.rng.integers(*args)
+        self.log.append(drawn.copy())
+        self.issued.append(drawn)
+        return drawn
+
+
 @PROPERTY
 @given(side_size(40), side_size(40), st.integers(1, 3), resample_counts, block_caps)
 def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
-    blocks = []
-    aurocs = metrics._Brackets.aurocs
-
-    def record(self, pos, neg, out, scratch):
-        blocks.append((pos, neg, scratch))
-        aurocs(self, pos, neg, out, scratch)
-
+    # Each block draws each side once, for every model, and holds at most
+    # the cap's indices unless it is a single resample.
+    stream = RecordingStream(substream(0, "blocks"))
+    cell = metrics._Brackets([np.zeros(n_pos)] * n_models, [np.zeros(n_neg)] * n_models)
     with (mock.patch.object(metrics, "_BLOCK_ELEMS", cap),
-          mock.patch.object(metrics._Brackets, "aurocs", record)):
-        brackets = [metrics._Brackets(np.zeros(n_pos), np.zeros(n_neg)) for _ in range(n_models)]
-        stats = metrics._resample(brackets, n, substream(0, "blocks"))
-    assert stats.shape == (n_models, n)
-    draws = blocks[::n_models]  # every model scores the same index arrays
-    assert len(blocks) == len(draws) * n_models
-    assert all(got[0] is want[0] and got[1] is want[1]
-               for got, want in zip(blocks, [d for d in draws for _ in range(n_models)]))
-    assert sum(len(pos) for pos, _, _ in draws) == n
-    for pos, neg, _ in draws:
+          mock.patch.object(metrics.np, "take", wraps=np.take) as take):
+        stats = metrics._resample(cell, n, stream)
+    assert stats.shape == (n_models, n) and (stats == 0.5).all()
+    pos_draws, neg_draws = stream.draws
+    assert len(pos_draws) == len(neg_draws) and sum(len(pos) for pos in pos_draws) == n
+    for pos, neg in zip(pos_draws, neg_draws):
         count = len(pos)
         assert count == 1 or count * (n_pos + n_neg) <= cap
         assert pos.shape == (count, n_pos) and neg.shape == (count, n_neg)
         assert 0 <= pos.min() and pos.max() < n_pos and 0 <= neg.min() and neg.max() < n_neg
-    # One set of scratch arrays serves every block and model of the call,
-    # and it holds no more rows than one block.
-    neg_buf, pos_buf = blocks[0][2]
-    assert all(got[0] is neg_buf and got[1] is pos_buf for _, _, got in blocks)
-    rows = max(len(pos) for pos, _, _ in draws)
-    assert neg_buf.shape == (rows, n_neg) and pos_buf.shape == (rows, n_pos)
+    # Every ``take`` writes into the block's drawn positives (the gathers) or
+    # into one scratch array that serves every block and model of the call:
+    # the drawn levels, then each model's reordered counts but model 0's. It
+    # holds the largest block's rows of n_neg + 1 slots.
+    outs = [call.kwargs.get("out") for call in take.call_args_list]
+    assert all(out is not None for out in outs)
+    drawn = stream.sides[0].issued
+    scratch = [out for out in outs if not any(out is pos for pos in drawn)]
+    assert len(scratch) == len(pos_draws) * n_models
+    buffer = scratch[0].base
+    assert buffer is not None and all(out.base is buffer for out in scratch)
+    assert buffer.size == max(len(pos) for pos in pos_draws) * (n_neg + 1)
 
 
 def test_memory_does_not_grow_with_resamples():
     # Scratch holds one block, so the peak of a multi-block cell grows with
     # n_resamples only by the result array.
     rng = np.random.default_rng(9)
-    brackets = [metrics._Brackets(np.round(rng.normal(0.5, 1, 900), 2),
-                                  np.round(rng.normal(0, 1, 1100), 2)) for _ in range(3)]
+    cell = metrics._Brackets([np.round(rng.normal(0.5, 1, 900), 2) for _ in range(3)],
+                             [np.round(rng.normal(0, 1, 1100), 2) for _ in range(3)])
     assert metrics._BLOCK_ELEMS // 2000 < 60  # several blocks even at 60 resamples
 
     def peak(n):
-        metrics._resample(brackets, n, substream(3, "peak"))  # warm every code path first
+        metrics._resample(cell, n, substream(3, "peak"))  # warm every code path first
         tracemalloc.start()
         try:
-            metrics._resample(brackets, n, substream(3, "peak"))
+            metrics._resample(cell, n, substream(3, "peak"))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,10 +3,12 @@
 Under the unit-variance binormal model the true AUC is Phi(mu / sqrt(2)), so
 the coverage of the percentile intervals can be counted directly. The
 bootstrap's spread is cross-checked against the DeLong standard error
-(DeLong, DeLong & Clarke-Pearson, Biometrics 1988), computed from the same
-``_Brackets`` the kernel counts with, as in Sun & Xu (IEEE SPL 2014). The
-paired DeLong SE of a candidate-minus-baseline delta checks that every
-model of a cell is scored on the same resamples.
+(DeLong, DeLong & Clarke-Pearson, Biometrics 1988), computed from the
+levels and brackets of a one-model ``_Brackets`` (``conftest.brackets``), as
+the kernel counts with them, as in Sun & Xu (IEEE SPL 2014). The paired
+DeLong SE of a candidate-minus-baseline delta, drawn by ``_resample`` from
+one ``_Brackets`` of both models, checks that every model of a cell is
+scored on the same resamples.
 """
 
 import math
@@ -19,7 +21,7 @@ from psfair import metrics
 from psfair.metrics import BootstrapConfig
 from psfair.seeding import substream
 from psfair.synth import GroupRecipe, ScenarioSpec, build_study, mu_for_auc
-from conftest import auroc, bootstrap_ci
+from conftest import auroc, bootstrap_ci, brackets
 
 
 def binormal_cells(n_cells, n_per_side, target_auc, seed):
@@ -36,17 +38,18 @@ def delong(pos, neg):
     A positive's placement is the share of negatives below it, ties half:
     ``(cum[lo] + cum[hi]) / 2 / n_neg``. A negative's is the share of
     positives above it, ties half: those with ``lo`` above its level, plus
-    those with ``hi`` above it, over ``2 * n_pos``.
+    those with ``hi`` above it, over ``2 * n_pos``. With one model, the
+    cell's levels are in score order.
     """
-    b = metrics._Brackets(pos, neg)
-    n_pos, n_neg = len(pos), len(neg)
-    cum = np.concatenate([[0], np.cumsum(np.bincount(b.neg_level, minlength=b.n_levels))])
-    v10 = (cum[b.lo] + cum[b.hi]) / 2 / n_neg
+    b = brackets(pos, neg)
+    (lo,), (hi,), n_pos, n_neg = b.lo, b.hi, len(pos), len(neg)
+    cum = np.concatenate([[0], np.cumsum(np.bincount(b.level, minlength=b.n_levels))])
+    v10 = (cum[lo] + cum[hi]) / 2 / n_neg
 
     def above(edge):  # positives with ``edge`` above each level
         return n_pos - np.cumsum(np.bincount(edge, minlength=b.n_levels + 1))
 
-    v01 = (above(b.lo) + above(b.hi))[b.neg_level] / 2 / n_pos
+    v01 = (above(lo) + above(hi))[b.level] / 2 / n_pos
     return v10, v01, math.sqrt(v10.var(ddof=1) / n_pos + v01.var(ddof=1) / n_neg)
 
 
@@ -87,7 +90,7 @@ def test_bootstrap_sd_matches_delong_se(name):
     pos, neg = cells_for_delong()[name]
     *_, se = delong(pos, neg)
     rng = substream(0, "delong", name)
-    stats = metrics._resample([metrics._Brackets(pos, neg)], 2000, rng)[0]
+    stats = metrics._resample(brackets(pos, neg), 2000, rng)[0]
     assert 1 / 1.1 <= stats.std(ddof=1) / se <= 1.1
 
 
@@ -103,6 +106,6 @@ def test_paired_delta_sd_matches_paired_delong_se(n_per_side, rho):
     base, cand = z + shift, rho * z + math.sqrt(1 - rho**2) * e + shift
     (b10, b01, _), (c10, c01, _) = delong(*base), delong(*cand)
     se = math.sqrt((c10 - b10).var(ddof=1) / n_per_side + (c01 - b01).var(ddof=1) / n_per_side)
-    rows = metrics._resample([metrics._Brackets(*base), metrics._Brackets(*cand)], 2000,
-                             substream(0, "paired-delong", str(n_per_side), str(rho)))
+    cell = metrics._Brackets([base[0], cand[0]], [base[1], cand[1]])
+    rows = metrics._resample(cell, 2000, substream(0, "paired-delong", str(n_per_side), str(rho)))
     assert 1 / 1.1 <= (rows[1] - rows[0]).std(ddof=1) / se <= 1.1
