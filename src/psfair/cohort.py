@@ -102,6 +102,15 @@ def _check_model_id(model_id) -> None:
         raise CohortError(f"model_id must be a non-empty string, got {model_id!r}")
 
 
+def _check_delimiter(delimiter) -> None:
+    """The delimiters ``emit`` can write unambiguously, and so ``ingest`` reads:
+    one character that no header name, label or score can hold."""
+    if (not isinstance(delimiter, str) or len(delimiter) != 1
+            or delimiter in '"\r\n0123456789.+-' + "".join(REQUIRED_COLUMNS)):
+        raise ValueError("delimiter must be one character other than a quote, a line end, "
+                         f"a digit, '.', '+', '-' or a letter of the header, got {delimiter!r}")
+
+
 class _Columns:
     """Rows added a chunk at a time, each chunk encoded as it is added: the
     one encoder of ``ingest`` and of the ``PredictionSet`` constructor.
@@ -286,7 +295,10 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
     outright for empty input. Read from a path, each IngestError names the
     path, also the one for a file not in UTF-8. A bad ``model_id`` raises
     CohortError before a line of ``source`` is read; a path is opened first.
+    A delimiter that ``emit`` could not write raises ValueError before
+    anything is opened or read.
     """
+    _check_delimiter(delimiter)
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
@@ -438,9 +450,7 @@ def emit(pset: PredictionSet, target: str | os.PathLike | TextIO, delimiter: str
     Header names, labels and scores are never quoted, so the delimiter is
     one character that none of them can hold.
     """
-    if len(delimiter) != 1 or delimiter in '"\r\n0123456789.+-' + "".join(REQUIRED_COLUMNS):
-        raise ValueError("delimiter must be one character other than a quote, a line end, "
-                         f"a digit, '.', '+', '-' or a letter of the header, got {delimiter!r}")
+    _check_delimiter(delimiter)
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             emit(pset, fh, delimiter=delimiter)

@@ -3,15 +3,18 @@
 AUROC is the Mann-Whitney pair statistic: the fraction of (positive, negative)
 score pairs ranked correctly, ties counted half. It is counted, not ranked:
 a cell's negatives are sorted once, for all its models, into levels, and every
-positive is bracketed among them under each model, so the point estimate and
-each bootstrap resample reduce to integer counts read off a prefix sum of
-negatives per level. A block of resamples is counted once for every model:
-one tally of the drawn levels and one of the drawn positives serve them all,
-and only each model's flattened prefix sum and its gather are its own. A
-bootstrap call allocates its scratch once, sized to one block, and every
-block and model writes into it. ``2U`` (twice the number of correct pairs,
-ties once) is a sum of integer counts, so it is exact: every AUROC agrees bit
-for bit with exhaustive pair counting, whichever models share the cell.
+positive is bracketed among them under each model. One routine, ``_score``,
+turns rows of draw counts (how often a row drew each level and each
+positive) into every model's AUROC of each row, through a prefix sum of
+negatives per level and a gather at each positive's brackets. The point
+estimate is its one-row case, the draw that takes every example once.
+``_resample`` is the bootstrap's draw plan: it tallies a block of resamples
+once for every model, one count of the drawn levels and one of the drawn
+positives, and hands the tallies to ``_score``. A bootstrap call allocates
+its scratch once, sized to one block, and every block and model writes into
+it. ``2U`` (twice the number of correct pairs, ties once) is a sum of integer
+counts, so it is exact: every AUROC agrees bit for bit with exhaustive pair
+counting, whichever models share the cell.
 ``_FindingPass`` scores a finding for audit and compare alike: it buckets
 the finding into cells, brackets each cell once for every model, and draws
 every resample, of audit and of paired delta CIs, on streams whose keys it
@@ -154,15 +157,60 @@ class _Brackets:
             self.hi.append(lo if (lo == hi).all() else hi)
 
     def points(self) -> list[float]:
-        """Every model's point AUROC of the cell."""
-        counts = np.zeros(self.n_levels + 1, np.intp)
-        counts[1:] = np.bincount(self.level, minlength=self.n_levels)
-        points = []
-        for order, lo, hi in zip(self.orders, self.lo, self.hi):
-            cum = np.add.accumulate(counts if order is None else counts[order])
-            two_u = 2 * cum[lo].sum() if hi is lo else cum[lo].sum() + cum[hi].sum()
-            points.append(float(two_u / 2.0 / self.n_pairs))
-        return points
+        """Every model's point AUROC of the cell: ``_score`` of one row, the
+        draw that takes every example once."""
+        n_pos, width = len(self.lo[0]), self.n_levels + 1
+        counts = np.bincount(self.level + 1, minlength=width)[None]
+        points = np.empty((len(self.lo), 1))
+        _score(self, counts, np.ones((1, n_pos), np.intp), np.empty((1, n_pos), np.intp),
+               np.empty(width, np.intp), points)
+        return points[:, 0].tolist()
+
+
+def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, gather: np.ndarray,
+           scratch: np.ndarray, out: np.ndarray) -> None:
+    """Every model's AUROC of ``cell`` on each row of draw counts, written into ``out[m]``.
+
+    ``counts[r, j + 1]`` is how often row r drew level j (column 0 is empty)
+    and ``weight[r, i]`` how often it drew positive i. Every row draws
+    ``n_pos`` positives and ``n_neg`` negatives, as many as the cell holds,
+    so every row has the cell's ``n_pairs`` pairs; rows that draw other
+    totals are not counted right.
+
+    Only a prefix sum and a gather are each model's own: ``counts``, in
+    model m's column order, is summed by one flat ``np.add.accumulate`` into
+    ``total``. Every earlier row drew ``n_neg`` negatives, so row r's
+    ``cum[j]`` is ``total[r, j] - r * n_neg``, and ``2U_r = sum_i weight[r, i]
+    * (cum[lo_i] + cum[hi_i])``, one doubled gather when ``hi`` is ``lo``.
+    Every term is an integer, so each ``2U`` is exact, and each model's row
+    is the one it has alone. ``2U / (2 * n_pairs)`` has the bits of ``2U / 2
+    / n_pairs``, since halving is exact.
+
+    Each model's prefix sums but model 0's are written into ``scratch``, of
+    at least ``counts.size`` slots; model 0's overwrite ``counts``, so it
+    goes last. The gathers are written into ``gather``, shaped as
+    ``weight``. ``take`` runs with ``mode="clip"``, since the default mode
+    buffers ``out``; every index is in range. The prefix sums call
+    ``np.add.accumulate``, not ``ndarray.cumsum``: ``cumsum`` looks
+    ``accumulate`` up by a new name string on each call, which CPython's
+    type attribute cache keeps alive, so a call's traced memory would depend
+    on what ran before it.
+    """
+    offset = 2 * cell.n_pairs * np.arange(len(counts))
+    for m in [*range(1, len(cell.lo)), 0]:
+        total = counts
+        if m:
+            total = scratch[:counts.size].reshape(counts.shape)
+            np.take(counts, cell.orders[m], axis=1, out=total, mode="clip")
+        np.add.accumulate(total.ravel(), out=total.ravel())
+        np.take(total, cell.lo[m], axis=1, out=gather, mode="clip")
+        two_u = np.einsum("ij,ij->i", gather, weight)
+        if cell.hi[m] is cell.lo[m]:
+            two_u *= 2
+        else:
+            np.take(total, cell.hi[m], axis=1, out=gather, mode="clip")
+            two_u += np.einsum("ij,ij->i", gather, weight)
+        np.divide(two_u - offset, 2.0 * cell.n_pairs, out=out[m])
 
 
 def _resample(cell: _Brackets, n_resamples: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,65 +225,33 @@ def _resample(cell: _Brackets, n_resamples: int, rng: np.random.Generator) -> np
     neither ``_BLOCK_ELEMS`` nor on other cells. Every model is scored on the
     same draws, so model differences are paired.
 
-    A block is counted once for every model. Row r's drawn levels, shifted
-    by ``r * width + 1`` (``width = n_levels + 1``), go through one
-    ``bincount``, so ``counts[r, j + 1]`` is how often row r drew level j; its
-    drawn positives, shifted by ``r * n_pos``, through another, so
-    ``weight[r, i]`` is how often row r drew positive i. Only a prefix sum and
-    a gather are each model's own: ``counts``, in model m's column order, is
-    summed by one flat ``np.add.accumulate`` into ``total``. Every earlier row
-    drew ``n_neg`` negatives, so row r's ``cum[j]`` is ``total[r, j] - r *
-    n_neg``, and ``2U_r = sum_i weight[r, i] * (cum[lo_i] + cum[hi_i])``, one
-    doubled gather when ``hi`` is ``lo``. Every term is an integer, so each
-    ``2U`` is exact, and each model's row is the one it has alone.
-    ``2U / (2 * n_pairs)`` has the bits of ``2U / 2 / n_pairs``, since halving
-    is exact.
-
-    The drawn levels, and then each model's prefix sums but model 0's, are
+    This is the draw plan; ``_score`` counts. A block is tallied once for
+    every model: row r's drawn levels, shifted by ``r * width + 1`` (``width
+    = n_levels + 1``), go through one ``bincount`` into ``counts``, and its
+    drawn positives, shifted by ``r * n_pos``, through another into
+    ``weight``. The drawn levels, and then ``_score``'s prefix sums, are
     written into one scratch array allocated once per call, with as many
-    rows as the largest block (``take`` with ``mode="clip"``, since the
-    default mode buffers ``out``; every index is in range). Model 0's prefix
-    sums overwrite ``counts``, so it goes last, and the drawn positives, once
-    counted, hold the gathers; only the draws and the two ``bincount``
-    results, which take no ``out``, are allocated per block. The prefix sums
-    call ``np.add.accumulate``, not ``ndarray.cumsum``: ``cumsum`` looks
-    ``accumulate`` up by a new name string on each call, which CPython's
-    type attribute cache keeps alive, so a call's traced memory would depend
-    on what ran before it.
+    rows as the largest block, and the drawn positives, once counted, hold
+    the gathers; only the draws and the two ``bincount`` results, which take
+    no ``out``, are allocated per block.
     """
     pos_rng, neg_rng = rng.spawn(2)
     n_pos, n_neg, width = len(cell.lo[0]), len(cell.level), cell.n_levels + 1
     stats = np.empty((len(cell.lo), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
-    rows = min(step, n_resamples)
-    levels = np.empty(rows * (n_neg + 1), np.intp)  # drawn levels, then a model's prefix sums
-    models = [*range(1, len(cell.lo)), 0]
+    levels = np.empty(min(step, n_resamples) * (n_neg + 1), np.intp)  # levels, then prefix sums
     for start in range(0, n_resamples, step):
         count = min(step, n_resamples - start)
         pos_draws = pos_rng.integers(0, n_pos, (count, n_pos))
         neg_draws = neg_rng.integers(0, n_neg, (count, n_neg))
-        row = np.arange(count)
+        row = np.arange(count)[:, None]
         level = levels[:count * n_neg].reshape(count, n_neg)
         np.take(cell.level, neg_draws, out=level, mode="clip")
-        level += row[:, None] * width + 1
+        level += row * width + 1
         counts = np.bincount(level.ravel(), minlength=count * width).reshape(count, width)
-        pos_draws += row[:, None] * n_pos
+        pos_draws += row * n_pos
         weight = np.bincount(pos_draws.ravel(), minlength=count * n_pos).reshape(count, n_pos)
-        offset = 2 * n_pos * n_neg * row
-        for m in models:
-            total = counts
-            if m:
-                total = levels[:count * width].reshape(count, width)
-                np.take(counts, cell.orders[m], axis=1, out=total, mode="clip")
-            np.add.accumulate(total.ravel(), out=total.ravel())
-            np.take(total, cell.lo[m], axis=1, out=pos_draws, mode="clip")
-            two_u = np.einsum("ij,ij->i", pos_draws, weight)
-            if cell.hi[m] is cell.lo[m]:
-                two_u *= 2
-            else:
-                np.take(total, cell.hi[m], axis=1, out=pos_draws, mode="clip")
-                two_u += np.einsum("ij,ij->i", pos_draws, weight)
-            np.divide(two_u - offset, 2.0 * cell.n_pairs, out=stats[m, start:start + count])
+        _score(cell, counts, weight, pos_draws, levels, stats[:, start:start + count])
     return stats
 
 

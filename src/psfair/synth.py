@@ -206,7 +206,11 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = _object(json.load(fh), "", "name", "seed", "groups", "candidates")
+            try:
+                doc = json.load(fh)
+            except RecursionError:  # json.load recurses once per nested array or object
+                raise ValueError("arrays or objects nested too deeply") from None
+        raw = _object(doc, "", "name", "seed", "groups", "candidates")
         recipes = tuple(
             GroupRecipe(g["group_id"], _count(g["n_pos"]), _count(g["n_neg"]), g["target_auc"])
             for g in _objects(raw, "groups", "group_id", "n_pos", "n_neg", "target_auc"))

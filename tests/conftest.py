@@ -54,7 +54,8 @@ def brackets(scores_pos, scores_neg):
 
 
 def auroc(scores_pos, scores_neg):
-    """Point AUROC of one cell, as audit and compare compute it: ``_Brackets.points``."""
+    """Point AUROC of one cell, as audit and compare compute it: ``_Brackets.points``,
+    the counting routine ``metrics._score`` of the one row that takes every example once."""
     return brackets(scores_pos, scores_neg).points()[0]
 
 

@@ -4,11 +4,13 @@
 are the plain forms of a cell's point AUROC (``metrics._Brackets.points`` of a
 one-model cell, as ``conftest.auroc`` takes it), of one cell's CI from
 ``metrics._resample`` and ``BootstrapConfig.interval`` (as
-``conftest.bootstrap_ci`` takes it) and of
-the delta CIs of ``positive_sum.compare(..., conservative=True)``. Each cell's stream is split
-into a positive and a negative stream; every resample draws one index array
-from each, on its own, and is re-ranked with ``scipy.stats.rankdata``. The
-counting kernel must agree with them bit for bit.
+``conftest.bootstrap_ci`` takes it) and of the delta CIs of
+``positive_sum.compare(..., conservative=True)``. The point AUROC and every
+resample are counted by one routine, ``metrics._score``, from per-row draw
+counts. Each cell's stream is split into a positive and a negative stream;
+every resample draws one index array from each, on its own, and is
+re-ranked with ``scipy.stats.rankdata``. The counting kernel must agree with
+them bit for bit.
 
 ``rowwise_cells`` is the plain form of ``psfair.metrics._bucket``: it puts
 one row at a time into its cells, sorted by example id, where ``_bucket``

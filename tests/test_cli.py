@@ -681,6 +681,16 @@ class TestGen:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_scenario_file_exits_2(self, tmp_path, capsys):
+        # json.load recurses once per nested array, so this depth raises RecursionError.
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["gen", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"psfair: error: invalid scenario file {str(spec_path)!r}: "
+            "arrays or objects nested too deeply\n")
+        assert not (tmp_path / "out").exists()
+
     def test_model_id_outside_out_dir_exits_2(self, tmp_path, capsys):
         raw = scenario_to_dict(preset("m2_like"))
         raw["candidates"][0]["model_id"] = "../evil"

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 import tracemalloc
 from itertools import islice
 from unittest import mock
@@ -464,12 +465,24 @@ def test_roundtrip_preserves_exact_scores():
     assert ingest(io.StringIO(emits(pset)), "m") == pset
 
 
-@pytest.mark.parametrize("delimiter", ["", "::", '"', "\r", "\n", "5", ".", "-", "+", "e", "_"])
+@pytest.mark.parametrize("delimiter", ["", "ab", "::", '"', "\r", "\n", "5", ".", "-", "+", "e",
+                                       "_"])
 def test_emit_rejects_a_delimiter_it_cannot_write_unambiguously(tmp_path, delimiter):
+    # ingest rejects the same delimiters, before it opens a path or reads a
+    # line: reading the source fails the test, and the path does not exist.
+    def unread():
+        pytest.fail("ingest read a line before checking its delimiter")
+        yield
+
     pset = ingest(io.StringIO(WELL_FORMED), "m1")
-    with pytest.raises(ValueError, match=r"^delimiter must be one character other than"):
+    message = r"^delimiter must be one character other than .*, got " + re.escape(repr(delimiter))
+    with pytest.raises(ValueError, match=message):
         emit(pset, tmp_path / "out.csv", delimiter=delimiter)
     assert not (tmp_path / "out.csv").exists()
+    with pytest.raises(ValueError, match=message):
+        ingest(unread(), "m", delimiter=delimiter)
+    with pytest.raises(ValueError, match=message):
+        ingest(tmp_path / "missing.csv", "m", delimiter=delimiter)
 
 
 def test_align_identity():

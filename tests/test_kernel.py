@@ -7,9 +7,11 @@ ragged last blocks and blocks of one resample each. CIs must not depend on
 the block cap or on the cells around them, and no block may exceed the cap.
 ``compare`` brackets each cell once for both models and must agree with the
 one-model ``summarize``; a model's resamples and point of a cell shared with
-1-3 other models must be those it has alone. The cells that every resample
-draws from must be ``reference.rowwise_cells``, index for index. Examples are
-derandomized, so every run checks the same cases.
+1-3 other models must be those it has alone. ``_score`` must count rows of
+multinomial draw counts as the indices they stand for, however the rows were
+drawn. The cells that every resample draws from must be
+``reference.rowwise_cells``, index for index. Examples are derandomized, so
+every run checks the same cases.
 """
 
 import tracemalloc
@@ -183,13 +185,15 @@ def test_compare_brackets_each_cell_once_per_model(study, min_pos, min_neg, n, s
 
 
 @st.composite
-def companion_cells(draw):
-    """One cell of 1-40 per side scored by 1-4 models, each with tie-prone or
-    continuous scores: a list of (positive, negative) scores per model."""
+def companion_cells(draw, max_models=4, continuous=True):
+    """One cell of 1-40 per side scored by 1-``max_models`` models, each with
+    tie-prone or (if ``continuous``) continuous scores: a list of (positive,
+    negative) scores per model."""
     n_pos, n_neg = draw(side_size(40)), draw(side_size(40))
+    scores = st.one_of(tied_score(), st.just(st.floats(-2, 2, allow_nan=False)))
     cells = []
-    for _ in range(draw(st.integers(1, 4))):
-        score = draw(st.one_of(tied_score(), st.just(st.floats(-2, 2, allow_nan=False))))
+    for _ in range(draw(st.integers(1, max_models))):
+        score = draw(scores if continuous else tied_score())
         cells.append(tuple(np.array(draw(st.lists(score, min_size=n, max_size=n)))
                            for n in (n_pos, n_neg)))
     return cells
@@ -210,6 +214,29 @@ def test_a_models_resamples_do_not_depend_on_its_companions(cells, n, cap, seed)
             assert row.tolist() == own.tolist()
             draws = _resamples(len(pos), len(neg), n, substream(seed, "companions"))
             assert row.tolist() == [rank_auroc(pos[pi], neg[ni]) for pi, ni in draws]
+
+
+@PROPERTY
+@given(companion_cells(max_models=3, continuous=False), st.integers(1, 6), seeds)
+def test_counting_does_not_depend_on_how_rows_were_drawn(cells, n_rows, seed):
+    # ``_score`` is fed per-row draw counts, whatever drew them: here each row
+    # is one multinomial draw of n_neg negatives and one of n_pos positives,
+    # at uneven odds, and must score as the indices it stands for.
+    cell = metrics._Brackets(*zip(*cells))
+    n_pos, n_neg, width = len(cell.lo[0]), len(cell.level), cell.n_levels + 1
+    rng = np.random.default_rng(seed)
+    neg_w, weight = (np.array([rng.multinomial(n, rng.dirichlet(np.ones(n)))
+                               for _ in range(n_rows)]) for n in (n_neg, n_pos))
+    counts = np.zeros((n_rows, width), np.intp)
+    for r in range(n_rows):
+        np.add.at(counts[r], cell.level + 1, neg_w[r])
+    out = np.empty((len(cells), n_rows))
+    metrics._score(cell, counts, weight, np.empty((n_rows, n_pos), np.intp),
+                   np.empty(counts.size, np.intp), out)
+    for (pos, neg), row in zip(cells, out):
+        assert row.tolist() == [rank_auroc(pos[np.repeat(np.arange(n_pos), pw)],
+                                           neg[np.repeat(np.arange(n_neg), nw)])
+                                for pw, nw in zip(weight, neg_w)]
 
 
 @st.composite

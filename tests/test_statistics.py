@@ -5,10 +5,10 @@ the coverage of the percentile intervals can be counted directly. The
 bootstrap's spread is cross-checked against the DeLong standard error
 (DeLong, DeLong & Clarke-Pearson, Biometrics 1988), computed from the
 levels and brackets of a one-model ``_Brackets`` (``conftest.brackets``), as
-the kernel counts with them, as in Sun & Xu (IEEE SPL 2014). The paired
-DeLong SE of a candidate-minus-baseline delta, drawn by ``_resample`` from
-one ``_Brackets`` of both models, checks that every model of a cell is
-scored on the same resamples.
+``metrics._score`` counts with them, as in Sun & Xu (IEEE SPL 2014). The
+paired DeLong SE of a candidate-minus-baseline delta, drawn by ``_resample``
+from one ``_Brackets`` of both models and counted by ``_score``, checks that
+every model of a cell is scored on the same resamples.
 """
 
 import math
