@@ -13,6 +13,11 @@ size limit. From the first such chunk ``csv.reader`` reads the rest. ``emit``
 writes the same grammar and quotes an id that holds the delimiter, a quote,
 CR or LF.
 
+An id (example, finding or group) is a non-empty string with no surrounding
+whitespace, as a file carries it, since ingest strips every field it reads.
+``_check_id`` states that rule once, for a ``PredictionSet`` and for the ids of
+a synthetic scenario.
+
 In memory a set is its column table and nothing more: ``score`` (float64),
 ``label`` (int8) and integer codes into sorted vocabularies of example,
 finding and group ids. Rows are sorted by (finding, example_id), so nothing
@@ -97,6 +102,18 @@ class InclusionPolicy:
         return n_pos >= max(self.min_positives, 1) and n_neg >= max(self.min_negatives, 1)
 
 
+def _check_id(value, name: str) -> None:
+    """ValueError unless value, the field name, is an id: a non-empty string
+    with no surrounding whitespace, since ingest strips it from every field
+    it reads. The one statement of the rule, for every id of a PredictionSet
+    and of a scenario."""
+    _check_types({name: value}, **{name: str})
+    if not value:
+        raise ValueError(f"{name} must be a non-empty string, got ''")
+    if value != value.strip():
+        raise ValueError(f"{name} must not start or end with whitespace, got {value!r}")
+
+
 def _check_model_id(model_id) -> None:
     if not isinstance(model_id, str) or not model_id:
         raise CohortError(f"model_id must be a non-empty string, got {model_id!r}")
@@ -176,10 +193,12 @@ class PredictionSet:
     immutable after construction.
 
     Enforces: a non-empty string model_id, columns of equal length, labels
-    binary, scores finite, ids non-empty, (example_id, finding) unique, and
-    every finding present has at least one positive and one negative row.
-    ``lines`` holds each row's input line number, for error messages; without
-    it a row is named by its index.
+    binary, scores finite, ids as ``_check_id`` has them, (example_id, finding)
+    unique, and every finding present has at least one positive and one
+    negative row. ``lines`` holds each row's input line number, for error
+    messages; without it a row is named by its index. A bad id is named by the
+    first row that holds it, the example column checked first, then finding,
+    then group.
     """
 
     def __init__(self, model_id: str, example_id: Sequence[str], finding_id: Sequence[str],
@@ -210,11 +229,16 @@ class PredictionSet:
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             raise IngestError(f"{where(bad[0])}: score not finite: {float(scores[bad[0]])!r}")
+        for name, ids, codes in zip(("example_id", "finding", "group"), columns.vocabs,
+                                    columns.codes):
+            for code, value in enumerate(ids):  # in first-seen order
+                try:
+                    _check_id(value, name)
+                except ValueError as exc:
+                    i = np.argmax(np.concatenate(codes) == code)
+                    message = f"empty {name}" if value == "" else exc
+                    raise IngestError(f"{where(i)}: {message}") from None
         (examples, ex), (findings, fi), (groups, gr) = columns.ids()
-        for name, vocab, codes in (("example_id", examples, ex), ("finding", findings, fi),
-                                   ("group", groups, gr)):
-            if vocab[0] == "":
-                raise IngestError(f"{where(np.argmax(codes == 0))}: empty {name}")
 
         order = np.lexsort((ex, fi))
         ex, fi, gr = ex[order], fi[order], gr[order]

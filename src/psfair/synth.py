@@ -7,6 +7,10 @@ AUC = Phi(mu / sqrt(2)) in closed form.
 Candidate variants reuse the baseline's normal deviates and only shift the
 positive-class mean per overridden group, so a candidate with no overrides is
 score-identical to the baseline and overriding one group perturbs no other.
+
+A scenario's group, model and finding ids follow the one id rule of
+``cohort._check_id``, so every id it names can be written to a file and read
+back unchanged.
 """
 
 from __future__ import annotations
@@ -20,18 +24,8 @@ from numbers import Real
 
 import numpy as np
 
-from .cohort import AlignedStudy, PredictionSet, _check_types, align
+from .cohort import AlignedStudy, PredictionSet, _check_id, _check_types, align
 from .seeding import check_seed, substream
-
-
-def _check_id(obj, name: str) -> None:
-    """ValueError unless the string field name of obj is a non-empty id with no
-    surrounding whitespace, which ingest would strip from a written file."""
-    value = getattr(obj, name)
-    if not value:
-        raise ValueError(f"{name} must be a non-empty string, got ''")
-    if value != value.strip():
-        raise ValueError(f"{name} must not start or end with whitespace, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +36,7 @@ class GroupRecipe:
     target_auc: float
 
     def __post_init__(self) -> None:
-        _check_types(self, group_id=str)
-        _check_id(self, "group_id")
+        _check_id(self.group_id, "group_id")
         where = f"group {self.group_id!r}: "
         _check_types(self, where, n_pos=int, n_neg=int, target_auc=Real)
         if self.n_pos < 1 or self.n_neg < 1:
@@ -58,8 +51,7 @@ class CandidateSpec:
     overrides: dict[str, float] = field(default_factory=dict)  # group_id -> target_auc
 
     def __post_init__(self) -> None:
-        _check_types(self, model_id=str)
-        _check_id(self, "model_id")
+        _check_id(self.model_id, "model_id")
         _check_types(self, f"candidate {self.model_id!r}: ", overrides=dict)
         # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
         if self.model_id in (".", "..") or set(self.model_id) & {"/", "\\", "\0"}:
@@ -80,8 +72,8 @@ class ScenarioSpec:
     finding: str = "finding"
 
     def __post_init__(self) -> None:
-        _check_types(self, name=str, finding=str)
-        _check_id(self, "finding")
+        _check_types(self, name=str)
+        _check_id(self.finding, "finding")
         check_seed(self.seed)
         for name, kind in (("baseline_recipes", GroupRecipe), ("candidates", CandidateSpec)):
             for i, item in enumerate(getattr(self, name)):
@@ -205,7 +197,7 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     read as a number, nor a number as a string.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 doc = json.load(fh)
             except RecursionError:  # json.load recurses once per nested array or object

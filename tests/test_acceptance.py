@@ -20,14 +20,13 @@ from psfair.positive_sum import (
     GatePolicy,
     classify,
     compare,
-    dominates,
     gate,
     pareto_select,
 )
 from psfair.synth import build_study, preset
 from conftest import auroc, group_rows, make_set, random_instance
 from reference import oracle_auroc
-from test_positive_sum import make_cmp
+from test_positive_sum import brute_force_front, make_cmp
 
 
 def _report(name: str, ok: bool) -> None:
@@ -150,12 +149,7 @@ def test_pareto_matches_brute_force():
             for i in range(k)
         ]
         points = {c.candidate_id: (c.overall_delta, c.min_group_delta) for c in cmps}
-        brute = sorted(
-            (cid for cid, p in points.items()
-             if not any(dominates(q, p) for o, q in points.items() if o != cid)),
-            key=lambda cid: (-points[cid][0], -points[cid][1], cid),
-        )
-        ok = ok and pareto_select(cmps) == brute
+        ok = ok and pareto_select(cmps) == brute_force_front(points)
     _report("pareto-selection equals brute-force oracle (500 instances)", ok)
 
 

@@ -611,6 +611,18 @@ class TestGen:
         assert rc == 0
         assert (tmp_path / "out" / "m3.csv").exists()
 
+    def test_scenario_file_starting_with_a_bom_writes_the_same_files(self, tmp_path, capsys):
+        # Notepad starts a UTF-8 file with a byte-order mark, as ingest's input may.
+        spec = json.dumps(scenario_to_dict(preset("m3_like", seed=5))).encode()
+        outputs = []
+        for name, text in (("plain", spec), ("bom", b"\xef\xbb\xbf" + spec)):
+            (tmp_path / f"{name}.json").write_bytes(text)
+            out = tmp_path / name
+            assert main(["gen", str(tmp_path / f"{name}.json"), "--out-dir", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["baseline.csv", "m3.csv"]
+        assert outputs[1] == outputs[0]
+
     def test_out_dir_named_after_the_preset_is_not_read_as_a_scenario(self, tmp_path,
                                                                        monkeypatch, capsys):
         # The second run finds the first run's m2_like directory in its working directory.

@@ -6,6 +6,7 @@ import tracemalloc
 from itertools import islice
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -451,6 +452,29 @@ def test_ingest_rejects_a_bad_model_id_before_reading(model_id):
 def test_set_from_columns_names_a_bad_row_by_index():
     with pytest.raises(IngestError, match=r"^row 1: label not binary: 2$"):
         PredictionSet("m", ["e1", "e2"], ["f", "f"], [1, 2], [0.9, 0.1], ["g", "g"])
+
+
+@pytest.mark.parametrize("column, ids, row, message", [
+    (0, [1, 2], 0, "example_id must be a string, got 1"),
+    (4, ["g", 5], 1, "group must be a string, got 5"),
+    (1, ["f", "f "], 1, "finding must not start or end with whitespace, got 'f '"),
+    (0, ["e1", ""], 1, "empty example_id"),
+])
+def test_set_refuses_an_id_no_file_can_carry(column, ids, row, message):
+    # Ingest strips every field, so a padded id would not read back as written,
+    # and a vocabulary of mixed types cannot be sorted.
+    columns = [list(c) for c in COLUMNS]
+    columns[column] = ids
+    with pytest.raises(IngestError, match=f"^row {row}: {re.escape(message)}$"):
+        PredictionSet("m", *columns)
+    with pytest.raises(IngestError, match=f"^line {row + 2}: {re.escape(message)}$"):
+        PredictionSet("m", *columns, lines=[2, 3])
+
+
+def test_set_takes_numpy_string_ids():
+    columns = [list(c) for c in COLUMNS]
+    columns[0], columns[4] = np.array(columns[0]), np.array(columns[4])
+    assert PredictionSet("m", *columns) == PredictionSet("m", *COLUMNS)
 
 
 def test_roundtrip_emit_ingest():

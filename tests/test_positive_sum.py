@@ -13,7 +13,6 @@ from psfair.positive_sum import (
     classify,
     compare,
     decompose_disparity_change,
-    dominates,
     gate,
     pareto_select,
 )
@@ -294,17 +293,22 @@ def test_readme_and_schema_list_every_verdict():
         assert sorted(v for v in values if f"`{v}`" not in readme) == []
 
 
-class TestPareto:
-    def brute_force_front(self, points):
-        return sorted(
-            (
-                cid
-                for cid, p in points.items()
-                if not any(dominates(q, p) for o, q in points.items() if o != cid)
-            ),
-            key=lambda cid: (-points[cid][0], -points[cid][1], cid),
-        )
+def brute_force_front(points):
+    """The candidates no other candidate weakly dominates: none is at least as
+    good on both axes and better on one. Written out here, not taken from
+    ``positive_sum``, so that the oracle cannot share a fault of the code."""
+    return sorted(
+        (
+            cid
+            for cid, p in points.items()
+            if not any(q[0] >= p[0] and q[1] >= p[1] and (q[0] > p[0] or q[1] > p[1])
+                       for o, q in points.items() if o != cid)
+        ),
+        key=lambda cid: (-points[cid][0], -points[cid][1], cid),
+    )
 
+
+class TestPareto:
     def test_given_example(self):
         cmps = [
             make_cmp(0.02, 0.01, "a"),
@@ -315,6 +319,11 @@ class TestPareto:
 
     def test_single_candidate(self):
         assert pareto_select([make_cmp(-0.3, -0.4, "only")]) == ["only"]
+
+    @pytest.mark.parametrize("worse", [(0.02, 0.0), (0.01, 0.01)])
+    def test_tied_on_one_axis_and_worse_on_the_other_is_off_the_front(self, worse):
+        cmps = [make_cmp(0.02, 0.01, "a"), make_cmp(*worse, "b")]
+        assert pareto_select(cmps) == ["a"]
 
     def test_duplicate_points_both_kept(self):
         cmps = [make_cmp(0.01, 0.01, "a"), make_cmp(0.01, 0.01, "b")]
@@ -336,7 +345,16 @@ class TestPareto:
                 for i in range(k)
             ]
             points = {c.candidate_id: (c.overall_delta, c.min_group_delta) for c in cmps}
-            assert pareto_select(cmps) == self.brute_force_front(points)
+            assert pareto_select(cmps) == brute_force_front(points)
+
+    def test_matches_oracle_where_candidates_tie(self, rng):
+        # Deltas on a grid of five values, so most instances tie on some axis.
+        for _ in range(100):
+            k = int(rng.integers(1, 21))
+            deltas = rng.integers(-2, 3, (k, 2)) / 100
+            cmps = [make_cmp(float(o), float(m), f"c{i:02d}") for i, (o, m) in enumerate(deltas)]
+            points = {c.candidate_id: (c.overall_delta, c.min_group_delta) for c in cmps}
+            assert pareto_select(cmps) == brute_force_front(points)
 
 
 class TestPlotCoordinates:
