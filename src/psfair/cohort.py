@@ -15,8 +15,9 @@ CR or LF.
 
 An id (example, finding or group) is a non-empty string with no surrounding
 whitespace, as a file carries it, since ingest strips every field it reads.
-``_check_id`` states that rule once, for a ``PredictionSet`` and for the ids of
-a synthetic scenario.
+``_check_ids`` states that rule once and checks a column of ids in one pass:
+each id column of a ``PredictionSet``, by its distinct ids, and each id of a
+synthetic scenario.
 
 In memory a set is its column table and nothing more: ``score`` (float64),
 ``label`` (int8) and integer codes into sorted vocabularies of example,
@@ -102,16 +103,33 @@ class InclusionPolicy:
         return n_pos >= max(self.min_positives, 1) and n_neg >= max(self.min_negatives, 1)
 
 
-def _check_id(value, name: str) -> None:
-    """ValueError unless value, the field name, is an id: a non-empty string
-    with no surrounding whitespace, since ingest strips it from every field
-    it reads. The one statement of the rule, for every id of a PredictionSet
-    and of a scenario."""
-    _check_types({name: value}, **{name: str})
-    if not value:
-        raise ValueError(f"{name} must be a non-empty string, got ''")
-    if value != value.strip():
-        raise ValueError(f"{name} must not start or end with whitespace, got {value!r}")
+class _IdError(ValueError):
+    """A value of an id field that is not an id; ``value`` is that value."""
+
+    def __init__(self, message: str, value):
+        super().__init__(message)
+        self.value = value
+
+
+def _check_ids(ids: Iterable, name: str) -> None:
+    """_IdError for the first of ids, the values of the field name, that is
+    not an id: a non-empty string with no surrounding whitespace, since
+    ingest strips it from every field it reads. The one statement of the
+    rule, for each id column of a PredictionSet (its distinct ids, in
+    first-seen order) and each id of a scenario. One pass finds that value,
+    and only its message is built."""
+    for value in ids:
+        if not isinstance(value, str) or not value or value != value.strip():
+            break
+    else:
+        return
+    if not isinstance(value, str):
+        message = f"{name} must be {_KINDS[str]}, got {value!r}"
+    elif not value:
+        message = f"{name} must be a non-empty string, got ''"
+    else:
+        message = f"{name} must not start or end with whitespace, got {value!r}"
+    raise _IdError(message, value)
 
 
 def _check_model_id(model_id) -> None:
@@ -137,8 +155,10 @@ class _Columns:
     ``defaultdict`` that gives an unseen id the next code. ``labels`` holds
     the two values read as 0 and 1, and the first row with any other label
     is remembered, not raised at once, so that an error found later in
-    reading still comes first. Only numbers are kept per row; strings are
-    kept once per distinct id.
+    reading still comes first. A score that is not a real number raises as
+    its chunk is added, as ``ingest`` raises on a row whose score does not
+    parse. Only numbers are kept per row; strings are kept once per distinct
+    id.
     """
 
     def __init__(self, labels: tuple):
@@ -157,6 +177,15 @@ class _Columns:
             lines: Sequence[int] | None = None) -> None:
         """Append one chunk of rows, its columns of equal length."""
         n = len(score)
+        if lines is not None:
+            self.lines.append(np.asarray(lines))
+        scores = np.asarray(score)
+        if scores.dtype.kind not in "biuf":  # else a column of real numbers, as ingest's are
+            bad = next((i for i, s in enumerate(score) if not isinstance(s, Real)), None)
+            if bad is not None:
+                raise IngestError(f"{self.where(self.rows + bad)}: "
+                                  f"score not a number: {score[bad]!r}")
+        self.score.append(scores.astype(np.float64, copy=False))
         for vocab, codes, ids in zip(self.vocabs, self.codes, (example_id, finding_id, group_id)):
             codes.append(np.fromiter(map(vocab.__getitem__, ids), np.intp, n))
         try:
@@ -165,10 +194,11 @@ class _Columns:
             if self.bad_label is None:
                 i = next(i for i, y in enumerate(label) if y not in self.labels)
                 self.bad_label = (self.rows + i, label[i])
-        self.score.append(np.asarray(score, np.float64))
-        if lines is not None:
-            self.lines.append(np.asarray(lines))
         self.rows += n
+
+    def where(self, i: int) -> str:
+        """Row i as an error names it: by its input line, if lines are given."""
+        return f"line {np.concatenate(self.lines)[i]}" if self.lines else f"row {i}"
 
     def ids(self) -> list[tuple[tuple, np.ndarray]]:
         """Each id column's sorted vocabulary, and every row's code into it."""
@@ -192,13 +222,15 @@ class PredictionSet:
     """One model's scored test set, built from parallel per-row columns and
     immutable after construction.
 
-    Enforces: a non-empty string model_id, columns of equal length, labels
-    binary, scores finite, ids as ``_check_id`` has them, (example_id, finding)
-    unique, and every finding present has at least one positive and one
-    negative row. ``lines`` holds each row's input line number, for error
-    messages; without it a row is named by its index. A bad id is named by the
-    first row that holds it, the example column checked first, then finding,
-    then group.
+    Enforces: a non-empty string model_id, columns of equal length, scores
+    real numbers (a ``str``, ``bytes``, ``None`` or complex value is not one),
+    labels binary, scores finite, ids as ``_check_ids`` has them, (example_id,
+    finding) unique, and every finding present has at least one positive and
+    one negative row. ``lines`` holds each row's input line number, for error
+    messages; without it a row is named by its index. Each id column is
+    checked in one pass over its distinct ids, example, then finding, then
+    group; a bad id is the first in first-seen order, named by the first row
+    that holds it.
     """
 
     def __init__(self, model_id: str, example_id: Sequence[str], finding_id: Sequence[str],
@@ -215,11 +247,9 @@ class PredictionSet:
 
     def _build(self, model_id: str, columns: _Columns) -> None:
         """Check and sort the rows of ``columns``, freeing each of its chunks
-        once they are joined. The checks run in the order of the class
-        docstring, after every row is read."""
-        def where(i) -> str:
-            return f"line {np.concatenate(columns.lines)[i]}" if columns.lines else f"row {i}"
-
+        once they are joined. The checks after the scores' type run in the
+        order of the class docstring, after every row is read."""
+        where = columns.where
         if columns.rows == 0:
             raise IngestError(f"empty input: no data rows for {model_id!r}")
         if columns.bad_label is not None:
@@ -231,13 +261,12 @@ class PredictionSet:
             raise IngestError(f"{where(bad[0])}: score not finite: {float(scores[bad[0]])!r}")
         for name, ids, codes in zip(("example_id", "finding", "group"), columns.vocabs,
                                     columns.codes):
-            for code, value in enumerate(ids):  # in first-seen order
-                try:
-                    _check_id(value, name)
-                except ValueError as exc:
-                    i = np.argmax(np.concatenate(codes) == code)
-                    message = f"empty {name}" if value == "" else exc
-                    raise IngestError(f"{where(i)}: {message}") from None
+            try:
+                _check_ids(ids, name)  # distinct ids, in first-seen order
+            except _IdError as exc:
+                i = np.argmax(np.concatenate(codes) == ids[exc.value])
+                message = f"empty {name}" if exc.value == "" else exc
+                raise IngestError(f"{where(i)}: {message}") from None
         (examples, ex), (findings, fi), (groups, gr) = columns.ids()
 
         order = np.lexsort((ex, fi))

@@ -9,7 +9,7 @@ positive-class mean per overridden group, so a candidate with no overrides is
 score-identical to the baseline and overriding one group perturbs no other.
 
 A scenario's group, model and finding ids follow the one id rule of
-``cohort._check_id``, so every id it names can be written to a file and read
+``cohort._check_ids``, so every id it names can be written to a file and read
 back unchanged.
 """
 
@@ -24,7 +24,7 @@ from numbers import Real
 
 import numpy as np
 
-from .cohort import AlignedStudy, PredictionSet, _check_id, _check_types, align
+from .cohort import AlignedStudy, PredictionSet, _check_ids, _check_types, align
 from .seeding import check_seed, substream
 
 
@@ -36,7 +36,7 @@ class GroupRecipe:
     target_auc: float
 
     def __post_init__(self) -> None:
-        _check_id(self.group_id, "group_id")
+        _check_ids((self.group_id,), "group_id")
         where = f"group {self.group_id!r}: "
         _check_types(self, where, n_pos=int, n_neg=int, target_auc=Real)
         if self.n_pos < 1 or self.n_neg < 1:
@@ -51,7 +51,7 @@ class CandidateSpec:
     overrides: dict[str, float] = field(default_factory=dict)  # group_id -> target_auc
 
     def __post_init__(self) -> None:
-        _check_id(self.model_id, "model_id")
+        _check_ids((self.model_id,), "model_id")
         _check_types(self, f"candidate {self.model_id!r}: ", overrides=dict)
         # gen writes <out-dir>/<model_id>.csv, so an id must name one file in that directory.
         if self.model_id in (".", "..") or set(self.model_id) & {"/", "\\", "\0"}:
@@ -73,7 +73,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         _check_types(self, name=str)
-        _check_id(self.finding, "finding")
+        _check_ids((self.finding,), "finding")
         check_seed(self.seed)
         for name, kind in (("baseline_recipes", GroupRecipe), ("candidates", CandidateSpec)):
             for i, item in enumerate(getattr(self, name)):

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import re
+import sys
 import tracemalloc
 from itertools import islice
 from unittest import mock
@@ -475,6 +476,117 @@ def test_set_takes_numpy_string_ids():
     columns = [list(c) for c in COLUMNS]
     columns[0], columns[4] = np.array(columns[0]), np.array(columns[4])
     assert PredictionSet("m", *columns) == PredictionSet("m", *COLUMNS)
+
+
+# Every character that str.strip removes, '\x1c' and '\u3000' among them.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+ID_COLUMNS = ("example_id", "finding", "group")
+
+
+def first_bad_id(columns, lines=None):
+    """The error a set of these id columns must raise, found one value at a
+    time: the first column, in the order example, finding, group, that holds
+    a value other than a non-empty str that neither starts nor ends with a
+    space character, and the first row that holds one."""
+    for name, column in zip(ID_COLUMNS, columns):
+        for row, value in enumerate(column):
+            if not isinstance(value, str):
+                message = f"{name} must be a string, got {value!r}"
+            elif value == "":
+                message = f"empty {name}"
+            elif value[0].isspace() or value[-1].isspace():
+                message = f"{name} must not start or end with whitespace, got {value!r}"
+            else:
+                continue
+            return f"line {lines[row]}: {message}" if lines else f"row {row}: {message}"
+    return None
+
+
+@st.composite
+def planted_ids(draw):
+    """Three id columns of a valid set, plain and numpy ids mixed, with one
+    or more bad ids planted: an int, None, '' or an id padded with a
+    character that str.strip removes."""
+    n = draw(st.integers(2, 12))
+    good = st.sampled_from(["a", "b", "c", np.str_("a"), np.str_("d")])
+    columns = [[f"e{i}" for i in range(n)], draw(st.lists(good, min_size=n, max_size=n)),
+               draw(st.lists(good, min_size=n, max_size=n))]
+    pad = st.sampled_from(WHITESPACE)
+    bad = st.one_of(st.integers(-3, 3), st.none(), st.just(""),
+                    st.builds(lambda core, c: c + core, good, pad),
+                    st.builds(lambda core, c: core + c, good, pad))
+    for _ in range(draw(st.integers(1, 4))):
+        columns[draw(st.integers(0, 2))][draw(st.integers(0, n - 1))] = draw(bad)
+    return columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(planted_ids())
+# Two bad example ids, the later one first in sorted order.
+@example([["e0", "e1 ", " e0", "e3"], ["f"] * 4, ["g"] * 4])
+# One bad id, in the group column only.
+@example([["e0", "e1"], ["f", "f"], ["g", np.str_("g\u3000")]])
+def test_set_names_the_first_bad_id_as_a_per_value_check_does(columns):
+    # An id column is checked in one pass over its distinct ids, in
+    # first-seen order; the error is the one a check of every value, row by
+    # row, finds first.
+    n = len(columns[0])
+    lines = list(range(7, 7 + 3 * n, 3))
+    example_id, finding, group = columns
+    rest = ([i % 2 for i in range(n)], [0.5] * n)
+    for given_lines in (None, lines):
+        expected = first_bad_id(columns, given_lines)
+        assert expected is not None
+        with pytest.raises(IngestError) as raised:
+            PredictionSet("m", example_id, finding, *rest, group, lines=given_lines)
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_ingest_names_an_empty_id_first_seen_after_the_first_chunk(column):
+    n = cohort._CHUNK_ROWS + 300
+    rows = [[f"e{i}", "f", str(i % 2), "0.5", "g"] for i in range(n)]
+    rows[cohort._CHUNK_ROWS + 100][(0, 1, 4)[column]] = ""
+    text = "".join(",".join(row) + "\n" for row in [cohort.REQUIRED_COLUMNS, *rows])
+    with pytest.raises(IngestError, match=f"^line {cohort._CHUNK_ROWS + 102}: "
+                                          f"empty {ID_COLUMNS[column]}$"):
+        ingest(io.StringIO(text), "m")
+
+
+def test_ingest_checks_each_id_column_in_one_call():
+    # The id rule runs once per column, over its distinct ids, not once per
+    # id: each call paid ~0.65 us of set-up, 11 ms over 16,940 example ids.
+    text = "example_id,finding,label,score,group\n" + "".join(
+        f"e{i},f,{i % 2},0.5,g{i % 3}\n" for i in range(2000))
+    with mock.patch.object(cohort, "_check_ids", wraps=cohort._check_ids) as check:
+        pset = ingest(io.StringIO(text), "m")
+    assert len(pset.examples) == 2000
+    assert [call.args[1] for call in check.call_args_list] == list(ID_COLUMNS)
+
+
+@pytest.mark.parametrize("score, message", [
+    ("x", "'x'"), ("0.9", "'0.9'"), (b"0.9", "b'0.9'"), (None, "None"), (1j, "1j"),
+    (np.complex64(0.5), repr(np.complex64(0.5))), (np.str_("0.9"), repr(np.str_("0.9"))),
+])
+def test_set_refuses_a_score_that_is_not_a_number(score, message):
+    # A string score was parsed, None read as nan, and 'x' or a complex value
+    # raised numpy's own error, naming no row.
+    columns = [list(c) for c in COLUMNS]
+    columns[3][1] = score
+    with pytest.raises(IngestError, match=f"^row 1: score not a number: {re.escape(message)}$"):
+        PredictionSet("m", *columns)
+    with pytest.raises(IngestError, match=f"^line 3: score not a number: {re.escape(message)}$"):
+        PredictionSet("m", *columns, lines=[2, 3])
+
+
+@pytest.mark.parametrize("score", [
+    [1, 0], [True, False], np.array([0.9, 0.1], np.float32), np.array([9, 1], np.uint8),
+    [0.9, 2 ** 70], np.array([0.9, 0.1], object),
+])
+def test_set_takes_any_real_scores(score):
+    pset = PredictionSet("m", *COLUMNS[:3], score, COLUMNS[4])
+    assert pset.score.dtype == np.float64
+    assert pset.score.tolist() == [float(s) for s in score]
 
 
 def test_roundtrip_emit_ingest():
