@@ -13,11 +13,18 @@ size limit. From the first such chunk ``csv.reader`` reads the rest. ``emit``
 writes the same grammar and quotes an id that holds the delimiter, a quote,
 CR or LF.
 
-An id (example, finding or group) is a non-empty string with no surrounding
-whitespace, as a file carries it, since ingest strips every field it reads.
-``_check_ids`` states that rule once and checks a column of ids in one pass:
-each id column of a ``PredictionSet``, by its distinct ids, and each id of a
-synthetic scenario.
+The strip rule: ingest strips what ``str.strip`` removes from each example,
+finding, label and group value once per distinct value, after the last line
+is read (``_Rows.strip``), so `` 1 `` is the label 1; neither reader strips a
+field of those columns, and ``float()`` ignores a score's whitespace. The
+``PredictionSet`` constructor strips nothing. The label rule: a column's
+distinct labels are checked once, after every row is read, and the first
+row that holds a label other than "0" or "1" (0 or 1 in the constructor) is
+named. An id (example, finding or group) is a non-empty string with no
+surrounding whitespace, as it reads from a file once stripped.
+``_check_ids`` states that rule once and checks a column of ids in one
+pass: each id column of a ``PredictionSet``, by its distinct ids, and each
+id of a synthetic scenario.
 
 In memory a set is its column table and nothing more: ``score`` (float64),
 ``label`` (int8) and integer codes into sorted vocabularies of example,
@@ -28,9 +35,9 @@ finding's rows are one contiguous run.
 
 Ingest encodes each chunk of lines as soon as it is read, so it never holds
 a whole file's strings: per chunk it holds the chunk's fields, and per row
-only numbers, three id codes, a label, a score and a line number. An id's
+only numbers, four text codes, a score and a line number. A text value's
 string is held once, in its column's vocabulary. Memory thus grows with rows
-as numeric columns and with distinct ids as strings.
+as numeric columns and with distinct values as strings.
 """
 
 from __future__ import annotations
@@ -48,8 +55,9 @@ import numpy as np
 REQUIRED_COLUMNS = ("example_id", "finding", "label", "score", "group")
 # Lines read and encoded at a time. A chunk's lists of strings die young, so
 # the cyclic garbage collector does not rescan a whole file's rows. Per chunk
-# ingest holds those lists; per row it keeps 41 bytes of numbers (three id
-# codes, a label, a score, a line number) until the set is built.
+# ingest holds those lists; per row it keeps 48 bytes of numbers (codes of
+# example, finding, group and label, a score, a line number) until the set is
+# built.
 _CHUNK_ROWS = 1024
 
 
@@ -114,7 +122,7 @@ class _IdError(ValueError):
 def _check_ids(ids: Iterable, name: str) -> None:
     """_IdError for the first of ids, the values of the field name, that is
     not an id: a non-empty string with no surrounding whitespace, since
-    ingest strips it from every field it reads. The one statement of the
+    ingest strips it from every id it reads. The one statement of the
     rule, for each id column of a PredictionSet (its distinct ids, in
     first-seen order) and each id of a scenario. One pass finds that value,
     and only its message is built."""
@@ -150,27 +158,26 @@ class _Columns:
     """Rows added a chunk at a time, each chunk encoded as it is added: the
     one encoder of ``ingest`` and of the ``PredictionSet`` constructor.
 
-    Each id column becomes integer codes into a running vocabulary, in the
-    order ids are first seen. Each id costs one lookup: the vocabulary is a
-    ``defaultdict`` that gives an unseen id the next code. ``labels`` holds
-    the two values read as 0 and 1, and the first row with any other label
-    is remembered, not raised at once, so that an error found later in
-    reading still comes first. A score that is not a real number raises as
+    Each text column (example, finding, group and label) becomes integer
+    codes into a running vocabulary, in the order values are first seen. Each
+    value costs one lookup: the vocabulary is a ``defaultdict`` that gives an
+    unseen value the next code. A score that is not a real number raises as
     its chunk is added, as ``ingest`` raises on a row whose score does not
-    parse. Only numbers are kept per row; strings are kept once per distinct
-    id.
+    parse; ``PredictionSet._build`` checks the rest after the last chunk, each
+    text column by its distinct values, so an error found later in reading
+    still comes first. Only numbers are kept per row; strings are kept once
+    per distinct value. Nothing is stripped here: ``_Rows.strip`` strips what
+    ``ingest`` reads.
     """
 
     def __init__(self, labels: tuple):
-        self.labels = labels
-        # example, finding, group: id -> code
-        self.vocabs = tuple(defaultdict(count().__next__) for _ in range(3))
-        self.codes: tuple[list[np.ndarray], ...] = ([], [], [])
-        self.label: list[np.ndarray] = []
+        self.labels = labels  # the two label values read as 0 and 1
+        # example, finding, group, label: value -> code
+        self.vocabs = [defaultdict(count().__next__) for _ in range(4)]
+        self.codes: tuple[list[np.ndarray], ...] = ([], [], [], [])
         self.score: list[np.ndarray] = []
         self.lines: list[np.ndarray] = []  # each row's input line number, if given
         self.rows = 0
-        self.bad_label: tuple[int, object] | None = None  # (row, value) of the first
 
     def add(self, example_id: Sequence, finding_id: Sequence, label: Sequence,
             score: Sequence[float], group_id: Sequence,
@@ -186,14 +193,9 @@ class _Columns:
                 raise IngestError(f"{self.where(self.rows + bad)}: "
                                   f"score not a number: {score[bad]!r}")
         self.score.append(scores.astype(np.float64, copy=False))
-        for vocab, codes, ids in zip(self.vocabs, self.codes, (example_id, finding_id, group_id)):
-            codes.append(np.fromiter(map(vocab.__getitem__, ids), np.intp, n))
-        try:
-            self.label.append(np.fromiter(map(self.labels.index, label), np.int8, n))
-        except ValueError:
-            if self.bad_label is None:
-                i = next(i for i, y in enumerate(label) if y not in self.labels)
-                self.bad_label = (self.rows + i, label[i])
+        for vocab, codes, values in zip(self.vocabs, self.codes,
+                                        (example_id, finding_id, group_id, label)):
+            codes.append(np.fromiter(map(vocab.__getitem__, values), np.intp, n))
         self.rows += n
 
     def where(self, i: int) -> str:
@@ -203,7 +205,7 @@ class _Columns:
     def ids(self) -> list[tuple[tuple, np.ndarray]]:
         """Each id column's sorted vocabulary, and every row's code into it."""
         out = []
-        for vocab, codes in zip(self.vocabs, self.codes):
+        for vocab, codes in zip(self.vocabs[:3], self.codes):
             ids = sorted(vocab)
             rank = np.empty(len(ids), np.intp)
             rank[np.fromiter(map(vocab.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
@@ -222,23 +224,25 @@ class PredictionSet:
     """One model's scored test set, built from parallel per-row columns and
     immutable after construction.
 
-    Enforces: a non-empty string model_id, columns of equal length, scores
-    real numbers (a ``str``, ``bytes``, ``None`` or complex value is not one),
-    labels binary, scores finite, ids as ``_check_ids`` has them, (example_id,
-    finding) unique, and every finding present has at least one positive and
-    one negative row. ``lines`` holds each row's input line number, for error
-    messages; without it a row is named by its index. Each id column is
-    checked in one pass over its distinct ids, example, then finding, then
-    group; a bad id is the first in first-seen order, named by the first row
-    that holds it.
+    Enforces: a non-empty string model_id, columns (``lines`` too, if given)
+    of equal length, scores real numbers (a ``str``, ``bytes``, ``None`` or
+    complex value is not one), labels 0 or 1, scores finite, ids as
+    ``_check_ids`` has them, (example_id, finding) unique, and every finding
+    present has at least one positive and one negative row. ``lines`` holds
+    each row's input line number, for error messages; without it a row is
+    named by its index. The label column, then each id column (example,
+    finding, group) is checked in one pass over its distinct values; a bad
+    value is the first in first-seen order, named by the first row that
+    holds it. Labels and ids must be hashable.
     """
 
     def __init__(self, model_id: str, example_id: Sequence[str], finding_id: Sequence[str],
                  label: Sequence[int], score: Sequence[float], group_id: Sequence[str],
                  lines: Sequence[int] | None = None):
         _check_model_id(model_id)
-        lengths = dict(zip(("example_id", "finding_id", "label", "score", "group_id"),
-                           map(len, (example_id, finding_id, label, score, group_id))))
+        lengths = dict(zip(("example_id", "finding_id", "label", "score", "group_id", "lines"),
+                           map(len, (example_id, finding_id, label, score, group_id,
+                                     *([] if lines is None else [lines])))))
         if len(set(lengths.values())) > 1:
             raise IngestError(f"columns differ in length: {lengths}")
         columns = _Columns((0, 1))
@@ -252,9 +256,10 @@ class PredictionSet:
         where = columns.where
         if columns.rows == 0:
             raise IngestError(f"empty input: no data rows for {model_id!r}")
-        if columns.bad_label is not None:
-            i, y = columns.bad_label
-            raise IngestError(f"{where(i)}: label not binary: {y!r}")
+        for code, y in enumerate(columns.vocabs[3]):  # distinct labels, in first-seen order
+            if y not in columns.labels:
+                i = np.argmax(np.concatenate(columns.codes[3]) == code)
+                raise IngestError(f"{where(i)}: label not binary: {y!r}")
         scores = _joined(columns.score)
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
@@ -276,7 +281,8 @@ class PredictionSet:
             j = repeats[np.argmin(order[repeats])]  # the first row that repeats an earlier key
             key = (examples[ex[j]], findings[fi[j]])
             raise IngestError(f"{where(order[j])}: duplicate key {key}")
-        labels = _joined(columns.label)[order]
+        binary = np.array([*map(columns.labels.index, columns.vocabs[3])], np.int8)
+        labels = binary.take(_joined(columns.codes[3])[order])
         n_pos = np.bincount(fi, weights=labels, minlength=len(findings))
         n_rows = np.bincount(fi, minlength=len(findings))
         for f, (p, n) in enumerate(zip(n_pos.tolist(), n_rows.tolist())):
@@ -381,6 +387,7 @@ def ingest(source: str | os.PathLike | TextIO | Iterable[str], model_id: str,
         raise IngestError(f"line {reader.line_num}: header repeats columns {repeated}")
     rows = _Rows(delimiter, len(header), [header.index(c) for c in REQUIRED_COLUMNS])
     rows.read(lines, reader.line_num)
+    rows.strip()
     pset = PredictionSet.__new__(PredictionSet)
     pset._build(model_id, rows)
     return pset
@@ -393,15 +400,15 @@ class _Rows(_Columns):
     ``split`` alone decides each chunk's route: it takes a chunk that
     ``csv.reader`` would read the same and accept, and from the first chunk
     it refuses, ``read_csv`` reads the rest. That checks rows one at a time,
-    so the first bad row raises as it is read.
+    so the first bad row raises as it is read. Both encode text fields as
+    read; ``strip`` then applies the module's strip rule to each column's
+    distinct values.
     """
 
     def __init__(self, delimiter: str, width: int, col: list[int]):
         # width: fields per row; col: the field index of each REQUIRED_COLUMNS name
         super().__init__(("0", "1"))
         self.delimiter, self.width, self.col = delimiter, width, col
-        # What str.strip removes besides CR and LF: a chunk with none of it needs no strip.
-        self.spaces = [c for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f" if c != delimiter]
 
     def read(self, lines: Iterator[str], line: int) -> None:
         """Read every remaining line of ``lines``, the first being line ``line + 1``."""
@@ -424,7 +431,9 @@ class _Rows(_Columns):
         ``str.split``; False, appending nothing, unless ``csv.reader`` reads
         each the same and accepts it. A CRLF reads as an LF. A quote, a NUL or
         other CR, a blank or bad row, a bad score, or a field longer than
-        ``csv.field_size_limit()`` (measured only if the chunk is) refuses."""
+        ``csv.field_size_limit()`` (measured only if the chunk is) refuses.
+        Fields are encoded unstripped, a last column's with its LF, which
+        ``strip`` removes with the rest of the whitespace."""
         width, d, n, limit = self.width, self.delimiter, len(chunk), csv.field_size_limit()
         text = "".join(chunk).replace("\r\n", "\n")
         if not text.endswith("\n"):  # a last line with no line end
@@ -439,10 +448,7 @@ class _Rows(_Columns):
                 or len(text) > limit and max(map(len, fields)) > limit):
             return False
         fields.pop()
-        strip = not text.isascii() or any(map(text.__contains__, self.spaces))
-        example_id, finding, label, score, group = (
-            [*map(str.strip, fields[i::width])] if strip or i == width - 1 else fields[i::width]
-            for i in self.col)
+        example_id, finding, label, score, group = (fields[i::width] for i in self.col)
         try:
             score = np.fromiter(map(float, score), np.float64, n)  # float() ignores whitespace
         except ValueError:
@@ -454,14 +460,13 @@ class _Rows(_Columns):
         """Read ``lines``, the first being line ``line + 1``, with ``csv.reader``,
         one row at a time: a blank row is skipped, and the first row with a bad
         field count or score raises as it is read. Checked rows are appended
-        ``_CHUNK_ROWS`` at a time, their fields stripped."""
+        ``_CHUNK_ROWS`` at a time, their fields as read; ``strip`` strips them."""
         width, at = self.width, self.col[3]  # at: the score's field index
         rows, scores, numbers = [], [], []  # checked rows not yet appended
 
         def append() -> None:
             fields = list(zip(*rows))
-            self.add(*(scores if i == at else [*map(str.strip, fields[i])] for i in self.col),
-                     np.array(numbers))
+            self.add(*(scores if i == at else fields[i] for i in self.col), np.array(numbers))
             del rows[:], scores[:], numbers[:]
 
         reader = csv.reader(lines, delimiter=self.delimiter)
@@ -486,6 +491,18 @@ class _Rows(_Columns):
             raise IngestError(f"line {line + reader.line_num}: {exc}") from None
         if rows:
             append()
+
+    def strip(self) -> None:
+        """Strip each distinct value of each text column once, after the last
+        chunk is read. Values that strip to one string merge, first-seen order
+        kept, and their rows' codes are remapped; a column is encoded again
+        only if stripping changed one of its values."""
+        for k, vocab in enumerate(self.vocabs):
+            stripped = [*map(str.strip, vocab)]
+            if stripped != [*vocab]:
+                self.vocabs[k] = vocab = defaultdict(count().__next__)
+                remap = np.fromiter(map(vocab.__getitem__, stripped), np.intp, len(stripped))
+                self.codes[k][:] = [remap.take(codes) for codes in self.codes[k]]
 
 
 def _raising(exc: Exception) -> Iterator[str]:

@@ -432,6 +432,16 @@ def test_set_rejects_columns_of_unequal_length(column):
         PredictionSet("m", *columns)
 
 
+@pytest.mark.parametrize("lines", [[5], [5, 6, 7]])
+def test_set_rejects_lines_of_another_length(lines):
+    # A short lines column raised numpy's IndexError, and a long one named a
+    # line of another row.
+    with pytest.raises(IngestError, match=r"^columns differ in length: \{'example_id': 2, "
+                       r"'finding_id': 2, 'label': 2, 'score': 2, 'group_id': 2, "
+                       r"'lines': %d\}$" % len(lines)):
+        PredictionSet("m", ["a", "b"], ["f", "f"], [0, 2], [0.1, 0.2], ["g", "g"], lines=lines)
+
+
 @pytest.mark.parametrize("model_id", [5, None, b"m", ""])
 def test_set_requires_a_non_empty_string_model_id(model_id):
     # Both report schemas hold model ids as strings.
@@ -453,6 +463,21 @@ def test_ingest_rejects_a_bad_model_id_before_reading(model_id):
 def test_set_from_columns_names_a_bad_row_by_index():
     with pytest.raises(IngestError, match=r"^row 1: label not binary: 2$"):
         PredictionSet("m", ["e1", "e2"], ["f", "f"], [1, 2], [0.9, 0.1], ["g", "g"])
+    # Labels are checked by their distinct values, in first-seen order: 1.0
+    # and True are the label 1, a bad label is named by the first row that
+    # holds it, and an unhashable label raises as an unhashable id does.
+    labels = [1.0, 0, True, 3, None, 3]
+    columns = (["e1", "e2", "e3", "e4", "e5", "e6"], ["f"] * 6, labels, [0.5] * 6, ["g"] * 6)
+    with pytest.raises(IngestError, match=r"^row 3: label not binary: 3$"):
+        PredictionSet("m", *columns)
+    labels[3] = None
+    with pytest.raises(IngestError, match=r"^line 9: label not binary: None$"):
+        PredictionSet("m", *columns, lines=range(6, 12))
+    labels[3] = [1]
+    with pytest.raises(TypeError, match="unhashable"):
+        PredictionSet("m", *columns)
+    pset = PredictionSet("m", *columns[:2], [1.0, 0, True, 0, 1, 0], *columns[3:])
+    assert pset.label.tolist() == [1, 0, 1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("column, ids, row, message", [
@@ -540,6 +565,83 @@ def test_set_names_the_first_bad_id_as_a_per_value_check_does(columns):
         with pytest.raises(IngestError) as raised:
             PredictionSet("m", example_id, finding, *rest, group, lines=given_lines)
         assert str(raised.value) == expected
+
+
+# Padding of a text field: what str.strip removes, none of it a line end to
+# a text file read with newline="" or to csv.reader, though str.splitlines
+# splits at '\x1c' and '\x85'.
+PADS = [" ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u3000"]
+TEXT_FIELDS = ("example_id", "finding", "label", "group")
+# Faults planted in one row of both copies: a field and its value, or a row
+# that repeats an earlier row's example id in that row's finding.
+PAD_FAULTS = [None, ("label", "2"), ("label", ""), ("example_id", ""), ("finding", ""),
+              ("group", ""), ("duplicate", None)]
+
+
+@st.composite
+def padded_files(draw):
+    """(clean text, padded text, delimiter, chunk rows, fault) of one small
+    prediction file. The padded copy surrounds each example, finding, label
+    and group field with drawn padding. From a drawn row on, the padded copy
+    quotes every field, so csv.reader reads from that row's chunk on and
+    str.split the chunks before it; the clean copy quotes nothing. Both may
+    carry the same planted fault; a repeated example id is padded in its
+    second row, so its two spellings differ."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    pad = st.text(st.sampled_from([c for c in PADS if c != delimiter]), max_size=2)
+    header = draw(st.permutations(cohort.REQUIRED_COLUMNS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    n = draw(st.integers(4, 14))
+    # The first four rows give both findings a positive and a negative.
+    rows = [{"example_id": f"e{i}",
+             "finding": "fg"[i // 2] if i < 4 else draw(st.sampled_from("fg")),
+             "label": "10"[i % 2] if i < 4 else draw(st.sampled_from("01")),
+             "score": repr(draw(st.integers(-9, 9)) / 4),
+             "group": draw(st.sampled_from(["a", "b", "a b"]))} for i in range(n)]
+    fault = draw(st.sampled_from(PAD_FAULTS))
+    at = draw(st.integers(1, n - 1))
+    if fault == ("duplicate", None):
+        earlier = rows[draw(st.integers(0, at - 1))]
+        rows[at].update(example_id=earlier["example_id"], finding=earlier["finding"])
+    elif fault is not None:
+        rows[at][fault[0]] = fault[1]
+    first_quoted = draw(st.integers(0, n))
+    clean, padded = [delimiter.join(header)], [delimiter.join(header)]
+    for i, row in enumerate(rows):
+        clean.append(delimiter.join(row[name] for name in header))
+        fields = {name: draw(pad) + row[name] + draw(pad) for name in TEXT_FIELDS}
+        if fault == ("duplicate", None) and i == at:
+            fields["example_id"] = draw(pad.filter(bool)) + row["example_id"]
+        fields["score"] = row["score"]
+        padded.append(delimiter.join(f'"{fields[name]}"' if i >= first_quoted else fields[name]
+                                     for name in header))
+    chunk = draw(st.sampled_from([1, 3, cohort._CHUNK_ROWS]))
+    return end.join(clean) + end, end.join(padded) + end, delimiter, chunk, fault
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(padded_files())
+# Two spellings of one id in one finding.
+@example((HEADER + "e1,f,1,0.5,g\ne2,f,0,0.1,g\ne1,f,0,0.2,g\n",
+          HEADER + "e1,f,1,0.5,g\ne2,f,0,0.1,g\n e1,f,0,0.2,g\n", ",", 1024,
+          ("duplicate", None)))
+# Padded labels and group, the group the last column and padded with '\x85'
+# and '\x1c', in a chunk str.split reads and in one csv.reader reads.
+@example((HEADER + "e1,f,1,0.5,g\ne2,f,0,0.1,g\ne3,f,0,0.2,g\n",
+          HEADER + 'e1,f,\u30001,0.5,\x85g\ne2,f,0\xa0,0.1,g\x1c\ne3,f,"\x0b0",0.2,"g "\n', ",", 2,
+          None))
+def test_padding_a_text_field_changes_nothing(case):
+    # Ingest strips each distinct value once, after reading: padded values
+    # merge with their clean spellings, a bad row is named as in the clean
+    # file, and two spellings of one key are a duplicate.
+    clean, padded, delimiter, chunk, fault = case
+    with mock.patch.object(cohort, "_CHUNK_ROWS", chunk):
+        expected, got = (parsed(ingest, text, delimiter) for text in (clean, padded))
+    assert got == expected
+    if fault is None:
+        assert isinstance(got, PredictionSet)
+    elif fault == ("duplicate", None):
+        assert "duplicate key" in got
 
 
 @pytest.mark.parametrize("column", range(3))

@@ -1,7 +1,8 @@
 """Golden report hashes: every report and generated file of the four presets,
 the files ``gen`` writes for a custom scenario file, one conservative
 compare of that scenario's three models, and every report of a study of
-three findings, as stdout and stderr.
+three findings, as stdout and stderr. The study's reports are also run in
+two processes under different hash seeds, which must write the same bytes.
 
 ``gen`` writes each preset at seed 0, then ``audit`` and ``compare`` read it
 back, all through ``cli.main``. Each output file's sha256 and each exit code
@@ -13,10 +14,13 @@ in the same diff.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from psfair.cli import main
+from conftest import child_env
 
 # (preset, candidate) -> ({output: sha256}, exit codes), as ``outputs`` returns them.
 GOLDEN = {
@@ -223,3 +227,45 @@ def test_multi_finding_reports_match_golden_hashes(tmp_path, monkeypatch, capsys
         got[name] = (hashlib.sha256(out.encode()).hexdigest(),
                      hashlib.sha256(err.encode()).hexdigest(), code)
     assert got == MULTI_FINDING_GOLDEN
+
+
+# Runs in a fresh interpreter: an audit with a bootstrap and a conservative
+# compare of the study in argv[1], each as JSON to stdout and as CSV to a file
+# in argv[2]; prints each run's exit code, stdout and stderr.
+HASH_SEED_CHILD = """
+import contextlib, io, json, sys
+from psfair.cli import main
+study, out = sys.argv[1:]
+base, lift, slip = (f"{study}/{model}.csv" for model in ("baseline", "lift", "slip"))
+runs = {"audit": ["audit", lift, "--bootstrap-n", "40"],
+        "compare": ["compare", "--baseline", base, "--candidate", lift, "--candidate", slip,
+                    "--conservative-ci", "--bootstrap-n", "40"]}
+got = {}
+for name, argv in runs.items():
+    for fmt, dest in (("json", []), ("csv", ["--out", f"{out}/{name}.csv"])):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--format", fmt, *dest])
+        got[f"{name}.{fmt}"] = [code, stdout.getvalue(), stderr.getvalue()]
+print(json.dumps(got))
+"""
+
+
+def test_multi_finding_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # The golden tests above run in one process, so a report that followed the
+    # iteration order of a set of strings would pass them under a lucky hash
+    # seed only.
+    write_multi_finding_study(tmp_path)
+    env = {k: v for k, v in child_env().items() if not k.startswith("PSFAIR_")}
+    results = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        out.mkdir()
+        child = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, str(tmp_path), str(out)],
+                               env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                               text=True, check=True)
+        runs = json.loads(child.stdout)
+        assert [code for code, _, _ in runs.values()] == [0, 0, 1, 1]
+        results.append((runs, child.stderr, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert sorted(results[0][2]) == ["audit.csv", "compare.csv"]
+    assert results[0] == results[1]
