@@ -9,14 +9,17 @@ Both readers share one grammar, ``csv.reader``'s default dialect with the
 given delimiter. A chunk of lines, each ending in LF or CRLF, is split with
 ``str.split``, which reads it as ``csv.reader`` does, unless it holds a quote,
 a NUL, any other CR, a blank or bad row, a bad score or a field past the field
-size limit. From the first such chunk ``csv.reader`` reads the rest. ``emit``
+size limit. From the first such chunk ``csv.reader`` reads the rest. Each
+line end is a field of its own to ``str.split``, as it is no field at all to
+``csv.reader``, so both readers hand the encoder the same strings. ``emit``
 writes the same grammar and quotes an id that holds the delimiter, a quote,
 CR or LF.
 
 The strip rule: ingest strips what ``str.strip`` removes from each example,
 finding, label and group value once per distinct value, after the last line
 is read (``_Rows.strip``), so `` 1 `` is the label 1; neither reader strips a
-field of those columns, and ``float()`` ignores a score's whitespace. The
+field of those columns, and ``float()`` ignores a score's whitespace. A clean
+file, with no whitespace around a value, is encoded once. The
 ``PredictionSet`` constructor strips nothing. The label rule: a column's
 distinct labels are checked once, after every row is read, and the first
 row that holds a label other than "0" or "1" (0 or 1 in the constructor) is
@@ -400,9 +403,9 @@ class _Rows(_Columns):
     ``split`` alone decides each chunk's route: it takes a chunk that
     ``csv.reader`` would read the same and accept, and from the first chunk
     it refuses, ``read_csv`` reads the rest. That checks rows one at a time,
-    so the first bad row raises as it is read. Both encode text fields as
-    read; ``strip`` then applies the module's strip rule to each column's
-    distinct values.
+    so the first bad row raises as it is read. Both encode each text field as
+    ``csv.reader`` reads it, with no line end; ``strip`` then applies the
+    module's strip rule to each column's distinct values.
     """
 
     def __init__(self, delimiter: str, width: int, col: list[int]):
@@ -432,23 +435,23 @@ class _Rows(_Columns):
         each the same and accepts it. A CRLF reads as an LF. A quote, a NUL or
         other CR, a blank or bad row, a bad score, or a field longer than
         ``csv.field_size_limit()`` (measured only if the chunk is) refuses.
-        Fields are encoded unstripped, a last column's with its LF, which
-        ``strip`` removes with the rest of the whitespace."""
+        Each line end is read as a field of its own, so every field, a last
+        one too, is the string ``csv.reader`` reads, unstripped."""
         width, d, n, limit = self.width, self.delimiter, len(chunk), csv.field_size_limit()
         text = "".join(chunk).replace("\r\n", "\n")
         if not text.endswith("\n"):  # a last line with no line end
             text += "\n"
-        # An item of the source that is not one line is refused too.
+        # n line ends, so an item of the source that is not one line is refused:
+        # two short lines in one item could fill one row's fields.
         if text.count("\n") != n or any(map(text.__contains__, '"\r\0')):
             return False
-        # Each newline ends a field, so the rows are the lines only if the
-        # last column holds all n of them. A last field is measured with its LF.
-        fields = text.replace("\n", "\n" + d).split(d)
-        if (len(fields) != n * width + 1 or "".join(fields[width - 1::width]).count("\n") != n
+        # The rows are the lines only if every (width + 1)th field is a line end.
+        fields = text.replace("\n", d + "\n" + d).split(d)
+        if (len(fields) != n * (width + 1) + 1 or fields[width::width + 1].count("\n") != n
                 or len(text) > limit and max(map(len, fields)) > limit):
             return False
         fields.pop()
-        example_id, finding, label, score, group = (fields[i::width] for i in self.col)
+        example_id, finding, label, score, group = (fields[i::width + 1] for i in self.col)
         try:
             score = np.fromiter(map(float, score), np.float64, n)  # float() ignores whitespace
         except ValueError:
@@ -496,7 +499,8 @@ class _Rows(_Columns):
         """Strip each distinct value of each text column once, after the last
         chunk is read. Values that strip to one string merge, first-seen order
         kept, and their rows' codes are remapped; a column is encoded again
-        only if stripping changed one of its values."""
+        only if the input's whitespace around one of its values was stripped,
+        so never on a clean file."""
         for k, vocab in enumerate(self.vocabs):
             stripped = [*map(str.strip, vocab)]
             if stripped != [*vocab]:

@@ -5,9 +5,10 @@ score pairs ranked correctly, ties counted half. It is counted, not ranked:
 a cell's negatives are sorted once, for all its models, into levels, and every
 positive is bracketed among them under each model. One routine, ``_score``,
 turns rows of draw counts (how often a row drew each level and each
-positive) into every model's AUROC of each row, through a prefix sum of
-negatives per level and a gather at each positive's brackets. The point
-estimate is its one-row case, the draw that takes every example once.
+positive) into every model's AUROC of each row, through a prefix sum of the
+row's negatives per level and a gather at each positive's brackets, so a
+row's count depends on that row alone. The point estimate is its one-row
+case, the draw that takes every example once.
 ``_resample`` is the bootstrap's draw plan: it tallies a block of resamples
 once for every model, one count of the drawn levels and one of the drawn
 positives, and hands the tallies to ``_score``. A bootstrap call allocates
@@ -172,19 +173,19 @@ def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, gather: np.n
     """Every model's AUROC of ``cell`` on each row of draw counts, written into ``out[m]``.
 
     ``counts[r, j + 1]`` is how often row r drew level j (column 0 is empty)
-    and ``weight[r, i]`` how often it drew positive i. Every row draws
-    ``n_pos`` positives and ``n_neg`` negatives, as many as the cell holds,
-    so every row has the cell's ``n_pairs`` pairs; rows that draw other
-    totals are not counted right.
+    and ``weight[r, i]`` how often it drew positive i. A row may draw any
+    totals: its ``2U`` depends only on its own counts and weights. Only the
+    division assumes that every row has the cell's ``n_pairs`` pairs, as
+    every row does that draws ``n_pos`` positives and ``n_neg`` negatives.
 
     Only a prefix sum and a gather are each model's own: ``counts``, in
-    model m's column order, is summed by one flat ``np.add.accumulate`` into
-    ``total``. Every earlier row drew ``n_neg`` negatives, so row r's
-    ``cum[j]`` is ``total[r, j] - r * n_neg``, and ``2U_r = sum_i weight[r, i]
-    * (cum[lo_i] + cum[hi_i])``, one doubled gather when ``hi`` is ``lo``.
-    Every term is an integer, so each ``2U`` is exact, and each model's row
-    is the one it has alone. ``2U / (2 * n_pairs)`` has the bits of ``2U / 2
-    / n_pairs``, since halving is exact.
+    model m's column order, is summed along each row by ``np.add.accumulate``
+    into ``total``, so ``total[r, j]`` is row r's negatives on model m's
+    first ``j`` levels, and ``2U_r = sum_i weight[r, i] * (total[r, lo_i] +
+    total[r, hi_i])``, one doubled gather when ``hi`` is ``lo``. Every term
+    is an integer, so each ``2U`` is exact, and each model's row is the one
+    it has alone. ``2U / (2 * n_pairs)`` has the bits of ``2U / 2 /
+    n_pairs``, since halving is exact.
 
     Each model's prefix sums but model 0's are written into ``scratch``, of
     at least ``counts.size`` slots; model 0's overwrite ``counts``, so it
@@ -196,13 +197,12 @@ def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, gather: np.n
     type attribute cache keeps alive, so a call's traced memory would depend
     on what ran before it.
     """
-    offset = 2 * cell.n_pairs * np.arange(len(counts))
     for m in [*range(1, len(cell.lo)), 0]:
         total = counts
         if m:
             total = scratch[:counts.size].reshape(counts.shape)
             np.take(counts, cell.orders[m], axis=1, out=total, mode="clip")
-        np.add.accumulate(total.ravel(), out=total.ravel())
+        np.add.accumulate(total, axis=1, out=total)
         np.take(total, cell.lo[m], axis=1, out=gather, mode="clip")
         two_u = np.einsum("ij,ij->i", gather, weight)
         if cell.hi[m] is cell.lo[m]:
@@ -210,7 +210,7 @@ def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, gather: np.n
         else:
             np.take(total, cell.hi[m], axis=1, out=gather, mode="clip")
             two_u += np.einsum("ij,ij->i", gather, weight)
-        np.divide(two_u - offset, 2.0 * cell.n_pairs, out=out[m])
+        np.divide(two_u, 2.0 * cell.n_pairs, out=out[m])
 
 
 def _resample(cell: _Brackets, n_resamples: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,11 +229,12 @@ def _resample(cell: _Brackets, n_resamples: int, rng: np.random.Generator) -> np
     every model: row r's drawn levels, shifted by ``r * width + 1`` (``width
     = n_levels + 1``), go through one ``bincount`` into ``counts``, and its
     drawn positives, shifted by ``r * n_pos``, through another into
-    ``weight``. The drawn levels, and then ``_score``'s prefix sums, are
-    written into one scratch array allocated once per call, with as many
-    rows as the largest block, and the drawn positives, once counted, hold
-    the gathers; only the draws and the two ``bincount`` results, which take
-    no ``out``, are allocated per block.
+    ``weight``, so row r of each holds resample r's draws alone and
+    ``_score`` counts it on its own. The drawn levels, and then ``_score``'s
+    prefix sums, are written into one scratch array allocated once per call,
+    with as many rows as the largest block, and the drawn positives, once
+    counted, hold the gathers; only the draws and the two ``bincount``
+    results, which take no ``out``, are allocated per block.
     """
     pos_rng, neg_rng = rng.spawn(2)
     n_pos, n_neg, width = len(cell.lo[0]), len(cell.level), cell.n_levels + 1

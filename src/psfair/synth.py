@@ -15,7 +15,6 @@ back unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import statistics
@@ -196,6 +195,8 @@ def load_scenario(path: str | os.PathLike) -> ScenarioSpec:
     The spec dataclasses check every field's type: a bool or a string is never
     read as a number, nor a number as a string.
     """
+    import json  # only a scenario file needs it, so a preset's gen never loads it
+
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             try:

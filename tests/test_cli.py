@@ -821,7 +821,7 @@ def test_exit_2_before_input_loads_nothing_for_reports(argv, env):
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    (["gen", "m2_like", "--out-dir", "{out}"], {"psfair.metrics", "psfair.positive_sum"}),
+    (["gen", "m2_like", "--out-dir", "{out}"], {"psfair.metrics", "psfair.positive_sum", "json"}),
     (["audit", "{baseline}"], {"psfair.synth", "psfair.positive_sum", "numpy.ma"}),
     (["compare", "--conservative-ci", "--baseline", "{baseline}", "--candidate", "{m2}"],
      {"psfair.synth", "numpy.ma"}),

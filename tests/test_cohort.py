@@ -259,6 +259,11 @@ MORE = CLEAN.replace("e", "x")
           None))
 @example((HEADER.replace("\n", ",note\n") + CLEAN.replace("\n", f",{'n' * 60}\n"), ",", 60, "",
           None))
+# A last field one past the limit, which csv.reader rejects; example_id, with a
+# distinct value per row, as the last column.
+@example((HEADER + CLEAN + f"e6,f,0,0.6,{'g' * 61}\n" + MORE, ",", 60, "", None))
+@example(("finding,label,score,group,example_id\n"
+          + "".join(f"f,{i % 2},0.{i},g,e{i}\n" for i in range(6)), ",", 10_000, "", None))
 # No trailing newline; blank and whitespace-only lines at chunk boundaries.
 @example((HEADER + CLEAN.removesuffix("\n"), ",", 10_000, "", None))
 @example((HEADER + CLEAN.replace("e2", "\n e2").replace("e4", " ,\n\t\ne4"), ",", 10_000, "",
@@ -327,6 +332,10 @@ def test_split_alone_routes_each_chunk_to_csv_reader():
     past = plain.replace("e7,f,1,0.7,g\n", f"e7,f,1,0.7,{'g' * (csv.field_size_limit() + 1)}\n")
     assert ingested(past) == (f"line 9: field larger than field limit ({csv.field_size_limit()})",
                               True)
+    # A last field is measured without its line end, as csv.reader measures it.
+    at = plain.replace("e7,f,1,0.7,g\n", f"e7,f,1,0.7,{'g' * csv.field_size_limit()}\n")
+    assert ingested(at) == (ingest(io.StringIO(at), "m"), False)
+    assert len(max(ingested(at)[0].groups, key=len)) == csv.field_size_limit()
 
 
 def test_ingest_reads_a_path_an_open_file_and_lines_alike(tmp_path):
@@ -346,11 +355,42 @@ def test_ingest_reads_a_path_an_open_file_and_lines_alike(tmp_path):
 
 
 def test_quote_free_item_of_two_lines_is_rejected():
-    # With no quote, str.split reads the chunk; its line count must catch the item's
-    # second line, which would otherwise be read as the first line's label field.
-    header = "example_id,finding,label,score,group\n"
-    with pytest.raises(IngestError, match=r"^line 2: new-line character seen in unquoted field"):
-        ingest([header, "e1,f,1\n0.5,g\n"], "m")
+    # With no quote, str.split reads the chunk; its line count must catch the
+    # item's second line, which would otherwise be read as one of the row's
+    # fields. In the second item the two short lines fill one row, their line
+    # end in the note column.
+    for header, item in (("example_id,finding,label,score,group\n", "e1,f,1\n0.5,g\n"),
+                         ("example_id,finding,note,label,score,group\n", "e1,f\n1,0.5,g\n")):
+        with pytest.raises(IngestError,
+                           match=r"^line 2: new-line character seen in unquoted field"):
+            ingest([header, item], "m")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.permutations(cohort.REQUIRED_COLUMNS), st.sampled_from([",", "\t"]),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_a_clean_file_is_encoded_once(header, delimiter, end, quoted):
+    # Neither reader leaves a line end on a field, so with no whitespace around
+    # a value _Rows.strip changes no value and rebuilds no vocabulary, whichever
+    # column is last; a quoted file is read by csv.reader.
+    # The first four rows give both findings a positive and a negative.
+    values = [{"example_id": f"e{i}", "finding": "fg"[i % 4 // 2], "label": str(i % 2),
+               "score": f"0.{i}", "group": "ab"[i % 3 // 2]} for i in range(12)]
+    rows = [header, *([row[name] for name in header] for row in values)]
+    quote = '"' if quoted else ""
+    text = "".join(delimiter.join(quote + field + quote for field in row) + end for row in rows)
+    strip, rebuilt = cohort._Rows.strip, []
+
+    def spy(self):
+        before = list(self.vocabs)
+        strip(self)
+        rebuilt.extend(k for k, vocab in enumerate(before) if vocab is not self.vocabs[k])
+
+    with mock.patch.object(cohort._Rows, "strip", spy):
+        pset = ingest(io.StringIO(text, newline=""), "m", delimiter=delimiter)
+    assert rebuilt == []
+    assert (pset.examples, pset.findings, pset.groups) == (
+        tuple(sorted(f"e{i}" for i in range(12))), ("f", "g"), ("a", "b"))
 
 
 def test_ingest_opens_a_path_before_checking_the_model_id(tmp_path):

@@ -9,9 +9,9 @@ the block cap or on the cells around them, and no block may exceed the cap.
 one-model ``summarize``; a model's resamples and point of a cell shared with
 1-3 other models must be those it has alone. ``_score`` must count rows of
 multinomial draw counts as the indices they stand for, however the rows were
-drawn. The cells that every resample draws from must be
-``reference.rowwise_cells``, index for index. Examples are derandomized, so
-every run checks the same cases.
+drawn and whatever totals each row drew. The cells that every resample draws
+from must be ``reference.rowwise_cells``, index for index. Examples are
+derandomized, so every run checks the same cases.
 """
 
 import tracemalloc
@@ -217,16 +217,20 @@ def test_a_models_resamples_do_not_depend_on_its_companions(cells, n, cap, seed)
 
 
 @PROPERTY
-@given(companion_cells(max_models=3, continuous=False), st.integers(1, 6), seeds)
-def test_counting_does_not_depend_on_how_rows_were_drawn(cells, n_rows, seed):
+@given(companion_cells(max_models=3, continuous=False), st.integers(1, 6), st.booleans(), seeds)
+def test_counting_does_not_depend_on_how_rows_were_drawn(cells, n_rows, own_totals, seed):
     # ``_score`` is fed per-row draw counts, whatever drew them: here each row
-    # is one multinomial draw of n_neg negatives and one of n_pos positives,
-    # at uneven odds, and must score as the indices it stands for.
+    # is one multinomial draw of negatives and one of positives, at uneven
+    # odds, and must score as the indices it stands for. With own_totals each
+    # row draws its own totals, 1x to 2x the cell's, so its pair count is not
+    # the cell's: its 2U must still be its own, whatever the earlier rows drew.
     cell = metrics._Brackets(*zip(*cells))
     n_pos, n_neg, width = len(cell.lo[0]), len(cell.level), cell.n_levels + 1
     rng = np.random.default_rng(seed)
-    neg_w, weight = (np.array([rng.multinomial(n, rng.dirichlet(np.ones(n)))
-                               for _ in range(n_rows)]) for n in (n_neg, n_pos))
+    totals = [(rng.integers(n_neg, 2 * n_neg + 1), rng.integers(n_pos, 2 * n_pos + 1))
+              if own_totals else (n_neg, n_pos) for _ in range(n_rows)]
+    neg_w, weight = (np.array([rng.multinomial(t[side], rng.dirichlet(np.ones(n)))
+                               for t in totals]) for side, n in ((0, n_neg), (1, n_pos)))
     counts = np.zeros((n_rows, width), np.intp)
     for r in range(n_rows):
         np.add.at(counts[r], cell.level + 1, neg_w[r])
@@ -234,9 +238,12 @@ def test_counting_does_not_depend_on_how_rows_were_drawn(cells, n_rows, seed):
     metrics._score(cell, counts, weight, np.empty((n_rows, n_pos), np.intp),
                    np.empty(counts.size, np.intp), out)
     for (pos, neg), row in zip(cells, out):
-        assert row.tolist() == [rank_auroc(pos[np.repeat(np.arange(n_pos), pw)],
-                                           neg[np.repeat(np.arange(n_neg), nw)])
-                                for pw, nw in zip(weight, neg_w)]
+        drawn = [(pos[np.repeat(np.arange(n_pos), pw)], neg[np.repeat(np.arange(n_neg), nw)])
+                 for pw, nw in zip(weight, neg_w)]
+        two_u = [2 * int((p[:, None] > n).sum()) + int((p[:, None] == n).sum()) for p, n in drawn]
+        assert [round(a * 2 * cell.n_pairs) for a in row.tolist()] == two_u
+        if not own_totals:
+            assert row.tolist() == [rank_auroc(p, n) for p, n in drawn]
 
 
 @st.composite
