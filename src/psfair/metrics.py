@@ -11,9 +11,9 @@ row's count depends on that row alone. The point estimate is its one-row
 case, the draw that takes every example once.
 ``_resample`` is the bootstrap's draw plan: it tallies a block of resamples
 once for every model, one count of the drawn levels and one of the drawn
-positives, and hands the tallies to ``_score``. A bootstrap call allocates
-its scratch once, sized to one block, and every block and model writes into
-it. ``2U`` (twice the number of correct pairs, ties once) is a sum of integer
+positives, and hands the tallies to ``_score``, which consumes them. Each
+block allocates its own temporaries, and no other block reuses them.
+``2U`` (twice the number of correct pairs, ties once) is a sum of integer
 counts, so it is exact: every AUROC agrees bit for bit with exhaustive pair
 counting, whichever models share the cell.
 ``_FindingPass`` scores a finding for audit and compare alike: it buckets
@@ -102,8 +102,8 @@ class FairnessSummary:
 # Most draw indices one block of a cell's resamples holds; the kernel's
 # prefix sums (``count * (n_levels + 1)`` slots) and every other temporary are
 # small multiples of it. A resample larger than this gets a block of its own.
-# ``_resample`` sizes its scratch to one block, once per call, so the blocks
-# reuse one set of buffers instead of each allocating and freeing its own.
+# Each block allocates its own temporaries, freed as the next block's replace
+# them, so a call's memory grows with its resamples only by the results.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -160,16 +160,13 @@ class _Brackets:
     def points(self) -> list[float]:
         """Every model's point AUROC of the cell: ``_score`` of one row, the
         draw that takes every example once."""
-        n_pos, width = len(self.lo[0]), self.n_levels + 1
-        counts = np.bincount(self.level + 1, minlength=width)[None]
+        counts = np.bincount(self.level + 1, minlength=self.n_levels + 1)[None]
         points = np.empty((len(self.lo), 1))
-        _score(self, counts, np.ones((1, n_pos), np.intp), np.empty((1, n_pos), np.intp),
-               np.empty(width, np.intp), points)
+        _score(self, counts, np.ones((1, len(self.lo[0])), np.intp), points)
         return points[:, 0].tolist()
 
 
-def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, gather: np.ndarray,
-           scratch: np.ndarray, out: np.ndarray) -> None:
+def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, out: np.ndarray) -> None:
     """Every model's AUROC of ``cell`` on each row of draw counts, written into ``out[m]``.
 
     ``counts[r, j + 1]`` is how often row r drew level j (column 0 is empty)
@@ -187,29 +184,21 @@ def _score(cell: _Brackets, counts: np.ndarray, weight: np.ndarray, gather: np.n
     it has alone. ``2U / (2 * n_pairs)`` has the bits of ``2U / 2 /
     n_pairs``, since halving is exact.
 
-    Each model's prefix sums but model 0's are written into ``scratch``, of
-    at least ``counts.size`` slots; model 0's overwrite ``counts``, so it
-    goes last. The gathers are written into ``gather``, shaped as
-    ``weight``. ``take`` runs with ``mode="clip"``, since the default mode
-    buffers ``out``; every index is in range. The prefix sums call
-    ``np.add.accumulate``, not ``ndarray.cumsum``: ``cumsum`` looks
-    ``accumulate`` up by a new name string on each call, which CPython's
-    type attribute cache keeps alive, so a call's traced memory would depend
-    on what ran before it.
+    ``_score`` consumes ``counts``: each model but model 0 sums its own
+    reordered copy, and model 0, whose order ``counts`` is in, sums it in
+    place, so it goes last. The prefix sums call ``np.add.accumulate``, not
+    ``ndarray.cumsum``: ``cumsum`` looks ``accumulate`` up by a new name
+    string on each call, which CPython's type attribute cache keeps alive,
+    so a call's traced memory would depend on what ran before it.
     """
     for m in [*range(1, len(cell.lo)), 0]:
-        total = counts
-        if m:
-            total = scratch[:counts.size].reshape(counts.shape)
-            np.take(counts, cell.orders[m], axis=1, out=total, mode="clip")
+        total = counts.take(cell.orders[m], axis=1) if m else counts
         np.add.accumulate(total, axis=1, out=total)
-        np.take(total, cell.lo[m], axis=1, out=gather, mode="clip")
-        two_u = np.einsum("ij,ij->i", gather, weight)
+        two_u = np.einsum("ij,ij->i", total.take(cell.lo[m], axis=1), weight)
         if cell.hi[m] is cell.lo[m]:
             two_u *= 2
         else:
-            np.take(total, cell.hi[m], axis=1, out=gather, mode="clip")
-            two_u += np.einsum("ij,ij->i", gather, weight)
+            two_u += np.einsum("ij,ij->i", total.take(cell.hi[m], axis=1), weight)
         np.divide(two_u, 2.0 * cell.n_pairs, out=out[m])
 
 
@@ -230,29 +219,25 @@ def _resample(cell: _Brackets, n_resamples: int, rng: np.random.Generator) -> np
     = n_levels + 1``), go through one ``bincount`` into ``counts``, and its
     drawn positives, shifted by ``r * n_pos``, through another into
     ``weight``, so row r of each holds resample r's draws alone and
-    ``_score`` counts it on its own. The drawn levels, and then ``_score``'s
-    prefix sums, are written into one scratch array allocated once per call,
-    with as many rows as the largest block, and the drawn positives, once
-    counted, hold the gathers; only the draws and the two ``bincount``
-    results, which take no ``out``, are allocated per block.
+    ``_score`` counts it on its own. Every temporary, the draws, the tallies
+    and ``_score``'s prefix sums and gathers, is its block's own, and no
+    other block reuses it; only ``stats`` is allocated once per call.
     """
     pos_rng, neg_rng = rng.spawn(2)
     n_pos, n_neg, width = len(cell.lo[0]), len(cell.level), cell.n_levels + 1
     stats = np.empty((len(cell.lo), n_resamples))
     step = max(1, _BLOCK_ELEMS // (n_pos + n_neg))
-    levels = np.empty(min(step, n_resamples) * (n_neg + 1), np.intp)  # levels, then prefix sums
     for start in range(0, n_resamples, step):
         count = min(step, n_resamples - start)
         pos_draws = pos_rng.integers(0, n_pos, (count, n_pos))
         neg_draws = neg_rng.integers(0, n_neg, (count, n_neg))
         row = np.arange(count)[:, None]
-        level = levels[:count * n_neg].reshape(count, n_neg)
-        np.take(cell.level, neg_draws, out=level, mode="clip")
+        level = cell.level.take(neg_draws)
         level += row * width + 1
         counts = np.bincount(level.ravel(), minlength=count * width).reshape(count, width)
         pos_draws += row * n_pos
         weight = np.bincount(pos_draws.ravel(), minlength=count * n_pos).reshape(count, n_pos)
-        _score(cell, counts, weight, pos_draws, levels, stats[:, start:start + count])
+        _score(cell, counts, weight, stats[:, start:start + count])
     return stats
 
 

@@ -9,9 +9,11 @@ the block cap or on the cells around them, and no block may exceed the cap.
 one-model ``summarize``; a model's resamples and point of a cell shared with
 1-3 other models must be those it has alone. ``_score`` must count rows of
 multinomial draw counts as the indices they stand for, however the rows were
-drawn and whatever totals each row drew. The cells that every resample draws
-from must be ``reference.rowwise_cells``, index for index. Examples are
-derandomized, so every run checks the same cases.
+drawn and whatever totals each row drew. A cell's levels must be its
+negatives' distinct score tuples, and a model's brackets must share one
+array exactly when none of its positives ties a negative. The cells that
+every resample draws from must be ``reference.rowwise_cells``, index for
+index. Examples are derandomized, so every run checks the same cases.
 """
 
 import tracemalloc
@@ -235,8 +237,7 @@ def test_counting_does_not_depend_on_how_rows_were_drawn(cells, n_rows, own_tota
     for r in range(n_rows):
         np.add.at(counts[r], cell.level + 1, neg_w[r])
     out = np.empty((len(cells), n_rows))
-    metrics._score(cell, counts, weight, np.empty((n_rows, n_pos), np.intp),
-                   np.empty(counts.size, np.intp), out)
+    metrics._score(cell, counts, weight, out)
     for (pos, neg), row in zip(cells, out):
         drawn = [(pos[np.repeat(np.arange(n_pos), pw)], neg[np.repeat(np.arange(n_neg), nw)])
                  for pw, nw in zip(weight, neg_w)]
@@ -244,6 +245,25 @@ def test_counting_does_not_depend_on_how_rows_were_drawn(cells, n_rows, own_tota
         assert [round(a * 2 * cell.n_pairs) for a in row.tolist()] == two_u
         if not own_totals:
             assert row.tolist() == [rank_auroc(p, n) for p, n in drawn]
+
+
+@PROPERTY
+@given(companion_cells(max_models=3, continuous=False))
+def test_levels_and_brackets_of_tied_cells(cells):
+    # What the kernel's shortcuts rest on: a level is one distinct tuple of a
+    # negative's scores under every model, even where model 0 ties and only
+    # the other models tell tuples apart; ``hi[m]`` is ``lo[m]`` exactly when
+    # no positive of model m ties one of its negatives, so one doubled gather
+    # counts both; and model 0's columns are in level order already.
+    cell = metrics._Brackets(*zip(*cells))
+    tuples = list(zip(*(neg.tolist() for _, neg in cells)))
+    level_of = {}
+    for t, level in zip(tuples, cell.level.tolist()):
+        assert level_of.setdefault(t, level) == level
+    assert cell.n_levels == len(level_of) == len(set(level_of.values()))
+    for m, (pos, neg) in enumerate(cells):
+        assert (cell.hi[m] is cell.lo[m]) == (not np.isin(pos, neg).any())
+    assert cell.orders[0] is None
 
 
 @st.composite
@@ -376,22 +396,19 @@ class RecordingStream:
         self.rng, self.draws = rng, ([], [])
 
     def spawn(self, n_children):
-        children = self.rng.spawn(n_children)
-        self.sides = [RecordingSide(child, log) for child, log in zip(children, self.draws)]
-        return self.sides
+        return [RecordingSide(child, log)
+                for child, log in zip(self.rng.spawn(n_children), self.draws)]
 
 
 class RecordingSide:
-    """One side's stream: ``log`` keeps a copy of each index array as drawn,
-    ``issued`` the array itself, which the kernel may then write into."""
+    """One side's stream: ``log`` keeps a copy of each index array as drawn."""
 
     def __init__(self, rng, log):
-        self.rng, self.log, self.issued = rng, log, []
+        self.rng, self.log = rng, log
 
     def integers(self, *args):
         drawn = self.rng.integers(*args)
         self.log.append(drawn.copy())
-        self.issued.append(drawn)
         return drawn
 
 
@@ -402,8 +419,7 @@ def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
     # the cap's indices unless it is a single resample.
     stream = RecordingStream(substream(0, "blocks"))
     cell = metrics._Brackets([np.zeros(n_pos)] * n_models, [np.zeros(n_neg)] * n_models)
-    with (mock.patch.object(metrics, "_BLOCK_ELEMS", cap),
-          mock.patch.object(metrics.np, "take", wraps=np.take) as take):
+    with mock.patch.object(metrics, "_BLOCK_ELEMS", cap):
         stats = metrics._resample(cell, n, stream)
     assert stats.shape == (n_models, n) and (stats == 0.5).all()
     pos_draws, neg_draws = stream.draws
@@ -413,23 +429,11 @@ def test_blocks_respect_the_cap(n_pos, n_neg, n_models, n, cap):
         assert count == 1 or count * (n_pos + n_neg) <= cap
         assert pos.shape == (count, n_pos) and neg.shape == (count, n_neg)
         assert 0 <= pos.min() and pos.max() < n_pos and 0 <= neg.min() and neg.max() < n_neg
-    # Every ``take`` writes into the block's drawn positives (the gathers) or
-    # into one scratch array that serves every block and model of the call:
-    # the drawn levels, then each model's reordered counts but model 0's. It
-    # holds the largest block's rows of n_neg + 1 slots.
-    outs = [call.kwargs.get("out") for call in take.call_args_list]
-    assert all(out is not None for out in outs)
-    drawn = stream.sides[0].issued
-    scratch = [out for out in outs if not any(out is pos for pos in drawn)]
-    assert len(scratch) == len(pos_draws) * n_models
-    buffer = scratch[0].base
-    assert buffer is not None and all(out.base is buffer for out in scratch)
-    assert buffer.size == max(len(pos) for pos in pos_draws) * (n_neg + 1)
 
 
 def test_memory_does_not_grow_with_resamples():
-    # Scratch holds one block, so the peak of a multi-block cell grows with
-    # n_resamples only by the result array.
+    # A block's temporaries are freed as the next block's replace them, so the
+    # peak of a multi-block cell grows with n_resamples only by the result array.
     rng = np.random.default_rng(9)
     cell = metrics._Brackets([np.round(rng.normal(0.5, 1, 900), 2) for _ in range(3)],
                              [np.round(rng.normal(0, 1, 1100), 2) for _ in range(3)])
